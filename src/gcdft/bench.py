@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import transform
-from .functions import ArithmeticFunction, Kind
+from .functions import ID, ArithmeticFunction, Kind
 from .numtheory import factorize
 from .tables import format_exact
 from .transform import (
@@ -50,7 +50,7 @@ class BenchResult:
 
 
 def _closed_form_value(f: ArithmeticFunction, fac, m: int) -> Fraction:
-    if f.name == "id":
+    if f is ID:
         return Fraction(dft_closed_form_gcd(fac, m))
     if f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
         return dft_closed_form_completely_mult(f, fac, m)

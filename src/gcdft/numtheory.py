@@ -8,6 +8,7 @@ allowed to overflow or round.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
@@ -185,11 +186,24 @@ def factorize(n: int) -> Factorization:
     return Factorization(value, tuple(sorted(factors.items())))
 
 
+def as_int(value: object, name: str = "n") -> int:
+    """``value`` as a plain int. Bools and non-integers (floats, strings)
+    raise :class:`DomainError`, so no float reaches an exact result."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def as_factorization(n: int | Factorization) -> Factorization:
-    """Accept either a plain integer or an existing Factorization."""
+    """Accept either an integer or an existing Factorization."""
     if isinstance(n, Factorization):
         return n
-    return factorize(n)
+    return factorize(as_int(n))
 
 
 @lru_cache(maxsize=1 << 18)

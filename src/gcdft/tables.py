@@ -1,9 +1,9 @@
 """Table construction and rendering for transform values over all orders.
 
 A table row maps an order index to gcd(index, n) and the exact transform
-value, plus a per-prime-factor display string. Compressed tables emit one row
-per distinct gcd class (i.e. one per divisor of n), since the transform
-depends on the order only through that gcd.
+value, plus a per-prime-factor display string. The transform depends on the
+order only through that gcd, so a table is built from one evaluation per gcd
+class (one per divisor of n); compressed tables emit one row per class.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError
-from .functions import ArithmeticFunction
+from .functions import ID, ArithmeticFunction
 from .numtheory import Factorization, as_factorization, divisors
-from .transform import decompose_order, dft_dispatch, reduce_order
+from .transform import decompose_order, dft_dispatch
 
 _PRIME_LETTERS = "pqwxyz"
 
@@ -72,36 +72,29 @@ def _symbolic_gcd_form(fac: Factorization, exponents: tuple[int, ...]) -> str:
     return "".join(pieces) or "1"
 
 
-def _symbolic_factor_values(f: ArithmeticFunction, fac: Factorization, m: int) -> str:
-    """Per-prime numeric factors of the closed form, joined with '*'."""
-    if not fac.factors:
-        return "1"
-    factors = []
-    for p, s in fac.factors:
-        single = as_factorization(p**s)
-        factors.append(format_exact(dft_dispatch(f, single, m).value))
-    return "*".join(factors)
-
-
 def build_table(
     f: ArithmeticFunction, n: int | Factorization, *, compress: bool = False
 ) -> list[TableRow]:
     """Rows of the transform at every order 1..n, or one representative row
-    per gcd class when compressed (the divisor itself represents its class)."""
+    per gcd class when compressed (the divisor itself represents its class).
+
+    Each class g | n is evaluated once. For f other than id its form joins
+    the per-prime values h_{p^t}(p^s), t = v_p(g), each computed once."""
     fac = as_factorization(n)
-    indices = divisors(fac) if compress else range(1, fac.value + 1)
-    rows = []
-    for index in indices:
-        order = decompose_order(reduce_order(index, fac.value), fac)
-        report = dft_dispatch(f, fac, index)
-        if f.name == "id":
-            symbolic = _symbolic_gcd_form(fac, order.exponents)
+    local: dict[tuple[int, int], str] = {}
+    classes = {}
+    for g in divisors(fac):
+        exponents = decompose_order(g, fac).exponents
+        if f is ID:
+            form = _symbolic_gcd_form(fac, exponents)
         else:
-            symbolic = _symbolic_factor_values(f, fac, index)
-        rows.append(
-            TableRow(index, math.gcd(index, fac.value), report.value, symbolic)
-        )
-    return rows
+            for (p, s), t in zip(fac.factors, exponents):
+                if (p, t) not in local:
+                    local[p, t] = format_exact(dft_dispatch(f, as_factorization(p**s), p**t).value)
+            form = "*".join(local[p, t] for (p, _), t in zip(fac.factors, exponents)) or "1"
+        classes[g] = (dft_dispatch(f, fac, g).value, form)
+    indices = classes if compress else range(1, fac.value + 1)
+    return [TableRow(i, g := math.gcd(i, fac.value), *classes[g]) for i in indices]
 
 
 TABLE_FIELDS = ("index", "gcd", "value", "form")

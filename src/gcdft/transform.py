@@ -22,10 +22,11 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
-from .functions import ArithmeticFunction, Kind, evaluate
+from .functions import ID, ArithmeticFunction, Kind, evaluate
 from .numtheory import (
     Factorization,
     as_factorization,
+    as_int,
     divisor_tuple,
     moebius,
     totient,
@@ -35,6 +36,10 @@ from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE
 PATH_BRUTE_FLOAT = "brute_float"
 PATH_CONVOLUTION = "convolution_exact"
 PATH_CLOSED_FORM = "closed_form"
+
+# The brute float sum's rounding error grows with the l1 norm of the summed
+# sequence f(gcd(k, n)), so its check is relative to that norm.
+BRUTE_RELATIVE_TOLERANCE = 1e-12
 
 
 @dataclass(frozen=True)
@@ -256,11 +261,12 @@ def dft_dispatch(
 ) -> DftReport:
     """Evaluate the transform via the best exact path for f's kind; with
     ``verify`` every evaluable path runs and exact disagreement raises
-    :class:`InconsistencyError`."""
+    :class:`InconsistencyError`. The brute float value is accepted within
+    ``max(tolerance, BRUTE_RELATIVE_TOLERANCE * sum_k |f(gcd(k, n))|)``."""
     fac = as_factorization(n)
-    m_reduced = reduce_order(m, fac.value)
+    m_reduced = reduce_order(as_int(m, "m"), fac.value)
 
-    if f.name == "id":
+    if f is ID:
         closed: Fraction | int | None = dft_closed_form_gcd(fac, m_reduced)
         path = PATH_CLOSED_FORM
     elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
@@ -292,10 +298,12 @@ def dft_dispatch(
             agreeing.add(PATH_CONVOLUTION)
         if fac.value <= DEFINITION_SCALE_LIMIT:
             brute = dft_brute_float(f, fac.value, m_reduced)
-            if (
-                abs(brute.real - float(value)) < tolerance
-                and abs(brute.imag) < tolerance
-            ):
+            l1 = sum(
+                abs(evaluate(f, d)) * totient(fac.value // d)
+                for d in divisor_tuple(fac.value)
+            )
+            bound = max(tolerance, BRUTE_RELATIVE_TOLERANCE * float(l1))
+            if abs(brute.real - float(value)) < bound and abs(brute.imag) < bound:
                 agreeing.add(PATH_BRUTE_FLOAT)
             else:
                 raise InconsistencyError(

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
-from .functions import ArithmeticFunction, Kind, get_function
+from .functions import ID, ArithmeticFunction, Kind, get_function
 from .numtheory import divisors, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
@@ -109,7 +109,7 @@ def _perturb(value: Fraction, path: str, fault: str | None) -> Fraction:
 
 
 def _closed_form(f: ArithmeticFunction, n: int, m: int) -> Fraction | None:
-    if f.name == "id":
+    if f is ID:
         return Fraction(dft_closed_form_gcd(n, m))
     if f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
         return dft_closed_form_completely_mult(f, n, m)
@@ -179,7 +179,7 @@ def check_closed_form_pair(
     for n in n_values:
         for m in orders_for(n, policy, sample_count, rng):
             general = dft_closed_form_multiplicative(f, n, m)
-            if f.name == "id":
+            if f is ID:
                 identity = "gcd-form-vs-multiplicative-form"
                 other = Fraction(dft_closed_form_gcd(n, m))
             elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:

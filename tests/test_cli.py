@@ -46,6 +46,14 @@ class TestDft:
         assert "convolution_exact" in out
         assert "closed_form" in out
 
+    def test_verify_of_large_values_exits_zero(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "dft", "--f", "J_2", "--n", "288774", "--m", "164704", "--verify"
+        )
+        assert code == EXIT_OK
+        assert out.split()[0] == "65851410688"
+        assert "brute_float" in out
+
     def test_json_format(self, capsys):
         code, out, _ = run_cli(
             capsys, "dft", "--f", "id_2", "--n", "9", "--m", "3",

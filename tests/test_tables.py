@@ -7,17 +7,44 @@ from fractions import Fraction
 import pytest
 
 from gcdft.errors import DomainError
-from gcdft.functions import ID, TAU, id_power
-from gcdft.numtheory import divisor_tuple, totient
+from gcdft.functions import (
+    ID,
+    SIGMA,
+    TAU,
+    ArithmeticFunction,
+    catalog_names,
+    get_function,
+    id_power,
+)
+from gcdft.numtheory import divisor_tuple, factorize, totient
 from gcdft.tables import (
     TableRow,
+    _symbolic_gcd_form,
     build_table,
     format_exact,
     parse_exact,
     parse_table,
     render_table,
 )
-from gcdft.transform import dft_brute_float
+from gcdft.transform import decompose_order, dft_brute_float, dft_dispatch
+
+
+def per_index_rows(f, n):
+    """The full table evaluated order by order: one dispatch per row, plus
+    one per prime of n for the form of f other than id."""
+    fac = factorize(n)
+    rows = []
+    for index in range(1, n + 1):
+        if f is ID:
+            form = _symbolic_gcd_form(fac, decompose_order(index, fac).exponents)
+        else:
+            form = "*".join(
+                format_exact(dft_dispatch(f, factorize(p**s), index).value)
+                for p, s in fac.factors
+            ) or "1"
+        value = dft_dispatch(f, fac, index).value
+        rows.append(TableRow(index, math.gcd(index, n), value, form))
+    return rows
 
 
 class TestExactSerialization:
@@ -110,6 +137,12 @@ class TestFullTables:
         assert rows[12].transform_value == 28
         assert rows[12].symbolic_form == "7*4"
 
+    def test_function_merely_named_id_gets_its_own_forms(self):
+        fake = ArithmeticFunction.multiplicative("id", lambda p, e: e + 1)
+        assert [(r.transform_value, r.symbolic_form) for r in build_table(fake, 12)] == [
+            (r.transform_value, r.symbolic_form) for r in build_table(TAU, 12)
+        ]
+
     def test_rational_values_serialize(self):
         rows = build_table(id_power(-1), 4, compress=True)
         values = [format_exact(r.transform_value) for r in rows]
@@ -146,3 +179,36 @@ class TestRendering:
             render_table([], "yaml")
         with pytest.raises(DomainError):
             parse_table("", "text")
+
+
+class TestGcdClassEvaluation:
+    GENERAL = ArithmeticFunction.from_table(
+        "general",
+        {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 1002)},
+        integer_valued=False,
+    )
+
+    @pytest.mark.parametrize("name", catalog_names() + ["id_-1", "general"])
+    def test_matches_per_index_evaluation(self, name):
+        f = self.GENERAL if name == "general" else get_function(name)
+        for n in [*range(1, 131), 360, 720, 1001]:
+            reference = per_index_rows(f, n)
+            assert render_table(build_table(f, n), "csv") == render_table(reference, "csv")
+            divs = set(divisor_tuple(n))
+            compressed = [r for r in reference if r.index in divs]
+            assert render_table(build_table(f, n, compress=True), "csv") == render_table(
+                compressed, "csv"
+            )
+
+    def test_one_dispatch_per_class_and_local_factor(self, monkeypatch):
+        import gcdft.tables as tables
+
+        calls = []
+        honest = tables.dft_dispatch
+        monkeypatch.setattr(
+            tables, "dft_dispatch", lambda *a, **k: calls.append(a) or honest(*a, **k)
+        )
+        rows = build_table(SIGMA, 720)
+        assert len(rows) == 720
+        local_factors = sum(s + 1 for _, s in factorize(720).factors)
+        assert len(calls) <= len(divisor_tuple(720)) + local_factors == 40

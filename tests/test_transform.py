@@ -284,6 +284,30 @@ class TestDispatch:
         report = dft_dispatch(SIGMA, 36, 6)
         assert isinstance(report.value, int)
 
+    def test_function_merely_named_id_is_not_id(self):
+        # the Schramm product belongs to the id object, not to its name
+        fake = ArithmeticFunction.multiplicative("id", lambda p, e: e + 1)
+        report = dft_dispatch(fake, 12, 5, verify=True)
+        assert report.value == dft_exact_convolution(fake, 12, 5) == 1
+        assert dft_dispatch(fake, 12, 5).value == dft_dispatch(TAU, 12, 5).value
+
+    @pytest.mark.parametrize("bad", [12.0, True, "12"])
+    def test_non_integer_inputs_rejected(self, bad):
+        with pytest.raises(DomainError):
+            dft_dispatch(ID, bad, 1)
+        with pytest.raises(DomainError):
+            dft_dispatch(ID, 12, bad)
+
+    def test_float_check_is_relative_to_sequence_size(self):
+        # h = 65851410688 here; the float sum's imaginary part is off by 2.8e-6
+        report = dft_dispatch(jordan_function(2), 288774, 164704, verify=True)
+        assert report.value == dft_exact_convolution(jordan_function(2), 288774, 164704)
+        assert report.paths_agreeing == {
+            PATH_BRUTE_FLOAT,
+            PATH_CONVOLUTION,
+            PATH_CLOSED_FORM,
+        }
+
 
 class TestPathEquivalence:
     def test_catalog_sweep(self):
