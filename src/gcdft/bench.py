@@ -1,4 +1,5 @@
-"""Timing harness: brute-force float transform vs factorize-plus-closed-form.
+"""Timing harness: brute-force float transform vs factorize-plus-dispatch (the
+closed form, or the exact convolution for a general function).
 
 Medians of a monotonic clock over several repetitions; caches are cleared
 between repetitions so the closed-form column pays for its factorization and
@@ -15,15 +16,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import transform
-from .functions import ID, ArithmeticFunction, Kind
+from .functions import ArithmeticFunction
 from .numtheory import factorize
 from .tables import format_exact
-from .transform import (
-    dft_brute_float,
-    dft_closed_form_completely_mult,
-    dft_closed_form_gcd,
-    dft_closed_form_multiplicative,
-)
+from .transform import dft_brute_float, dft_dispatch
 
 BENCH_FIELDS = (
     "n",
@@ -49,14 +45,6 @@ class BenchResult:
     spot_check: bool
 
 
-def _closed_form_value(f: ArithmeticFunction, fac, m: int) -> Fraction:
-    if f is ID:
-        return Fraction(dft_closed_form_gcd(fac, m))
-    if f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
-        return dft_closed_form_completely_mult(f, fac, m)
-    return dft_closed_form_multiplicative(f, fac, m)
-
-
 def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResult:
     """Median wall time of both paths at order m = n (every theta branch hot)."""
     if repetitions < 1:
@@ -74,7 +62,7 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
         factorize.cache_clear()
         start = time.perf_counter()
         fac = factorize(n)
-        value = _closed_form_value(f, fac, m)
+        value = dft_dispatch(f, fac, m).value
         closed_times.append(time.perf_counter() - start)
 
     brute_median = statistics.median(brute_times)
@@ -87,7 +75,7 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
         brute_median,
         closed_median,
         brute_median / closed_median if closed_median > 0 else float("inf"),
-        value.numerator if value.denominator == 1 else value,
+        value,
         spot,
     )
 

@@ -6,15 +6,18 @@ independent ways:
 * a brute-force floating sum (the oracle, O(n) per call),
 * an exact Dirichlet convolution of f with the Ramanujan sum,
 * exact prime-factor products: one specific to f = id, one for any
-  multiplicative f (with a per-prime partial sum), and a fully closed
-  geometric form for completely multiplicative f.
+  multiplicative f (one per-prime kernel, :func:`_local_factor`), and a fully
+  closed geometric form for completely multiplicative f.
 
-All exact paths must agree; the dispatcher can cross-check them.
+:func:`exact_closed_form` is the only place that picks a closed form: Schramm's
+integer product for f = id and the per-prime product for every other
+multiplicative f. The geometric form is an independent oracle for verify and
+the tests, never a dispatch path. All exact paths must agree; the dispatcher
+can cross-check them.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -23,22 +26,15 @@ import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ID, ArithmeticFunction, Kind, evaluate
-from .numtheory import (
-    Factorization,
-    as_factorization,
-    as_int,
-    divisor_tuple,
-    moebius,
-    totient,
-)
-from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE
+from .numtheory import Factorization, as_factorization, as_int, divisor_tuple, totient
+from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, ramanujan_von_sterneck
 
 PATH_BRUTE_FLOAT = "brute_float"
 PATH_CONVOLUTION = "convolution_exact"
 PATH_CLOSED_FORM = "closed_form"
 
-# The brute float sum's rounding error grows with the l1 norm of the summed
-# sequence f(gcd(k, n)), so its check is relative to that norm.
+# A float oracle's rounding error (brute sum or FFT) grows with the l1 norm of
+# the summed sequence f(gcd(k, n)), so its check is relative to that norm.
 BRUTE_RELATIVE_TOLERANCE = 1e-12
 
 
@@ -135,13 +131,6 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
     return np.fft.fft(a)
 
 
-@lru_cache(maxsize=1 << 18)
-def _ramanujan_exact(d: int, g: int) -> int:
-    """von Sterneck value of the Ramanujan sum c_d at any order with gcd g."""
-    reduced = d // g
-    return moebius(reduced) * (totient(d) // totient(reduced))
-
-
 def dft_exact_convolution(
     f: ArithmeticFunction, n: int | Factorization, m: int
 ) -> Fraction:
@@ -150,7 +139,7 @@ def dft_exact_convolution(
     fac = as_factorization(n)
     total = Fraction(0)
     for d in divisor_tuple(fac.value):
-        r = _ramanujan_exact(d, math.gcd(m, d))
+        r = ramanujan_von_sterneck(d, m)
         if r:
             total += evaluate(f, fac.value // d) * r
     return total
@@ -170,34 +159,31 @@ def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
     return result
 
 
-def _partial_power_sum(f: ArithmeticFunction, p: int, s: int, upto: int) -> Fraction:
-    return sum(
-        (p ** (b - 1) * f.prime_power(p, s - b) for b in range(1, upto + 1)),
-        Fraction(0),
-    )
+def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Fraction:
+    """The factor of p^s || n in the transform at an order with v_p(m) = t:
+    f(p^s) + (p-1) * sum_{b=1..min(t,s)} p^(b-1) f(p^(s-b)),
+    minus f(p^(s-t-1)) * p^t when t < s (the term is dropped entirely when
+    t >= s, so f never sees a negative exponent)."""
+    term = f.prime_power(p, s)
+    for b in range(1, min(t, s) + 1):
+        term += (p - 1) * p ** (b - 1) * f.prime_power(p, s - b)
+    if t < s:
+        term -= f.prime_power(p, s - t - 1) * p**t
+    return term
 
 
 def dft_closed_form_multiplicative(
     f: ArithmeticFunction, n: int | Factorization, m: int
 ) -> Fraction:
-    """Exact transform of a multiplicative f as a prime-factor product with a
-    short per-prime sum: each factor is
-    f(p^s) + (p-1) * sum_{b=1..min(t,s)} p^(b-1) f(p^(s-b)),
-    minus f(p^(s-t-1)) * p^t when t < s (the term is dropped entirely when
-    t >= s, so f never sees a negative exponent)."""
+    """Exact transform of a multiplicative f as the product of
+    :func:`_local_factor` over the prime powers of n."""
     if not f.is_multiplicative:
         raise DomainError("closed form requires a multiplicative function")
     fac = as_factorization(n)
     order = decompose_order(reduce_order(m, fac.value), fac)
     result = Fraction(1)
     for (p, s), t in zip(fac.factors, order.exponents):
-        term = f.prime_power(p, s)
-        bound = min(t, s)
-        if bound:
-            term += (p - 1) * _partial_power_sum(f, p, s, bound)
-        if t < s:
-            term -= f.prime_power(p, s - t - 1) * p**t
-        result *= term
+        result *= _local_factor(f, p, s, t)
     return result
 
 
@@ -225,7 +211,7 @@ def dft_closed_form_completely_mult(
             bound = min(t, s)
             denominator = f.prime_power(p, bound) - p * f.prime_power(p, bound - 1)
             if denominator == 0:
-                term += (p - 1) * _partial_power_sum(f, p, s, bound)
+                term = _local_factor(f, p, s, t)
             else:
                 ratio = (f.prime_power(p, bound) - p**bound) / denominator
                 term += (p - 1) * f.prime_power(p, s - 1) * ratio
@@ -234,15 +220,30 @@ def dft_closed_form_completely_mult(
 
 
 def gcd_power_sum(f: ArithmeticFunction, n: int | Factorization) -> Fraction:
-    """sum_{k=1..n} f(gcd(k, n)), i.e. the transform at order m = n, as the
-    product of f(p^s) + (p-1) * sum_{b=1..s} p^(b-1) f(p^(s-b))."""
-    if not f.is_multiplicative:
-        raise DomainError("gcd_power_sum requires a multiplicative function")
+    """sum_{k=1..n} f(gcd(k, n)), i.e. the transform at order m = n."""
     fac = as_factorization(n)
-    result = Fraction(1)
-    for p, s in fac.factors:
-        result *= f.prime_power(p, s) + (p - 1) * _partial_power_sum(f, p, s, s)
-    return result
+    return dft_closed_form_multiplicative(f, fac, fac.value)
+
+
+def exact_closed_form(
+    f: ArithmeticFunction, n: int | Factorization, m: int
+) -> int | Fraction | None:
+    """The transform from the closed form for f's kind: Schramm's integer
+    product for f = id, the per-prime product for any other multiplicative
+    f, and None for a general f (which only the convolution evaluates)."""
+    if f is ID:
+        return dft_closed_form_gcd(n, m)
+    if f.is_multiplicative:
+        return dft_closed_form_multiplicative(f, n, m)
+    return None
+
+
+def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
+    """How far a float oracle may stray from the exact transform at n: the
+    larger of ``tolerance`` and BRUTE_RELATIVE_TOLERANCE times the l1 norm
+    sum_k |f(gcd(k, n))| = sum_{d | n} |f(d)| * phi(n/d), computed exactly."""
+    l1 = sum(abs(evaluate(f, d)) * totient(n // d) for d in divisor_tuple(n))
+    return max(tolerance, BRUTE_RELATIVE_TOLERANCE * float(l1))
 
 
 def _canonical(value: Fraction | int) -> int | Fraction:
@@ -262,28 +263,18 @@ def dft_dispatch(
     """Evaluate the transform via the best exact path for f's kind; with
     ``verify`` every evaluable path runs and exact disagreement raises
     :class:`InconsistencyError`. The brute float value is accepted within
-    ``max(tolerance, BRUTE_RELATIVE_TOLERANCE * sum_k |f(gcd(k, n))|)``."""
+    :func:`float_bound`."""
     fac = as_factorization(n)
     m_reduced = reduce_order(as_int(m, "m"), fac.value)
 
-    if f is ID:
-        closed: Fraction | int | None = dft_closed_form_gcd(fac, m_reduced)
-        path = PATH_CLOSED_FORM
-    elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
-        closed = dft_closed_form_completely_mult(f, fac, m_reduced)
-        path = PATH_CLOSED_FORM
-    elif f.kind is Kind.MULTIPLICATIVE:
-        closed = dft_closed_form_multiplicative(f, fac, m_reduced)
-        path = PATH_CLOSED_FORM
-    else:
-        closed = None
-        path = PATH_CONVOLUTION
-
+    closed = exact_closed_form(f, fac, m_reduced)
     if closed is not None:
         value = closed
         convolution = None
+        path = PATH_CLOSED_FORM
     else:
         value = convolution = dft_exact_convolution(f, fac, m_reduced)
+        path = PATH_CONVOLUTION
     agreeing = {path}
 
     if verify:
@@ -298,11 +289,7 @@ def dft_dispatch(
             agreeing.add(PATH_CONVOLUTION)
         if fac.value <= DEFINITION_SCALE_LIMIT:
             brute = dft_brute_float(f, fac.value, m_reduced)
-            l1 = sum(
-                abs(evaluate(f, d)) * totient(fac.value // d)
-                for d in divisor_tuple(fac.value)
-            )
-            bound = max(tolerance, BRUTE_RELATIVE_TOLERANCE * float(l1))
+            bound = float_bound(f, fac.value, tolerance)
             if abs(brute.real - float(value)) < bound and abs(brute.imag) < bound:
                 agreeing.add(PATH_BRUTE_FLOAT)
             else:

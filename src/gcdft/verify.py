@@ -30,6 +30,8 @@ from .transform import (
     dft_closed_form_gcd,
     dft_closed_form_multiplicative,
     dft_exact_convolution,
+    exact_closed_form,
+    float_bound,
     reduce_order,
 )
 
@@ -108,16 +110,6 @@ def _perturb(value: Fraction, path: str, fault: str | None) -> Fraction:
     return FAULTS[fault](value, path)
 
 
-def _closed_form(f: ArithmeticFunction, n: int, m: int) -> Fraction | None:
-    if f is ID:
-        return Fraction(dft_closed_form_gcd(n, m))
-    if f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
-        return dft_closed_form_completely_mult(f, n, m)
-    if f.kind is Kind.MULTIPLICATIVE:
-        return dft_closed_form_multiplicative(f, n, m)
-    return None
-
-
 def check_path_equivalence(
     f: ArithmeticFunction,
     n_values: Iterable[int],
@@ -128,13 +120,15 @@ def check_path_equivalence(
     fault: str | None = None,
     float_check: bool = True,
 ) -> Iterator[tuple[str, Failure | None]]:
-    """Convolution vs closed form (exact) and vs the FFT spectrum (float)."""
+    """Convolution vs closed form (exact) and vs the FFT spectrum (float,
+    within :func:`float_bound` of the exact value)."""
     rng = random.Random(seed)
     for n in n_values:
         spectrum = dft_brute_spectrum(f, n) if float_check else None
+        bound = float_bound(f, n, tolerance) if float_check else None
         for m in orders_for(n, policy, sample_count, rng):
             convolution = _perturb(dft_exact_convolution(f, n, m), "convolution", fault)
-            closed = _closed_form(f, n, m)
+            closed = exact_closed_form(f, n, m)
             if closed is not None:
                 closed = _perturb(closed, "closed", fault)
                 failure = None
@@ -148,10 +142,7 @@ def check_path_equivalence(
                 approx = spectrum[m % n]
                 target = closed if closed is not None else convolution
                 failure = None
-                if (
-                    abs(approx.real - float(target)) >= tolerance
-                    or abs(approx.imag) >= tolerance
-                ):
+                if abs(approx.real - float(target)) >= bound or abs(approx.imag) >= bound:
                     failure = Failure(
                         "path-equivalence-float", f.name, n, m,
                         str(target), repr(complex(approx)),
@@ -202,8 +193,8 @@ def check_gcd_dependence(
     for n in n_values:
         for m in range(1, m_span * n + 1):
             g = math.gcd(m, n)
-            left = _closed_form(f, n, reduce_order(m, n))
-            right = _closed_form(f, n, g)
+            left = exact_closed_form(f, n, reduce_order(m, n))
+            right = exact_closed_form(f, n, g)
             failure = None
             if left != right:
                 failure = Failure("gcd-dependence", f.name, n, m, str(right), str(left))
@@ -230,8 +221,8 @@ def check_multiplicativity(
             orders = divisors(n)
             orders += [rng.randrange(1, n + 1) for _ in range(extra_orders)]
             for m in orders:
-                combined = _closed_form(f, n, reduce_order(m, n))
-                split = _closed_form(f, u, reduce_order(m, u)) * _closed_form(
+                combined = exact_closed_form(f, n, reduce_order(m, n))
+                split = exact_closed_form(f, u, reduce_order(m, u)) * exact_closed_form(
                     f, v, reduce_order(m, v)
                 )
                 failure = None

@@ -4,7 +4,7 @@ import csv
 import io
 
 from gcdft.bench import BENCH_FIELDS, bench_one, render_bench, run_bench
-from gcdft.functions import ID, get_function
+from gcdft.functions import ID, ArithmeticFunction, get_function
 
 
 class TestBenchOne:
@@ -27,6 +27,12 @@ class TestBenchOne:
         assert result.value == sum(
             pow(__import__("math").gcd(k, 720), 2) for k in range(1, 721)
         )
+
+    def test_general_function(self):
+        g = ArithmeticFunction.from_table("g", {d: d * d - 3 for d in range(1, 400)})
+        result = bench_one(g, 360, repetitions=2)
+        assert result.spot_check
+        assert result.value == 279060
 
 
 class TestRendering:

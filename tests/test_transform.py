@@ -18,6 +18,7 @@ from gcdft.functions import (
     SIGMA,
     TAU,
     ArithmeticFunction,
+    catalog_names,
     evaluate,
     get_function,
     id_power,
@@ -37,6 +38,7 @@ from gcdft.transform import (
     dft_closed_form_multiplicative,
     dft_dispatch,
     dft_exact_convolution,
+    exact_closed_form,
     gcd_power_sum,
     reduce_order,
 )
@@ -248,6 +250,30 @@ class TestGcdPowerSum:
         for f in CATALOG:
             for n in range(1, 301):
                 assert gcd_power_sum(f, n) == dft_closed_form_multiplicative(f, n, n)
+
+    def test_rejects_general_kind(self):
+        f = ArithmeticFunction.from_table("table", {d: d for d in range(1, 13)})
+        with pytest.raises(DomainError):
+            gcd_power_sum(f, 12)
+
+
+class TestExactClosedForm:
+    GENERAL = ArithmeticFunction.from_table(
+        "general",
+        {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 61)},
+        integer_valued=False,
+    )
+
+    @pytest.mark.parametrize("name", catalog_names() + ["id_-1", "general"])
+    def test_matches_dispatch(self, name):
+        f = self.GENERAL if name == "general" else get_function(name)
+        for n in range(1, 61):
+            for m in range(1, n + 1):
+                closed = exact_closed_form(f, n, m)
+                if f is self.GENERAL:
+                    assert closed is None
+                else:
+                    assert closed == dft_dispatch(f, n, m).value, (n, m)
 
 
 class TestDispatch:

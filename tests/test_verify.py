@@ -143,6 +143,20 @@ class TestFaultInjection:
         assert any(f.n == 1 for f in failures)
 
 
+class TestFloatBound:
+    @pytest.mark.parametrize("name, n", [("id_3", 2520), ("J_3", 5040)])
+    def test_large_values_pass_the_fft_check(self, name, n):
+        # values reach ~10^10, where the FFT is off by ~2e-6 in absolute terms
+        f = get_function(name)
+        outcomes = list(check_path_equivalence(f, [n], policy="divisors"))
+        assert [x for _, x in outcomes if x is not None] == []
+        faulted = check_path_equivalence(f, [n], policy="divisors", fault="negate-closed-form")
+        assert {x.identity for _, x in faulted if x is not None} == {
+            "path-equivalence-exact",
+            "path-equivalence-float",
+        }
+
+
 class TestClosedFormPairChecks:
     def test_id_pairs(self):
         failures = [
