@@ -3,7 +3,7 @@ closed form, or the exact convolution for a general function).
 
 Medians of a monotonic clock over several repetitions; caches are cleared
 between repetitions so the closed-form column pays for its factorization and
-the brute column for its gcd bucketing. One float spot check per n guards
+the brute column for its gcd-class sieve. One float spot check per n guards
 against benchmarking a wrong value.
 """
 
@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import transform
+from .errors import DomainError
 from .functions import ArithmeticFunction
 from .numtheory import factorize
 from .tables import format_exact
@@ -48,7 +49,7 @@ class BenchResult:
 def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResult:
     """Median wall time of both paths at order m = n (every theta branch hot)."""
     if repetitions < 1:
-        raise ValueError("repetitions must be >= 1")
+        raise DomainError("repetitions must be >= 1")
     m = n
     brute_times = []
     closed_times = []

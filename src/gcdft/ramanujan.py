@@ -14,16 +14,18 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleScaleError
-from .numtheory import divisor_tuple, moebius, totient
+from .numtheory import divisor_tuple, factorize, moebius, totient
 
 DEFINITION_SCALE_LIMIT = 10**6
 FLOAT_TOLERANCE = 1e-6
 
 
-@lru_cache(maxsize=2048)
 def _coprime_indices(n: int) -> np.ndarray:
-    k = np.arange(1, n + 1, dtype=np.int64)
-    return k[np.gcd(k, n) == 1]
+    """The k in 1..n coprime to n: every multiple of a prime of n cleared."""
+    coprime = np.ones(n, dtype=bool)
+    for p, _ in factorize(n).factors:
+        coprime[p - 1 :: p] = False
+    return np.flatnonzero(coprime) + 1
 
 
 def ramanujan_definition(n: int, m: int) -> complex:

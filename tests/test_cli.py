@@ -165,6 +165,12 @@ class TestBench:
         assert target.exists()
         assert target.read_text().startswith("n,")
 
+    def test_zero_repetitions_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "bench", "--n", "10", "--repetitions", "0")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.strip() == "error: repetitions must be >= 1"
+
 
 class TestRamanujan:
     def test_three_evaluators_agree(self, capsys):

@@ -6,6 +6,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gcdft.errors import DomainError, InconsistencyError, OracleScaleError
@@ -25,7 +26,8 @@ from gcdft.functions import (
     jordan_function,
     sum_function_of,
 )
-from gcdft.numtheory import divisors, factorize, totient
+from gcdft import transform
+from gcdft.numtheory import divisor_tuple, divisors, factorize, totient
 from gcdft.transform import (
     PATH_BRUTE_FLOAT,
     PATH_CLOSED_FORM,
@@ -141,6 +143,40 @@ class TestBruteFloat:
     def test_scale_refusal(self):
         with pytest.raises(OracleScaleError):
             dft_brute_float(ID, 10**6 + 1, 1)
+
+    @pytest.mark.parametrize("name", catalog_names())
+    def test_spectrum_matches_per_k_fft(self, name):
+        f = get_function(name)
+        for n in range(1, 61):
+            reference = np.fft.fft(
+                [float(evaluate(f, math.gcd(k, n))) for k in range(n)]
+            )
+            np.testing.assert_array_equal(dft_brute_spectrum(f, n), reference)
+
+
+class TestGcdBuckets:
+    @staticmethod
+    def assert_classes(n):
+        divs, index = transform._gcd_buckets(n)
+        assert divs == divisor_tuple(n)
+        assert index.dtype == np.uint8
+        k = np.arange(1, n + 1)
+        np.testing.assert_array_equal(np.array(divs)[index], np.gcd(k, n))
+
+    def test_sieve_matches_gcd(self):
+        for n in range(1, 2001):
+            self.assert_classes(n)
+
+    def test_240_divisors_fit_in_uint8(self):
+        n = 720720
+        assert len(divisor_tuple(n)) == 240
+        self.assert_classes(n)
+
+    def test_non_divisor_raises(self, monkeypatch):
+        transform._gcd_buckets.cache_clear()
+        monkeypatch.setattr(transform, "divisor_tuple", lambda n: (1, 2, 5, 12))
+        with pytest.raises(InconsistencyError):
+            transform._gcd_buckets(12)
 
 
 class TestConvolutionPath:
