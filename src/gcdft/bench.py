@@ -3,8 +3,9 @@ closed form, or the exact convolution for a general function).
 
 Medians of a monotonic clock over several repetitions; caches are cleared
 between repetitions so the closed-form column pays for its factorization and
-the brute column for its gcd-class sieve. One float spot check per n guards
-against benchmarking a wrong value.
+the brute column for its gcd-class sieve. One float spot check per n, within
+:func:`transform.float_bound` of the exact value, guards against benchmarking
+a wrong value.
 """
 
 from __future__ import annotations
@@ -13,14 +14,14 @@ import json
 import statistics
 import time
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import transform
 from .errors import DomainError
-from .functions import ArithmeticFunction
+from .functions import ArithmeticFunction, Exact
 from .numtheory import factorize
+from .ramanujan import FLOAT_TOLERANCE
 from .tables import format_exact
-from .transform import dft_brute_float, dft_dispatch
+from .transform import dft_brute_float, dft_dispatch, float_bound
 
 BENCH_FIELDS = (
     "n",
@@ -42,7 +43,7 @@ class BenchResult:
     brute_median_s: float
     closed_median_s: float
     speedup: float
-    value: int | Fraction
+    value: Exact
     spot_check: bool
 
 
@@ -53,7 +54,6 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
     m = n
     brute_times = []
     closed_times = []
-    value = Fraction(0)
     for _ in range(repetitions):
         transform._gcd_buckets.cache_clear()
         start = time.perf_counter()
@@ -68,7 +68,8 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
 
     brute_median = statistics.median(brute_times)
     closed_median = statistics.median(closed_times)
-    spot = abs(brute.real - float(value)) < 1e-3 and abs(brute.imag) < 1e-3
+    bound = float_bound(f, n, FLOAT_TOLERANCE)
+    spot = abs(brute.real - float(value)) < bound and abs(brute.imag) < bound
     return BenchResult(
         n,
         f.name,

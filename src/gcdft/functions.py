@@ -1,22 +1,36 @@
 """Arithmetic functions as prime-power rules, with Dirichlet convolution,
 sum functions and Moebius inversion.
 
-Values are exact rationals (``fractions.Fraction``); integer-valued functions
-simply produce Fractions with denominator 1, so ``==`` against plain ints
-behaves as expected.
+Values are exact: a plain ``int`` whenever a value is integral and a
+``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
+that enters the library (prime-power rule results, table entries) in that
+form and rejects floats, so integer-valued functions run in ``int`` throughout.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from enum import Enum
 from fractions import Fraction
+from numbers import Rational
 from typing import Callable, Mapping
 
 from .errors import DomainError, UndefinedValueError
 from .numtheory import Factorization, as_factorization, divisors
 
 Exact = int | Fraction
+
+
+def as_exact(value: object) -> Exact:
+    """``value`` as an ``int`` when it is integral and a ``Fraction``
+    otherwise. Anything that is not a rational number (floats included)
+    raises :class:`DomainError`, so no float reaches an exact result."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Rational):
+        raise DomainError(f"exact values must be rational, got {value!r}")
+    return int(value) if value.denominator == 1 else Fraction(value)
 
 
 class Kind(Enum):
@@ -28,16 +42,15 @@ class Kind(Enum):
 class ArithmeticFunction:
     """An arithmetic function defined by its values on prime powers.
 
-    Multiplicative functions carry a ``(p, e) -> value`` rule, completely
-    multiplicative ones a ``p -> value`` rule extended by f(p^e) = f(p)^e,
-    and general functions a finite value table. f(1) = 1 is implied for the
-    two multiplicative kinds. Instances are immutable; prime-power values
-    are memoized per instance.
+    Both multiplicative kinds carry a ``(p, e) -> value`` rule; a completely
+    multiplicative one is built from a ``p -> value`` rule as f(p^e) = f(p)^e.
+    General functions carry a finite value table. f(1) = 1 is implied for the
+    two multiplicative kinds. Instances are immutable; prime-power values are
+    memoized per instance.
     """
 
     __slots__ = (
-        "name", "kind", "_pp_rule", "_p_rule", "_table", "integer_valued",
-        "_memo", "_value_memo",
+        "name", "kind", "_pp_rule", "_table", "integer_valued", "_memo", "_value_memo",
     )
 
     def __init__(
@@ -46,24 +59,20 @@ class ArithmeticFunction:
         kind: Kind,
         *,
         prime_power_rule: Callable[[int, int], Exact] | None = None,
-        prime_rule: Callable[[int], Exact] | None = None,
         direct_rule: Mapping[int, Exact] | None = None,
         integer_valued: bool = True,
     ):
+        if kind is not Kind.GENERAL and prime_power_rule is None:
+            raise DomainError(f"{kind.value} function needs a prime-power rule")
+        if kind is Kind.GENERAL and direct_rule is None:
+            raise DomainError("general function needs a value table")
         self.name = name
         self.kind = kind
         self._pp_rule = prime_power_rule
-        self._p_rule = prime_rule
-        self._table = dict(direct_rule) if direct_rule is not None else None
+        self._table = None if direct_rule is None else {k: as_exact(v) for k, v in direct_rule.items()}
         self.integer_valued = integer_valued
-        self._memo: dict[tuple[int, int], Fraction] = {}
-        self._value_memo: dict[int, Fraction] = {}
-        if kind is Kind.MULTIPLICATIVE and prime_power_rule is None:
-            raise DomainError("multiplicative function needs a prime-power rule")
-        if kind is Kind.COMPLETELY_MULTIPLICATIVE and prime_rule is None:
-            raise DomainError("completely multiplicative function needs a prime rule")
-        if kind is Kind.GENERAL and self._table is None:
-            raise DomainError("general function needs a value table")
+        self._memo: dict[tuple[int, int], Exact] = {}
+        self._value_memo: dict[int, Exact] = {}
 
     @classmethod
     def multiplicative(
@@ -75,7 +84,12 @@ class ArithmeticFunction:
     def completely_multiplicative(
         cls, name: str, rule: Callable[[int], Exact], *, integer_valued: bool = True
     ) -> "ArithmeticFunction":
-        return cls(name, Kind.COMPLETELY_MULTIPLICATIVE, prime_rule=rule, integer_valued=integer_valued)
+        return cls(
+            name,
+            Kind.COMPLETELY_MULTIPLICATIVE,
+            prime_power_rule=lambda p, e: rule(p) ** e,
+            integer_valued=integer_valued,
+        )
 
     @classmethod
     def from_table(
@@ -87,83 +101,68 @@ class ArithmeticFunction:
     def is_multiplicative(self) -> bool:
         return self.kind is not Kind.GENERAL
 
-    def prime_power(self, p: int, e: int) -> Fraction:
+    def prime_power(self, p: int, e: int) -> Exact:
         """f(p^e) for e >= 0; f(p^0) = 1 by convention."""
         if e < 0:
             raise DomainError(f"{self.name}(p^{e}): negative exponent")
         if e == 0:
-            return Fraction(1)
+            return 1
         key = (p, e)
         value = self._memo.get(key)
         if value is None:
-            if self.kind is Kind.MULTIPLICATIVE:
-                value = Fraction(self._pp_rule(p, e))
-            elif self.kind is Kind.COMPLETELY_MULTIPLICATIVE:
-                value = Fraction(self._p_rule(p)) ** e
-            else:
+            if self._pp_rule is None:
                 return self(p**e)
-            self._memo[key] = value
+            value = self._memo[key] = as_exact(self._pp_rule(p, e))
         return value
 
-    def __call__(self, n: int | Factorization) -> Fraction:
+    def __call__(self, n: int | Factorization) -> Exact:
         return evaluate(self, n)
 
     def __repr__(self) -> str:
         return f"ArithmeticFunction({self.name!r}, {self.kind.value})"
 
 
-def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Fraction:
+def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     """f(n), computed from prime-power values for multiplicative kinds."""
     if f.kind is Kind.GENERAL:
         value = int(n)
         table = f._table
         if value not in table:
             raise UndefinedValueError(f"{f.name} has no rule for {value}")
-        return Fraction(table[value])
+        return table[value]
     value = int(n)
     cached = f._value_memo.get(value)
     if cached is not None:
         return cached
-    fac = as_factorization(n)
-    result = Fraction(1)
-    for p, s in fac.factors:
-        result *= f.prime_power(p, s)
-    f._value_memo[value] = result
+    result = math.prod(f.prime_power(p, s) for p, s in as_factorization(n).factors)
+    # a product of proper fractions can be integral
+    result = f._value_memo[value] = as_exact(result)
     return result
 
 
 def dirichlet_convolve(
     f: ArithmeticFunction, g: ArithmeticFunction, n: int | Factorization
-) -> Fraction:
+) -> Exact:
     """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly."""
     fac = as_factorization(n)
-    total = Fraction(0)
-    for d in divisors(fac):
-        total += evaluate(f, fac.value // d) * evaluate(g, d)
-    return total
+    return sum(evaluate(f, fac.value // d) * evaluate(g, d) for d in divisors(fac))
 
 
-def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Fraction:
+def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    fac = as_factorization(n)
-    total = Fraction(0)
-    for d in divisors(fac):
-        total += evaluate(t, d)
-    return total
+    return sum(evaluate(t, d) for d in divisors(as_factorization(n)))
 
 
-def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Fraction:
+def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """Sum function of a multiplicative t via the per-prime geometric-style
     product prod_i [1 + t(p_i) + ... + t(p_i^(s_i))]; must agree with
     :func:`sum_function` whenever t is multiplicative.
     """
     if not t.is_multiplicative:
         raise DomainError("product form requires a multiplicative function")
-    fac = as_factorization(n)
-    result = Fraction(1)
-    for p, s in fac.factors:
-        result *= sum(t.prime_power(p, e) for e in range(s + 1))
-    return result
+    return math.prod(
+        sum(t.prime_power(p, e) for e in range(s + 1)) for p, s in as_factorization(n).factors
+    )
 
 
 def sum_function_of(t: ArithmeticFunction) -> ArithmeticFunction:
@@ -177,7 +176,7 @@ def sum_function_of(t: ArithmeticFunction) -> ArithmeticFunction:
     )
 
 
-def moebius_invert(f: ArithmeticFunction, n: int | Factorization) -> Fraction:
+def moebius_invert(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     """(f * mu)(n) for multiplicative f, via the prime-factor product
     prod_i [f(p_i^(s_i)) - f(p_i^(s_i - 1))]; the empty product at n = 1 is 1.
 
@@ -185,11 +184,9 @@ def moebius_invert(f: ArithmeticFunction, n: int | Factorization) -> Fraction:
     """
     if not f.is_multiplicative:
         raise DomainError("moebius_invert requires a multiplicative function")
-    fac = as_factorization(n)
-    result = Fraction(1)
-    for p, s in fac.factors:
-        result *= f.prime_power(p, s) - f.prime_power(p, s - 1)
-    return result
+    return math.prod(
+        f.prime_power(p, s) - f.prime_power(p, s - 1) for p, s in as_factorization(n).factors
+    )
 
 
 # --- built-in catalog ------------------------------------------------------

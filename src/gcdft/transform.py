@@ -7,15 +7,15 @@ independent ways:
   k from a divisor sieve (:func:`_gcd_buckets`), and each twiddle as the
   product of two split tables of about sqrt(n) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum,
-* exact prime-factor products: one specific to f = id, one for any
-  multiplicative f (one per-prime kernel, :func:`_local_factor`), and a fully
-  closed geometric form for completely multiplicative f.
+* exact prime-factor products: the per-prime product for any multiplicative
+  f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
+  f = id, and a fully closed geometric form for completely multiplicative f.
 
-:func:`exact_closed_form` is the only place that picks a closed form: Schramm's
-integer product for f = id and the per-prime product for every other
-multiplicative f. The geometric form is an independent oracle for verify and
-the tests, never a dispatch path. All exact paths must agree; the dispatcher
-can cross-check them.
+:func:`exact_closed_form` is the only place that picks a closed form: the
+per-prime product for every multiplicative f, in plain ``int`` whenever f is
+integer-valued. Schramm's product and the geometric form are independent
+oracles for verify and the tests, never dispatch paths. All exact paths must
+agree; the dispatcher can cross-check them.
 """
 
 from __future__ import annotations
@@ -23,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
-from .functions import ID, ArithmeticFunction, Kind, evaluate
+from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
 from .numtheory import Factorization, as_factorization, as_int, divisor_tuple, totient
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, ramanujan_von_sterneck
 
@@ -58,7 +58,7 @@ class DftReport:
     n: Factorization
     m_reduced: int
     f_name: str
-    value: int | Fraction
+    value: Exact
     paths_agreeing: frozenset[str]
 
 
@@ -151,11 +151,11 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
 
 def dft_exact_convolution(
     f: ArithmeticFunction, n: int | Factorization, m: int
-) -> Fraction:
+) -> Exact:
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
     sum: sum over d | n of f(n/d) * c_d(m)."""
     fac = as_factorization(n)
-    total = Fraction(0)
+    total = 0
     for d in divisor_tuple(fac.value):
         r = ramanujan_von_sterneck(d, m)
         if r:
@@ -164,7 +164,7 @@ def dft_exact_convolution(
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
-    """Exact transform of the gcd itself (f = id) as the prime-factor product
+    """Schramm's transform of the gcd itself (f = id), an oracle only:
     prod_i [(min(t_i, s_i) + 1) * phi(p_i^s_i) + [t_i >= s_i] * p_i^(s_i-1)]."""
     fac = as_factorization(n)
     order = decompose_order(reduce_order(m, fac.value), fac)
@@ -177,7 +177,7 @@ def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
     return result
 
 
-def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Fraction:
+def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Exact:
     """The factor of p^s || n in the transform at an order with v_p(m) = t:
     f(p^s) + (p-1) * sum_{b=1..min(t,s)} p^(b-1) f(p^(s-b)),
     minus f(p^(s-t-1)) * p^t when t < s (the term is dropped entirely when
@@ -192,22 +192,19 @@ def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Fraction:
 
 def dft_closed_form_multiplicative(
     f: ArithmeticFunction, n: int | Factorization, m: int
-) -> Fraction:
+) -> Exact:
     """Exact transform of a multiplicative f as the product of
     :func:`_local_factor` over the prime powers of n."""
     if not f.is_multiplicative:
         raise DomainError("closed form requires a multiplicative function")
     fac = as_factorization(n)
     order = decompose_order(reduce_order(m, fac.value), fac)
-    result = Fraction(1)
-    for (p, s), t in zip(fac.factors, order.exponents):
-        result *= _local_factor(f, p, s, t)
-    return result
+    return prod(_local_factor(f, p, s, t) for (p, s), t in zip(fac.factors, order.exponents))
 
 
 def dft_closed_form_completely_mult(
     f: ArithmeticFunction, n: int | Factorization, m: int
-) -> Fraction:
+) -> Exact:
     """Exact transform of a completely multiplicative f with the per-prime sum
     collapsed into a geometric ratio:
     (p-1) * f(p^(s-1)) * (f(p^M) - p^M) / (f(p^M) - p*f(p^(M-1))), M = min(t,s).
@@ -220,7 +217,7 @@ def dft_closed_form_completely_mult(
         raise DomainError("geometric closed form requires a completely multiplicative function")
     fac = as_factorization(n)
     order = decompose_order(reduce_order(m, fac.value), fac)
-    result = Fraction(1)
+    result = 1
     for (p, s), t in zip(fac.factors, order.exponents):
         term = f.prime_power(p, s)
         if t < s:
@@ -231,13 +228,13 @@ def dft_closed_form_completely_mult(
             if denominator == 0:
                 term = _local_factor(f, p, s, t)
             else:
-                ratio = (f.prime_power(p, bound) - p**bound) / denominator
+                ratio = Fraction(f.prime_power(p, bound) - p**bound, denominator)
                 term += (p - 1) * f.prime_power(p, s - 1) * ratio
         result *= term
-    return result
+    return as_exact(result)
 
 
-def gcd_power_sum(f: ArithmeticFunction, n: int | Factorization) -> Fraction:
+def gcd_power_sum(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     """sum_{k=1..n} f(gcd(k, n)), i.e. the transform at order m = n."""
     fac = as_factorization(n)
     return dft_closed_form_multiplicative(f, fac, fac.value)
@@ -245,12 +242,10 @@ def gcd_power_sum(f: ArithmeticFunction, n: int | Factorization) -> Fraction:
 
 def exact_closed_form(
     f: ArithmeticFunction, n: int | Factorization, m: int
-) -> int | Fraction | None:
-    """The transform from the closed form for f's kind: Schramm's integer
-    product for f = id, the per-prime product for any other multiplicative
-    f, and None for a general f (which only the convolution evaluates)."""
-    if f is ID:
-        return dft_closed_form_gcd(n, m)
+) -> Exact | None:
+    """The transform from the closed form for f's kind: the per-prime product
+    for a multiplicative f, and None for a general f (which only the
+    convolution evaluates)."""
     if f.is_multiplicative:
         return dft_closed_form_multiplicative(f, n, m)
     return None
@@ -262,12 +257,6 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     sum_k |f(gcd(k, n))| = sum_{d | n} |f(d)| * phi(n/d), computed exactly."""
     l1 = sum(abs(evaluate(f, d)) * totient(n // d) for d in divisor_tuple(n))
     return max(tolerance, BRUTE_RELATIVE_TOLERANCE * float(l1))
-
-
-def _canonical(value: Fraction | int) -> int | Fraction:
-    if isinstance(value, Fraction) and value.denominator == 1:
-        return value.numerator
-    return value
 
 
 def dft_dispatch(
@@ -285,24 +274,20 @@ def dft_dispatch(
     fac = as_factorization(n)
     m_reduced = reduce_order(as_int(m, "m"), fac.value)
 
-    closed = exact_closed_form(f, fac, m_reduced)
-    if closed is not None:
-        value = closed
-        convolution = None
-        path = PATH_CLOSED_FORM
+    value = exact_closed_form(f, fac, m_reduced)
+    if value is None:
+        value = dft_exact_convolution(f, fac, m_reduced)
+        agreeing = {PATH_CONVOLUTION}
     else:
-        value = convolution = dft_exact_convolution(f, fac, m_reduced)
-        path = PATH_CONVOLUTION
-    agreeing = {path}
+        agreeing = {PATH_CLOSED_FORM}
 
     if verify:
-        if convolution is None:
+        if PATH_CONVOLUTION not in agreeing:
             convolution = dft_exact_convolution(f, fac, m_reduced)
-        if closed is not None:
-            if convolution != closed:
+            if convolution != value:
                 raise InconsistencyError(
                     f"exact paths disagree for f={f.name}, n={fac.value}, "
-                    f"m={m_reduced}: closed form {closed}, convolution {convolution}"
+                    f"m={m_reduced}: closed form {value}, convolution {convolution}"
                 )
             agreeing.add(PATH_CONVOLUTION)
         if fac.value <= DEFINITION_SCALE_LIMIT:
@@ -316,4 +301,4 @@ def dft_dispatch(
                     f"{value} for f={f.name}, n={fac.value}, m={m_reduced}"
                 )
 
-    return DftReport(fac, m_reduced, f.name, _canonical(value), frozenset(agreeing))
+    return DftReport(fac, m_reduced, f.name, as_exact(value), frozenset(agreeing))

@@ -12,11 +12,10 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
-from .functions import ID, ArithmeticFunction, Kind, get_function
+from .functions import ID, ArithmeticFunction, Exact, Kind, get_function
 from .numtheory import divisors, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
@@ -37,8 +36,11 @@ from .transform import (
 
 M_POLICIES = ("all", "divisors", "sample")
 
+GCD_DEPENDENCE_SPAN = 3  # orders 1..3n per n in the gcd-dependence check
+MULTIPLICATIVITY_EXTRA_ORDERS = 3  # seeded orders per pair beyond the divisors
+
 # named perturbations for harness sensitivity tests; each flips one path
-FAULTS: dict[str, Callable[[Fraction, str], Fraction]] = {
+FAULTS: dict[str, Callable[[Exact, str], Exact]] = {
     "negate-closed-form": lambda v, path: -v if path == "closed" else v,
     "offset-convolution": lambda v, path: v + 1 if path == "convolution" else v,
 }
@@ -104,7 +106,7 @@ def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]
     return sorted(rng.sample(range(1, n + 1), picks))
 
 
-def _perturb(value: Fraction, path: str, fault: str | None) -> Fraction:
+def _perturb(value: Exact, path: str, fault: str | None) -> Exact:
     if fault is None:
         return value
     return FAULTS[fault](value, path)
@@ -118,14 +120,13 @@ def check_path_equivalence(
     tolerance: float = FLOAT_TOLERANCE,
     seed: int = 0,
     fault: str | None = None,
-    float_check: bool = True,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Convolution vs closed form (exact) and vs the FFT spectrum (float,
     within :func:`float_bound` of the exact value)."""
     rng = random.Random(seed)
     for n in n_values:
-        spectrum = dft_brute_spectrum(f, n) if float_check else None
-        bound = float_bound(f, n, tolerance) if float_check else None
+        spectrum = dft_brute_spectrum(f, n)
+        bound = float_bound(f, n, tolerance)
         for m in orders_for(n, policy, sample_count, rng):
             convolution = _perturb(dft_exact_convolution(f, n, m), "convolution", fault)
             closed = exact_closed_form(f, n, m)
@@ -138,16 +139,15 @@ def check_path_equivalence(
                         str(convolution), str(closed),
                     )
                 yield "path-equivalence-exact", failure
-            if spectrum is not None:
-                approx = spectrum[m % n]
-                target = closed if closed is not None else convolution
-                failure = None
-                if abs(approx.real - float(target)) >= bound or abs(approx.imag) >= bound:
-                    failure = Failure(
-                        "path-equivalence-float", f.name, n, m,
-                        str(target), repr(complex(approx)),
-                    )
-                yield "path-equivalence-float", failure
+            approx = spectrum[m % n]
+            target = closed if closed is not None else convolution
+            failure = None
+            if abs(approx.real - float(target)) >= bound or abs(approx.imag) >= bound:
+                failure = Failure(
+                    "path-equivalence-float", f.name, n, m,
+                    str(target), repr(complex(approx)),
+                )
+            yield "path-equivalence-float", failure
             if f.integer_valued:
                 failure = None
                 if convolution.denominator != 1:
@@ -172,7 +172,7 @@ def check_closed_form_pair(
             general = dft_closed_form_multiplicative(f, n, m)
             if f is ID:
                 identity = "gcd-form-vs-multiplicative-form"
-                other = Fraction(dft_closed_form_gcd(n, m))
+                other = dft_closed_form_gcd(n, m)
             elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
                 identity = "geometric-form-vs-multiplicative-form"
                 other = dft_closed_form_completely_mult(f, n, m)
@@ -187,11 +187,10 @@ def check_closed_form_pair(
 def check_gcd_dependence(
     f: ArithmeticFunction,
     n_values: Iterable[int],
-    m_span: int = 3,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Transform value at order m equals the value at order gcd(m, n)."""
     for n in n_values:
-        for m in range(1, m_span * n + 1):
+        for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
             g = math.gcd(m, n)
             left = exact_closed_form(f, n, reduce_order(m, n))
             right = exact_closed_form(f, n, g)
@@ -204,7 +203,6 @@ def check_gcd_dependence(
 def check_multiplicativity(
     f: ArithmeticFunction,
     pair_max: int,
-    extra_orders: int = 3,
     seed: int = 0,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Transform at uv equals the product of the transforms at coprime u, v.
@@ -219,7 +217,7 @@ def check_multiplicativity(
                 continue
             n = u * v
             orders = divisors(n)
-            orders += [rng.randrange(1, n + 1) for _ in range(extra_orders)]
+            orders += [rng.randrange(1, n + 1) for _ in range(MULTIPLICATIVITY_EXTRA_ORDERS)]
             for m in orders:
                 combined = exact_closed_form(f, n, reduce_order(m, n))
                 split = exact_closed_form(f, u, reduce_order(m, u)) * exact_closed_form(

@@ -3,6 +3,7 @@
 import csv
 import io
 
+from gcdft import transform
 from gcdft.bench import BENCH_FIELDS, bench_one, render_bench, run_bench
 from gcdft.functions import ID, ArithmeticFunction, get_function
 
@@ -33,6 +34,20 @@ class TestBenchOne:
         result = bench_one(g, 360, repetitions=2)
         assert result.spot_check
         assert result.value == 279060
+
+    def test_spot_check_is_relative_to_sequence_size(self):
+        # h = 418680712986624000; the float sum rounds at ~1e-16 of its l1 norm
+        result = bench_one(get_function("J_3"), 720720, repetitions=1)
+        assert result.spot_check
+
+    def test_spot_check_catches_an_offset_closed_form(self, monkeypatch):
+        closed_form = transform.exact_closed_form
+        monkeypatch.setattr(
+            transform, "exact_closed_form", lambda f, n, m: closed_form(f, n, m) + 1
+        )
+        result = bench_one(get_function("sigma"), 60, repetitions=1)
+        assert result.value == transform.dft_exact_convolution(get_function("sigma"), 60, 60) + 1
+        assert not result.spot_check
 
 
 class TestRendering:

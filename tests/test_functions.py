@@ -16,6 +16,7 @@ from gcdft.functions import (
     TAU,
     ArithmeticFunction,
     Kind,
+    as_exact,
     catalog_names,
     dirichlet_convolve,
     evaluate,
@@ -101,6 +102,55 @@ class TestEvaluate:
         f = id_power(-1)
         assert not f.integer_valued
         assert evaluate(f, 12) == Fraction(1, 12)
+
+
+class TestExactValues:
+    def test_integer_valued_functions_give_ints(self):
+        assert type(evaluate(SIGMA, 12)) is int and evaluate(SIGMA, 12) == 28
+        assert type(SIGMA.prime_power(2, 0)) is int
+        for name in catalog_names():
+            f = get_function(name)
+            assert all(type(evaluate(f, n)) is int for n in range(1, 200)), name
+
+    def test_rational_values_stay_fractions(self):
+        f = id_power(-1)
+        assert all(type(evaluate(f, n)) is Fraction for n in range(2, 200))
+        half = ArithmeticFunction.completely_multiplicative("half", lambda p: Fraction(1, 2))
+        assert half.prime_power(2, 3) == Fraction(1, 8)
+        assert evaluate(half, 12) == Fraction(1, 8)
+
+    def test_integral_products_of_fractions_are_ints(self):
+        f = ArithmeticFunction.multiplicative(
+            "swap", lambda p, e: Fraction(1, 2) if p == 2 else 2, integer_valued=False
+        )
+        assert type(evaluate(f, 6)) is int and evaluate(f, 6) == 1
+        g = ArithmeticFunction.from_table("g", {1: Fraction(4, 2), 2: Fraction(1, 3)})
+        assert type(evaluate(g, 1)) is int and evaluate(g, 1) == 2
+        assert evaluate(g, 2) == Fraction(1, 3)
+
+    def test_as_exact(self):
+        assert type(as_exact(Fraction(6, 3))) is int and as_exact(Fraction(6, 3)) == 2
+        assert as_exact(Fraction(1, 3)) == Fraction(1, 3)
+        assert as_exact(-7) == -7
+        for bad in (0.5, 2.0, "3", None, complex(1, 0)):
+            with pytest.raises(DomainError):
+                as_exact(bad)
+
+    def test_float_from_a_rule_is_rejected(self):
+        f = ArithmeticFunction.multiplicative("t", lambda p, e: 0.1)
+        with pytest.raises(DomainError):
+            f(2)
+        g = ArithmeticFunction.completely_multiplicative("t", lambda p: 0.5)
+        with pytest.raises(DomainError):
+            g(4)
+        with pytest.raises(DomainError):
+            g.prime_power(3, 1)
+
+    def test_float_from_a_table_is_rejected(self):
+        with pytest.raises(DomainError):
+            ArithmeticFunction.from_table("t", {1: 1, 2: 0.5})
+        with pytest.raises(DomainError):
+            ArithmeticFunction.from_table("t", {1: 1.0})
 
 
 class TestCatalog:

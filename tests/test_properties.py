@@ -13,6 +13,33 @@ from gcdft.transform import dft_brute_float, dft_exact_convolution, exact_closed
 
 PRIMES_BELOW_200 = [p for p in range(2, 200) if is_prime(p)]
 
+
+def next_prime(n):
+    while not is_prime(n):
+        n += 1
+    return n
+
+
+def factorization(factors):
+    factors = tuple(sorted(factors))
+    return Factorization(math.prod(p**s for p, s in factors), factors)
+
+
+@st.composite
+def large_prime_orders(draw):
+    """A factorization with one prime above 2^40 and up to three below 200,
+    and an order m = u * prod p^t that reaches every gcd class (t = s + 1
+    included) with an arbitrary cofactor u, sign included."""
+    big = next_prime(draw(st.integers(2**40, 2**44)))
+    small = draw(st.dictionaries(st.sampled_from(PRIMES_BELOW_200), st.integers(1, 3), max_size=3))
+    factors = [(big, 1), *small.items()]
+    m = draw(st.integers(-(10**20), 10**20).filter(bool))
+    for p, s in factors:
+        m *= p ** draw(st.integers(0, s + 1))
+    split = draw(st.lists(st.booleans(), min_size=len(factors), max_size=len(factors)))
+    return factors, m, split
+
+
 factorizations = st.dictionaries(
     st.sampled_from(PRIMES_BELOW_200), st.integers(1, 3), max_size=4
 ).map(
@@ -42,3 +69,18 @@ def test_brute_float_within_bound_of_closed_form(n, m):
         bound = float_bound(f, n, FLOAT_TOLERANCE)
         assert abs(brute.real - float(exact)) < bound
         assert abs(brute.imag) < bound
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=large_prime_orders())
+def test_closed_form_over_large_primes(case):
+    factors, m, split = case
+    fac = factorization(factors)
+    u = factorization(f for f, left in zip(factors, split) if left)
+    v = factorization(f for f, left in zip(factors, split) if not left)
+    for name in catalog_names():
+        f = get_function(name)
+        value = exact_closed_form(f, fac, m)
+        assert value == dft_exact_convolution(f, fac, m), (name, fac, m)
+        assert (type(value) is int) == f.integer_valued, (name, value)
+        assert value == exact_closed_form(f, u, m) * exact_closed_form(f, v, m), (name, u, v, m)

@@ -311,6 +311,37 @@ class TestExactClosedForm:
                 else:
                     assert closed == dft_dispatch(f, n, m).value, (n, m)
 
+    def test_identity_takes_the_per_prime_product(self, monkeypatch):
+        # Schramm's product is an oracle only; dispatch never reaches it
+        def unreachable(n, m):
+            raise AssertionError("dispatch used the id-only product")
+
+        monkeypatch.setattr(transform, "dft_closed_form_gcd", unreachable)
+        for n in (1, 12, 360, 720720):
+            for m in divisors(n):
+                # this module's name still holds the unpatched product
+                assert exact_closed_form(ID, n, m) == dft_closed_form_gcd(n, m)
+                report = dft_dispatch(ID, n, m, verify=n < 1000)
+                assert report.value == dft_exact_convolution(ID, n, m), (n, m)
+
+    def test_integer_valued_closed_forms_are_ints(self):
+        for name in catalog_names():
+            f = get_function(name)
+            for n in (1, 12, 360, 720720):
+                for m in divisors(n):
+                    assert type(exact_closed_form(f, n, m)) is int, (name, n, m)
+                    assert type(dft_exact_convolution(f, n, m)) is int, (name, n, m)
+                    if f in COMPLETELY_MULT:
+                        assert type(dft_closed_form_completely_mult(f, n, m)) is int
+
+    def test_geometric_oracle_never_returns_a_float(self):
+        for f in (id_power(2), id_power(-1), id_power(-2), LIOUVILLE):
+            for n in (12, 360, 2**6 * 3**3):
+                for m in divisors(n) + [5, 7]:
+                    value = dft_closed_form_completely_mult(f, n, m)
+                    assert isinstance(value, (int, Fraction)), (f.name, n, m, value)
+                    assert value == dft_closed_form_multiplicative(f, n, m)
+
 
 class TestDispatch:
     def test_all_paths_agree(self):

@@ -2,6 +2,7 @@
 caught, and reports render in every format."""
 
 import json
+import math
 import random
 
 import pytest
@@ -114,6 +115,16 @@ class TestCleanSweeps:
             if failure is not None
         ]
         assert failures == []
+
+    def test_check_counts(self):
+        # orders 1..3n per n; every divisor of uv plus three seeded orders per pair
+        assert len(list(check_gcd_dependence(ID, range(1, 21)))) == 3 * sum(range(1, 21))
+        pairs = [(u, v) for u in range(1, 13) for v in range(u + 1, 13) if math.gcd(u, v) == 1]
+        assert len(list(check_multiplicativity(ID, 12))) == sum(
+            len(divisors(u * v)) + 3 for u, v in pairs
+        )
+        # exact, float and integrality check per order for an integer-valued f
+        assert len(list(check_path_equivalence(ID, [12, 30]))) == 3 * (12 + 30)
 
 
 class TestFaultInjection:
