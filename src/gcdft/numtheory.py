@@ -111,6 +111,34 @@ def _pollard_rho(n: int) -> int:
             return g
 
 
+def _integer_root(c: int, k: int) -> int:
+    """floor(c^(1/k)) for c >= 1, exactly: ``isqrt`` for k = 2, else Newton's
+    iteration down from the power of two above the root."""
+    if k == 2:
+        return math.isqrt(c)
+    x = 1 << -(-c.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + c // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
+def _perfect_power(c: int) -> tuple[int, int]:
+    """(r, k) with c = r^k for the least prime k that fits, else (c, 1).
+
+    Only for c whose prime factors all exceed the trial-division bound: then
+    r > _TRIAL_DIVISION_BOUND, so only the primes k with
+    _TRIAL_DIVISION_BOUND^k <= c need a root."""
+    for k in SMALL_PRIMES:
+        if _TRIAL_DIVISION_BOUND**k > c:
+            break
+        r = _integer_root(c, k)
+        if r**k == c:
+            return r, k
+    return c, 1
+
+
 @dataclass(frozen=True)
 class Factorization:
     """A positive integer together with its canonical prime factorization.
@@ -160,8 +188,9 @@ class Factorization:
 def factorize(n: int) -> Factorization:
     """Canonical prime factorization of n >= 1.
 
-    Trial division over the primes below 10^4, then Pollard rho with
-    Miller-Rabin primality on the remaining cofactors.
+    Trial division over the primes below 10^4, then, on each composite
+    cofactor, a perfect-power root before Pollard rho; Miller-Rabin proves
+    the remaining cofactors prime.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
@@ -174,15 +203,18 @@ def factorize(n: int) -> Factorization:
             factors[p] = factors.get(p, 0) + 1
             n //= p
     if n > 1:
-        pending = [n]
+        pending = [(n, 1)]  # (cofactor, multiplicity)
         while pending:
-            c = pending.pop()
+            c, e = pending.pop()
             if c <= SMALL_PRIMES[-1] or is_prime(c):
-                factors[c] = factors.get(c, 0) + 1
+                factors[c] = factors.get(c, 0) + e
+                continue
+            r, k = _perfect_power(c)
+            if k > 1:
+                pending.append((r, e * k))
                 continue
             d = _pollard_rho(c)
-            pending.append(d)
-            pending.append(c // d)
+            pending += [(d, e), (c // d, e)]
     return Factorization(value, tuple(sorted(factors.items())))
 
 

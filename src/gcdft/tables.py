@@ -18,7 +18,7 @@ from fractions import Fraction
 from .errors import DomainError
 from .functions import ID, ArithmeticFunction
 from .numtheory import Factorization, as_factorization, divisors
-from .transform import decompose_order, dft_dispatch
+from .transform import _class_exponents, dft_dispatch
 
 _PRIME_LETTERS = "pqwxyz"
 
@@ -53,16 +53,17 @@ def _prime_letter(i: int) -> str:
 
 def _symbolic_gcd_form(fac: Factorization, exponents: tuple[int, ...]) -> str:
     """Per-prime-factor display in totient form for f = id, e.g. "(2p-1)(q-1)"
-    for n = pq at an order divisible by p only."""
+    for n = pq at an order divisible by p only; ``exponents`` is the gcd
+    class, t = v_p(gcd(m, n)) <= s for each p^s || n."""
     pieces = []
     for i, ((_, s), t) in enumerate(zip(fac.factors, exponents)):
         letter = _prime_letter(i)
         if s == 1:
             pieces.append(f"(2{letter}-1)" if t >= 1 else f"({letter}-1)")
             continue
-        count = min(t, s) + 1
+        count = t + 1
         base = f"phi({letter}^{s})"
-        if t >= s:
+        if t == s:
             tail = letter if s == 2 else f"{letter}^{s - 1}"
             pieces.append(f"[{count}{base}+{tail}]")
         elif count == 1:
@@ -84,7 +85,7 @@ def build_table(
     local: dict[tuple[int, int], str] = {}
     classes = {}
     for g in divisors(fac):
-        exponents = decompose_order(g, fac).exponents
+        exponents = _class_exponents(fac, g)
         if f is ID:
             form = _symbolic_gcd_form(fac, exponents)
         else:

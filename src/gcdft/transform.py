@@ -11,6 +11,11 @@ independent ways:
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f.
 
+The transform depends on m only through its gcd class g = gcd(m, n), and the
+factor of p^s || n only through t = v_p(g) <= s. Every closed form reads m
+through :func:`_class_exponents` alone, so any integer m, zero and negative
+included, needs no reduction first.
+
 :func:`exact_closed_form` is the only place that picks a closed form: the
 per-prime product for every multiplicative f, in plain ``int`` whenever f is
 integer-valued. Schramm's product and the geometric form are independent
@@ -23,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import isqrt, prod
+from math import gcd, isqrt, prod
 
 import numpy as np
 
@@ -39,16 +44,6 @@ PATH_CLOSED_FORM = "closed_form"
 # A float oracle's rounding error (brute sum or FFT) grows with the l1 norm of
 # the summed sequence f(gcd(k, n)), so its check is relative to that norm.
 BRUTE_RELATIVE_TOLERANCE = 1e-12
-
-
-@dataclass(frozen=True)
-class OrderDecomposition:
-    """m written against the prime basis of n: m = u * prod(p_i^t_i) with
-    gcd(u, p_i) = 1; ``exponents`` aligns with the factor list of n."""
-
-    m: int
-    u: int
-    exponents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -68,20 +63,20 @@ def reduce_order(m: int, n: int) -> int:
     return r if r else n
 
 
-def decompose_order(m: int, n: int | Factorization) -> OrderDecomposition:
-    """Split m >= 1 into its coprime part u and the exponents of n's primes."""
-    if m < 1:
-        raise DomainError("decompose_order requires m >= 1 (reduce mod n first)")
-    fac = as_factorization(n)
-    u = m
+def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
+    """The gcd class of the order m: for each p^s in ``fac.factors``, the
+    multiplicity t <= s of p in g = gcd(m, n). As gcd(0, n) = n and
+    gcd(-m, n) = gcd(m, n), every integer m falls in the class of its
+    residue mod n."""
+    g = gcd(as_int(m, "m"), fac.value)
     exponents = []
     for p, _ in fac.factors:
         t = 0
-        while u % p == 0:
-            u //= p
+        while g % p == 0:
+            g //= p
             t += 1
         exponents.append(t)
-    return OrderDecomposition(m, u, tuple(exponents))
+    return tuple(exponents)
 
 
 @lru_cache(maxsize=16)
@@ -155,6 +150,7 @@ def dft_exact_convolution(
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
     sum: sum over d | n of f(n/d) * c_d(m)."""
     fac = as_factorization(n)
+    m = as_int(m, "m")
     total = 0
     for d in divisor_tuple(fac.value):
         r = ramanujan_von_sterneck(d, m)
@@ -165,25 +161,25 @@ def dft_exact_convolution(
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
     """Schramm's transform of the gcd itself (f = id), an oracle only:
-    prod_i [(min(t_i, s_i) + 1) * phi(p_i^s_i) + [t_i >= s_i] * p_i^(s_i-1)]."""
+    prod_i [(t_i + 1) * phi(p_i^s_i) + [t_i = s_i] * p_i^(s_i-1)]."""
     fac = as_factorization(n)
-    order = decompose_order(reduce_order(m, fac.value), fac)
     result = 1
-    for (p, s), t in zip(fac.factors, order.exponents):
-        factor = (min(t, s) + 1) * (p**s - p ** (s - 1))
-        if t >= s:
+    for (p, s), t in zip(fac.factors, _class_exponents(fac, m)):
+        factor = (t + 1) * (p**s - p ** (s - 1))
+        if t == s:
             factor += p ** (s - 1)
         result *= factor
     return result
 
 
 def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Exact:
-    """The factor of p^s || n in the transform at an order with v_p(m) = t:
-    f(p^s) + (p-1) * sum_{b=1..min(t,s)} p^(b-1) f(p^(s-b)),
+    """The factor of p^s || n in the transform at an order of class
+    t = v_p(gcd(m, n)) <= s:
+    f(p^s) + (p-1) * sum_{b=1..t} p^(b-1) f(p^(s-b)),
     minus f(p^(s-t-1)) * p^t when t < s (the term is dropped entirely when
-    t >= s, so f never sees a negative exponent)."""
+    t = s, so f never sees a negative exponent)."""
     term = f.prime_power(p, s)
-    for b in range(1, min(t, s) + 1):
+    for b in range(1, t + 1):
         term += (p - 1) * p ** (b - 1) * f.prime_power(p, s - b)
     if t < s:
         term -= f.prime_power(p, s - t - 1) * p**t
@@ -198,8 +194,9 @@ def dft_closed_form_multiplicative(
     if not f.is_multiplicative:
         raise DomainError("closed form requires a multiplicative function")
     fac = as_factorization(n)
-    order = decompose_order(reduce_order(m, fac.value), fac)
-    return prod(_local_factor(f, p, s, t) for (p, s), t in zip(fac.factors, order.exponents))
+    return prod(
+        _local_factor(f, p, s, t) for (p, s), t in zip(fac.factors, _class_exponents(fac, m))
+    )
 
 
 def dft_closed_form_completely_mult(
@@ -207,7 +204,7 @@ def dft_closed_form_completely_mult(
 ) -> Exact:
     """Exact transform of a completely multiplicative f with the per-prime sum
     collapsed into a geometric ratio:
-    (p-1) * f(p^(s-1)) * (f(p^M) - p^M) / (f(p^M) - p*f(p^(M-1))), M = min(t,s).
+    (p-1) * f(p^(s-1)) * (f(p^t) - p^t) / (f(p^t) - p*f(p^(t-1))).
 
     Whenever the ratio degenerates (f(p) = p, and generally any vanishing
     denominator) that prime falls back to the uncollapsed sum, so mixed cases
@@ -216,19 +213,17 @@ def dft_closed_form_completely_mult(
     if f.kind is not Kind.COMPLETELY_MULTIPLICATIVE:
         raise DomainError("geometric closed form requires a completely multiplicative function")
     fac = as_factorization(n)
-    order = decompose_order(reduce_order(m, fac.value), fac)
     result = 1
-    for (p, s), t in zip(fac.factors, order.exponents):
+    for (p, s), t in zip(fac.factors, _class_exponents(fac, m)):
         term = f.prime_power(p, s)
         if t < s:
             term -= f.prime_power(p, s - t - 1) * p**t
         if t >= 1:
-            bound = min(t, s)
-            denominator = f.prime_power(p, bound) - p * f.prime_power(p, bound - 1)
+            denominator = f.prime_power(p, t) - p * f.prime_power(p, t - 1)
             if denominator == 0:
                 term = _local_factor(f, p, s, t)
             else:
-                ratio = Fraction(f.prime_power(p, bound) - p**bound, denominator)
+                ratio = Fraction(f.prime_power(p, t) - p**t, denominator)
                 term += (p - 1) * f.prime_power(p, s - 1) * ratio
         result *= term
     return as_exact(result)
@@ -265,7 +260,6 @@ def dft_dispatch(
     m: int,
     *,
     verify: bool = False,
-    tolerance: float = FLOAT_TOLERANCE,
 ) -> DftReport:
     """Evaluate the transform via the best exact path for f's kind; with
     ``verify`` every evaluable path runs and exact disagreement raises
@@ -292,7 +286,7 @@ def dft_dispatch(
             agreeing.add(PATH_CONVOLUTION)
         if fac.value <= DEFINITION_SCALE_LIMIT:
             brute = dft_brute_float(f, fac.value, m_reduced)
-            bound = float_bound(f, fac.value, tolerance)
+            bound = float_bound(f, fac.value, FLOAT_TOLERANCE)
             if abs(brute.real - float(value)) < bound and abs(brute.imag) < bound:
                 agreeing.add(PATH_BRUTE_FLOAT)
             else:

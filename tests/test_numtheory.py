@@ -2,12 +2,15 @@
 
 import math
 import random
+import time
 
 import pytest
 
 from gcdft.errors import DomainError
 from gcdft.numtheory import (
     Factorization,
+    _integer_root,
+    _perfect_power,
     divisor_tuple,
     divisors,
     factorize,
@@ -115,6 +118,35 @@ class TestFactorize:
         n = (2**31 - 1) * (2**61 - 1)
         fac = factorize(n)
         assert fac.factors == ((2**31 - 1, 1), (2**61 - 1, 1))
+
+    def test_squared_large_prime_is_a_perfect_power(self):
+        # rho alone spent 1.6 s on this square; one integer root splits it
+        p = 2**40 + 15
+        start = time.perf_counter()
+        fac = factorize.__wrapped__(12 * p * p)
+        assert time.perf_counter() - start < 1.0
+        assert fac.factors == ((2, 2), (3, 1), (p, 2))
+
+    def test_perfect_powers_of_large_primes(self):
+        p, q = 1_000_003, 2**61 - 1
+        for n, factors in (
+            (p**3, ((p, 3),)),
+            (p**6, ((p, 6),)),
+            (p**2 * q**2, ((p, 2), (q, 2))),
+            (q**5, ((q, 5),)),
+            (7 * p**4 * q, ((7, 1), (p, 4), (q, 1))),
+        ):
+            assert factorize.__wrapped__(n).factors == factors
+
+    def test_integer_root_is_exact(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            k = rng.choice((2, 3, 5, 7, 13))
+            c = rng.randrange(1, 2**rng.randrange(1, 400))
+            r = _integer_root(c, k)
+            assert r**k <= c < (r + 1) ** k
+        assert _perfect_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
+        assert _perfect_power(1_000_003 * 1_000_033) == (1_000_003 * 1_000_033, 1)
 
     def test_invalid_factorization_rejected(self):
         with pytest.raises(DomainError):

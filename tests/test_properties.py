@@ -40,6 +40,19 @@ def large_prime_orders(draw):
     return factors, m, split
 
 
+@st.composite
+def large_prime_powers(draw):
+    """A factorization with one prime above 2^40 to the power 1..3 and up to
+    two primes below 200, and an arbitrary order m, sign included."""
+    big = next_prime(draw(st.integers(2**40, 2**44)))
+    small = draw(st.dictionaries(st.sampled_from(PRIMES_BELOW_200), st.integers(1, 3), max_size=2))
+    factors = [(big, draw(st.integers(1, 3))), *small.items()]
+    m = draw(st.integers(-(10**20), 10**20))
+    for p, s in factors:
+        m *= p ** draw(st.integers(0, s + 1))
+    return factors, m
+
+
 factorizations = st.dictionaries(
     st.sampled_from(PRIMES_BELOW_200), st.integers(1, 3), max_size=4
 ).map(
@@ -84,3 +97,13 @@ def test_closed_form_over_large_primes(case):
         assert value == dft_exact_convolution(f, fac, m), (name, fac, m)
         assert (type(value) is int) == f.integer_valued, (name, value)
         assert value == exact_closed_form(f, u, m) * exact_closed_form(f, v, m), (name, u, v, m)
+
+
+@settings(max_examples=20, deadline=None)
+@given(case=large_prime_powers())
+def test_closed_form_over_large_prime_powers(case):
+    factors, m = case
+    fac = factorization(factors)
+    for name in catalog_names():
+        f = get_function(name)
+        assert exact_closed_form(f, fac, m) == dft_exact_convolution(f, fac, m), (name, fac, m)

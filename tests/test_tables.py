@@ -26,7 +26,7 @@ from gcdft.tables import (
     parse_table,
     render_table,
 )
-from gcdft.transform import decompose_order, dft_brute_float, dft_dispatch
+from gcdft.transform import dft_brute_float, dft_dispatch
 
 
 def per_index_rows(f, n):
@@ -36,7 +36,10 @@ def per_index_rows(f, n):
     rows = []
     for index in range(1, n + 1):
         if f is ID:
-            form = _symbolic_gcd_form(fac, decompose_order(index, fac).exponents)
+            exponents = tuple(
+                max(t for t in range(s + 1) if index % p**t == 0) for p, s in fac.factors
+            )
+            form = _symbolic_gcd_form(fac, exponents)
         else:
             form = "*".join(
                 format_exact(dft_dispatch(f, factorize(p**s), index).value)

@@ -4,6 +4,7 @@ against each other."""
 import cmath
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -27,12 +28,12 @@ from gcdft.functions import (
     sum_function_of,
 )
 from gcdft import transform
-from gcdft.numtheory import divisor_tuple, divisors, factorize, totient
+from gcdft.numtheory import Factorization, divisor_tuple, divisors, factorize, totient
 from gcdft.transform import (
     PATH_BRUTE_FLOAT,
     PATH_CLOSED_FORM,
     PATH_CONVOLUTION,
-    decompose_order,
+    _class_exponents,
     dft_brute_float,
     dft_brute_spectrum,
     dft_closed_form_completely_mult,
@@ -74,47 +75,60 @@ class TestReduceOrder:
         assert reduce_order(-1, 12) == 11
 
 
+def gcd_multiplicity(g, p):
+    t = 0
+    while g % p == 0:
+        g //= p
+        t += 1
+    return t
+
+
 class TestDecomposeOrder:
+    """An order decomposed over the primes of n, as far as a closed form
+    reads it: the gcd class exponents from ``_class_exponents``."""
+
     def test_coprime_order(self):
-        order = decompose_order(1, factorize(12))
-        assert order.u == 1
-        assert order.exponents == (0, 0)
+        assert _class_exponents(factorize(12), 1) == (0, 0)
 
     def test_order_equals_n(self):
         for n in (12, 360, 7):
             fac = factorize(n)
-            order = decompose_order(n, fac)
-            assert order.u == 1
-            assert order.exponents == tuple(s for _, s in fac.factors)
+            full = tuple(s for _, s in fac.factors)
+            assert _class_exponents(fac, n) == full
+            assert _class_exponents(fac, 5 * n) == full
 
     def test_mixed(self):
-        order = decompose_order(10, factorize(12))
-        assert order.u == 5
-        assert order.exponents == (1, 0)
+        assert _class_exponents(factorize(12), 10) == (1, 0)
 
-    def test_zero_rejected(self):
-        with pytest.raises(DomainError):
-            decompose_order(0, factorize(12))
+    def test_zero_and_negative_orders(self):
+        # gcd(0, n) = n and gcd(-m, n) = gcd(m, n): the classes reduce_order gave
+        fac = factorize(12)
+        assert _class_exponents(fac, 0) == (2, 1)
+        assert _class_exponents(fac, -10) == (1, 0)
+        assert _class_exponents(fac, -1) == (0, 0)
+        for m in range(-36, 37):
+            assert _class_exponents(fac, m) == _class_exponents(fac, reduce_order(m, 12))
 
     def test_invariants_random(self):
         rng = random.Random(5)
         for _ in range(500):
             n = rng.randrange(1, 3000)
-            m = rng.randrange(1, 3000)
+            m = rng.randrange(-3000, 3000)
             fac = factorize(n)
-            order = decompose_order(m, fac)
-            rebuilt = order.u
-            for (p, s), t in zip(fac.factors, order.exponents):
-                rebuilt *= p**t
-                assert order.u % p != 0
-                # min(t, s) is the multiplicity of p in gcd(m, n)
-                g = math.gcd(m, n)
-                mult = 0
-                while g % p == 0:
-                    g //= p
-                    mult += 1
-                assert min(t, s) == mult
-            assert rebuilt == m
+            exponents = _class_exponents(fac, m)
+            g = math.gcd(m, n)
+            for (p, s), t in zip(fac.factors, exponents):
+                # t <= s is the multiplicity of p in gcd(m, n)
+                assert t <= s
+                assert t == gcd_multiplicity(g, p)
+            assert math.prod(p**t for (p, _), t in zip(fac.factors, exponents)) == g
+
+    @pytest.mark.parametrize("m", [2.5, 2.0, True, "3", None])
+    def test_non_integer_orders_rejected(self, m):
+        with pytest.raises(DomainError):
+            dft_closed_form_multiplicative(SIGMA, 12, m)
+        with pytest.raises(DomainError):
+            dft_exact_convolution(SIGMA, 12, m)
 
 
 class TestBruteFloat:
@@ -390,6 +404,14 @@ class TestDispatch:
             dft_dispatch(ID, bad, 1)
         with pytest.raises(DomainError):
             dft_dispatch(ID, 12, bad)
+
+    def test_verify_on_a_squared_large_prime_is_quick(self):
+        # the convolution factorizes n again; the square root finds q at once
+        q = 2**61 - 1
+        start = time.perf_counter()
+        report = dft_dispatch(SIGMA, Factorization(4 * q * q, ((2, 2), (q, 2))), 6, verify=True)
+        assert time.perf_counter() - start < 1.0
+        assert report.paths_agreeing == {PATH_CONVOLUTION, PATH_CLOSED_FORM}
 
     def test_float_check_is_relative_to_sequence_size(self):
         # h = 65851410688 here; the float sum's imaginary part is off by 2.8e-6

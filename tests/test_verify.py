@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from gcdft import transform
 from gcdft.errors import DomainError
 from gcdft.functions import ID, get_function
 from gcdft.numtheory import divisors
@@ -140,6 +141,20 @@ class TestFaultInjection:
         config = SweepConfig(n_max=20, functions=("phi",), fault="offset-convolution")
         report = run_verification(config)
         assert not report.passed
+
+    def test_gcd_dependence_catches_an_offset_local_factor(self, monkeypatch):
+        # the closed form at m against the convolution at gcd(m, n)
+        honest = transform._local_factor
+        monkeypatch.setattr(
+            transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1
+        )
+        failures = [
+            failure
+            for _, failure in check_gcd_dependence(get_function("sigma"), range(1, 30))
+            if failure is not None
+        ]
+        assert failures
+        assert all(f.identity == "gcd-dependence" for f in failures)
 
     def test_fault_in_check_generator(self):
         failures = [
