@@ -15,3 +15,7 @@ class OracleScaleError(ValueError):
 
 class InconsistencyError(ArithmeticError):
     """Two exact evaluation paths disagreed; indicates an internal bug."""
+
+
+class FactorizationBudgetError(DomainError):
+    """Pollard rho ran out of its work budget before splitting a cofactor."""

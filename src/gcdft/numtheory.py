@@ -7,22 +7,45 @@ allowed to overflow or round.
 
 from __future__ import annotations
 
+import bisect
 import math
 import operator
 import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, FactorizationBudgetError
 
 _TRIAL_DIVISION_BOUND = 10_000
+# The least composite with no prime factor below _TRIAL_DIVISION_BOUND is
+# 10007^2, so a cofactor below it that trial division left is prime.
+_TRIAL_PROVEN = 10_007**2
 
-# Miller-Rabin with these witnesses is deterministic for all n below
-# 3_317_044_064_679_887_385_961_981 (> 2^64); larger inputs get extra random
-# witnesses on top, leaving an error probability below 4^-20.
-_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_MR_DETERMINISTIC_LIMIT = 3_317_044_064_679_887_385_961_981
+# (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
+# prime bases, so Miller-Rabin on those t bases is exact below psi_t (Jaeschke
+# 1993; Sorenson and Webster, Math. Comp. 2017). psi_8 = psi_7 and
+# psi_10 = psi_11 = psi_9, so those t are skipped.
+_MR_TIERS = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+_MR_BOUNDS = tuple(bound for bound, _ in _MR_TIERS)
+_MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_DETERMINISTIC_LIMIT = _MR_BOUNDS[-1]
+# From the limit up, every witness above plus this many seeded random ones:
+# an error probability below 4^-20.
 _MR_EXTRA_ROUNDS = 20
+
+# Polynomial steps Pollard rho may take on one cofactor, over all restarts.
+_RHO_BUDGET = 1 << 23
 
 
 def _small_primes(bound: int = _TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
@@ -36,6 +59,7 @@ def _small_primes(bound: int = _TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
 
 SMALL_PRIMES = _small_primes()
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
+_PRIMORIAL = math.prod(SMALL_PRIMES)
 
 
 def gcd(a: int, b: int) -> int:
@@ -47,25 +71,25 @@ def gcd(a: int, b: int) -> int:
     return math.gcd(a, b)
 
 
-def is_prime(n: int) -> bool:
-    """Deterministic primality below ~3.3e24, strong-probable-prime above."""
-    if n < 2:
-        return False
-    if n <= _TRIAL_DIVISION_BOUND:
-        return n in _SMALL_PRIME_SET
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
-        if n % p == 0:
-            return False
+def _mr_bases(n: int) -> tuple[int, ...]:
+    """The Miller-Rabin bases for n: the first t primes of the tier n falls
+    in, and from ``_MR_DETERMINISTIC_LIMIT`` up all of them plus seeded random
+    ones."""
+    tier = bisect.bisect_right(_MR_BOUNDS, n)
+    if tier < len(_MR_TIERS):
+        return _MR_WITNESSES[: _MR_TIERS[tier][1]]
+    rng = random.Random(n)
+    return _MR_WITNESSES + tuple(
+        rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)
+    )
+
+
+def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
+    """True when odd n > 2 passes the strong Fermat test to every base."""
     d = n - 1
     r = (d & -d).bit_length() - 1
     d >>= r
-    witnesses: tuple[int, ...] = _MR_WITNESSES
-    if n >= _MR_DETERMINISTIC_LIMIT:
-        rng = random.Random(n)
-        witnesses = witnesses + tuple(
-            rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)
-        )
-    for a in witnesses:
+    for a in bases:
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
             continue
@@ -78,11 +102,36 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime(n: int) -> bool:
+    """Primality of n, exact below ~3.3e24.
+
+    Miller-Rabin on the first t prime bases, with t the least tier of
+    ``_MR_TIERS`` whose bound psi_t exceeds n: psi_t is the least strong
+    pseudoprime to those t bases (2047 -> 1 base, 1373653 -> 2, ...,
+    psi_12 = 318665857834031151167461 -> 12, psi_13 = 3317044064679887385961981
+    -> 13; Sorenson and Webster, Math. Comp. 2017). From psi_13 up the 13
+    bases get 20 seeded random ones on top, and a True means strong probable
+    prime (error below 4^-20).
+    """
+    if n < 2:
+        return False
+    if n <= _TRIAL_DIVISION_BOUND:
+        return n in _SMALL_PRIME_SET
+    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
+        if n % p == 0:
+            return False
+    return _strong_probable_prime(n, _mr_bases(n))
+
+
 def _pollard_rho(n: int) -> int:
-    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n."""
+    """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n.
+
+    Raises :class:`FactorizationBudgetError` before the steps of the
+    polynomial, summed over restarts, would pass ``_RHO_BUDGET``."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
+    budget = _RHO_BUDGET
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -90,6 +139,13 @@ def _pollard_rho(n: int) -> int:
         g = q = r = 1
         x = ys = y
         while g == 1:
+            # one round: r steps to move x ahead, at most r more against it
+            budget -= 2 * r
+            if budget < 0:
+                raise FactorizationBudgetError(
+                    f"Pollard rho found no factor of {n} within "
+                    f"{_RHO_BUDGET} steps"
+                )
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -98,7 +154,7 @@ def _pollard_rho(n: int) -> int:
                 ys = y
                 for _ in range(min(m, r - k)):
                     y = (y * y + c) % n
-                    q = q * abs(x - y) % n
+                    q = q * (x - y) % n
                 g = math.gcd(q, n)
                 k += m
             r <<= 1
@@ -106,7 +162,7 @@ def _pollard_rho(n: int) -> int:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
+                g = math.gcd(x - ys, n)
         if g != n:
             return g
 
@@ -169,6 +225,17 @@ class Factorization:
                 f"factors reconstitute {product}, expected {self.value}"
             )
 
+    @classmethod
+    def _proven(
+        cls, value: int, factors: tuple[tuple[int, int], ...]
+    ) -> Factorization:
+        """An instance built without the checks of ``__post_init__``, for
+        factors that :func:`factorize` has just proven."""
+        fac = object.__new__(cls)
+        object.__setattr__(fac, "value", value)
+        object.__setattr__(fac, "factors", factors)
+        return fac
+
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)
@@ -184,38 +251,70 @@ class Factorization:
         )
 
 
+def _divide_out(n: int, p: int) -> tuple[int, int]:
+    """(n / p^s, s) for the largest s with p^s | n."""
+    s = 0
+    while n % p == 0:
+        n //= p
+        s += 1
+    return n, s
+
+
 @lru_cache(maxsize=1 << 18)
 def factorize(n: int) -> Factorization:
-    """Canonical prime factorization of n >= 1.
+    """Canonical prime factorization of n >= 1; each prime is proven once.
 
-    Trial division over the primes below 10^4, then, on each composite
-    cofactor, a perfect-power root before Pollard rho; Miller-Rabin proves
-    the remaining cofactors prime.
+    Trial division by the primes below 10^4: for n below 10007^2 one by one
+    up to sqrt(n), above it only by the primes dividing gcd(n, primorial).
+    A cofactor below 10007^2 left by trial division is prime, with no
+    Miller-Rabin. A larger one goes to :func:`is_prime`; if composite it gets
+    an exact perfect-power root, else Pollard rho, and each part again goes
+    to :func:`is_prime` unless below 10007^2. Pollard rho raises
+    :class:`FactorizationBudgetError` on a cofactor it cannot split within
+    ``_RHO_BUDGET`` steps.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     value = n
-    factors: dict[int, int] = {}
-    for p in SMALL_PRIMES:
-        if p * p > n:
-            break
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        pending = [(n, 1)]  # (cofactor, multiplicity)
-        while pending:
-            c, e = pending.pop()
-            if c <= SMALL_PRIMES[-1] or is_prime(c):
-                factors[c] = factors.get(c, 0) + e
-                continue
-            r, k = _perfect_power(c)
-            if k > 1:
-                pending.append((r, e * k))
-                continue
-            d = _pollard_rho(c)
-            pending += [(d, e), (c // d, e)]
-    return Factorization(value, tuple(sorted(factors.items())))
+    factors: list[tuple[int, int]] = []
+    if n < _TRIAL_PROVEN:
+        for p in SMALL_PRIMES:
+            if p * p > n:
+                break
+            if n % p == 0:
+                n, s = _divide_out(n, p)
+                factors.append((p, s))
+    else:
+        # g is squarefree, so what is left of it once p * p > g is prime
+        g = math.gcd(n, _PRIMORIAL)
+        for p in SMALL_PRIMES:
+            if p * p > g:
+                break
+            if g % p == 0:
+                g //= p
+                n, s = _divide_out(n, p)
+                factors.append((p, s))
+        if g > 1:
+            n, s = _divide_out(n, g)
+            factors.append((g, s))
+    if n < _TRIAL_PROVEN:
+        if n > 1:
+            factors.append((n, 1))
+        return Factorization._proven(value, tuple(factors))
+    large: dict[int, int] = {}  # proven prime -> multiplicity
+    pending = [(n, 1)]  # (cofactor free of trial primes, multiplicity)
+    while pending:
+        c, e = pending.pop()
+        if c in large or c < _TRIAL_PROVEN or is_prime(c):
+            large[c] = large.get(c, 0) + e
+            continue
+        r, k = _perfect_power(c)
+        if k > 1:
+            pending.append((r, e * k))
+            continue
+        d = _pollard_rho(c)
+        pending += [(d, e), (c // d, e)]
+    return Factorization._proven(value, tuple(factors) + tuple(sorted(large.items())))
 
 
 def as_int(value: object, name: str = "n") -> int:

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -206,6 +207,23 @@ class TestFactor:
     def test_zero_rejected(self, capsys):
         code, _, err = run_cli(capsys, "factor", "--n", "0")
         assert code == EXIT_USAGE
+
+    def test_strong_pseudoprime_to_twelve_bases_is_split(self, capsys):
+        # psi_12, a strong pseudoprime to every prime base up to 37
+        code, out, _ = run_cli(capsys, "factor", "--n", "318665857834031151167461")
+        assert code == EXIT_OK
+        assert out.strip() == "318665857834031151167461 = 399165290221 * 798330580441"
+
+
+def test_rho_budget_exhausted_is_usage_error(capsys):
+    # nextprime(2^90) * nextprime(2^91): no rho run splits it in reach
+    n = 1237940039285380274899124357 * 2475880078570760549798248507
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "dft", "--f", "id", "--n", str(n), "--m", "1")
+    assert time.perf_counter() - start < 15.0
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert err.startswith("error: Pollard rho found no factor")
 
 
 class TestInconsistencyExit:

@@ -6,11 +6,18 @@ import time
 
 import pytest
 
-from gcdft.errors import DomainError
+from gcdft import numtheory
+from gcdft.errors import DomainError, FactorizationBudgetError
 from gcdft.numtheory import (
+    _MR_DETERMINISTIC_LIMIT,
+    _MR_EXTRA_ROUNDS,
+    _TRIAL_PROVEN,
+    SMALL_PRIMES,
     Factorization,
     _integer_root,
+    _mr_bases,
     _perfect_power,
+    _strong_probable_prime,
     divisor_tuple,
     divisors,
     factorize,
@@ -148,6 +155,77 @@ class TestFactorize:
         assert _perfect_power((2**61 - 1) ** 3) == (2**61 - 1, 3)
         assert _perfect_power(1_000_003 * 1_000_033) == (1_000_003 * 1_000_033, 1)
 
+    def test_trial_proven_is_the_least_composite_trial_division_leaves(self):
+        q = SMALL_PRIMES[-1] + 1
+        while any(q % p == 0 for p in SMALL_PRIMES):
+            q += 1
+        assert _TRIAL_PROVEN == q * q == 10_007**2
+
+    @pytest.mark.parametrize(
+        "n,factors",
+        [
+            (10_007**2, ((10_007, 2),)),
+            (10_007 * 10_009, ((10_007, 1), (10_009, 1))),
+            (9_973 * 10_007**2, ((9_973, 1), (10_007, 2))),
+            (100_140_043, ((100_140_043, 1),)),  # largest prime below 10007^2
+            (2 * 100_140_043, ((2, 1), (100_140_043, 1))),  # cofactor below
+            (2 * 100_140_059, ((2, 1), (100_140_059, 1))),  # prime cofactor above
+            (6 * 10_007 * 10_009, ((2, 1), (3, 1), (10_007, 1), (10_009, 1))),
+            (9_967 * 9_973 * 10_007, ((9_967, 1), (9_973, 1), (10_007, 1))),
+            (2**200, ((2, 200),)),
+            (3**150 * 9_973**7, ((3, 150), (9_973, 7))),
+            (9_973**30, ((9_973, 30),)),
+            (2**100 * 10_009, ((2, 100), (10_009, 1))),
+        ],
+    )
+    def test_trial_boundaries(self, n, factors):
+        assert factorize.__wrapped__(n).factors == factors
+
+    def test_each_prime_proven_once(self, monkeypatch):
+        calls = []
+        real = numtheory.is_prime
+
+        def counting(n):
+            calls.append(n)
+            return real(n)
+
+        monkeypatch.setattr(numtheory, "is_prime", counting)
+        p, q = 2**31 - 1, 2**61 - 1
+        for n in (
+            30 * 1_000_003 * p * q,
+            7 * p**2 * q,
+            12 * (2**40 + 15) ** 2,
+            10_007 * 10_009 * 10_037,
+        ):
+            calls.clear()
+            fac = factorize.__wrapped__(n)
+            primes = set(fac.primes)
+            rho_primes = {r for r in primes if r >= _TRIAL_PROVEN}
+            assert sorted(c for c in calls if c in primes) == sorted(rho_primes)
+            assert len(calls) == len(set(calls))
+            assert all(c >= _TRIAL_PROVEN for c in calls)
+
+    def test_trial_cofactor_below_the_bound_skips_miller_rabin(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(numtheory, "is_prime", calls.append)
+        assert factorize.__wrapped__(2**40 * 10_009).factors == ((2, 40), (10_009, 1))
+        assert factorize.__wrapped__(6 * 100_140_043).factors == (
+            (2, 1), (3, 1), (100_140_043, 1),
+        )
+        assert factorize.__wrapped__(99_999_989).factors == ((99_999_989, 1),)
+        assert calls == []
+
+    def test_semiprime_below_2_to_40_splits_within_the_budget(self):
+        p, q = 1_099_511_627_689, 2_199_023_255_579  # prevprime(2^40), nextprime(2^41)
+        assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
+
+    def test_rho_budget_raises_a_domain_error(self, monkeypatch):
+        monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 10)
+        n = 1_073_741_827 * 2_147_483_659  # nextprime(2^30) * nextprime(2^31)
+        with pytest.raises(FactorizationBudgetError, match="within 1024 steps"):
+            factorize.__wrapped__(n)
+        assert issubclass(FactorizationBudgetError, DomainError)
+
     def test_invalid_factorization_rejected(self):
         with pytest.raises(DomainError):
             Factorization(12, ((3, 1), (2, 2)))  # primes out of order
@@ -155,6 +233,75 @@ class TestFactorize:
             Factorization(12, ((2, 2), (3, 2)))  # wrong product
         with pytest.raises(DomainError):
             Factorization(8, ((8, 1),))  # not prime
+        with pytest.raises(DomainError):
+            Factorization(0, ())
+        with pytest.raises(DomainError):
+            Factorization(4, ((2, 1), (2, 1)))  # repeated prime
+        with pytest.raises(DomainError):
+            Factorization(1, ((2, 0),))  # zero multiplicity
+
+    def test_factorize_builds_the_same_value_as_the_checked_constructor(self):
+        for n in (1, 360, 10_007 * 10_009, 12 * (2**40 + 15) ** 2, PSI_12):
+            fac = factorize.__wrapped__(n)
+            checked = Factorization(n, fac.factors)
+            assert fac == checked
+            assert hash(fac) == hash(checked)
+            assert type(fac) is Factorization
+
+
+# (psi_t, t): the least strong pseudoprime to all of the first t prime bases
+# (Jaeschke 1993; Sorenson and Webster, Math. Comp. 2017), for every t at
+# which it grows.
+PSI = (
+    (2_047, 1),
+    (1_373_653, 2),
+    (25_326_001, 3),
+    (3_215_031_751, 4),
+    (2_152_302_898_747, 5),
+    (3_474_749_660_383, 6),
+    (341_550_071_728_321, 7),
+    (3_825_123_056_546_413_051, 9),
+    (318_665_857_834_031_151_167_461, 12),
+    (3_317_044_064_679_887_385_961_981, 13),
+)
+PSI_12 = 318_665_857_834_031_151_167_461
+PSI_12_FACTORS = ((399_165_290_221, 1), (798_330_580_441, 1))
+FIRST_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+class TestWitnessTiers:
+    @pytest.mark.parametrize("psi,t", PSI)
+    def test_psi_is_composite(self, psi, t):
+        assert not is_prime(psi)
+
+    @pytest.mark.parametrize("psi,t", PSI)
+    def test_psi_fools_its_t_bases(self, psi, t):
+        # so no tier bound can be raised
+        assert _strong_probable_prime(psi, FIRST_PRIMES[:t])
+
+    @pytest.mark.parametrize("psi,t", PSI)
+    def test_bases_sized_to_n(self, psi, t):
+        assert _mr_bases(psi - 1) == FIRST_PRIMES[:t]
+        assert len(_mr_bases(psi)) > t
+
+    def test_above_the_limit_seeded_random_rounds_join(self):
+        n = _MR_DETERMINISTIC_LIMIT + 2
+        bases = _mr_bases(n)
+        assert bases[:13] == FIRST_PRIMES
+        assert len(bases) == 13 + _MR_EXTRA_ROUNDS
+        assert _mr_bases(n) == bases
+
+    def test_rho_sized_primes_take_four_bases(self):
+        # the 20-28-bit primes Pollard rho splits off the point workload
+        assert _mr_bases(2**20 + 7) == (2, 3)
+        assert _mr_bases(2**28 - 57) == (2, 3, 5, 7)
+
+    def test_psi_12_is_split(self):
+        assert factorize.__wrapped__(PSI_12).factors == PSI_12_FACTORS
+
+    def test_public_constructor_rejects_psi_12_as_prime(self):
+        with pytest.raises(DomainError, match="not prime"):
+            Factorization(PSI_12, ((PSI_12, 1),))
 
 
 class TestPrimality:
@@ -295,5 +442,16 @@ def test_factorize_random_64bit_against_sympy():
     rng = random.Random(97)
     for _ in range(150):
         n = rng.randrange(2, 2**63)
+        fac = factorize.__wrapped__(n)
+        assert dict(fac.factors) == dict(sympy.factorint(n))
+
+
+def test_factorize_seeded_sizes_against_sympy():
+    # n of every size up to 10^18, across the plain loop, the gcd path, the
+    # proven trial cofactor and Pollard rho
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(2017)
+    for _ in range(600):
+        n = rng.randrange(1, 10 ** rng.randrange(1, 19))
         fac = factorize.__wrapped__(n)
         assert dict(fac.factors) == dict(sympy.factorint(n))
