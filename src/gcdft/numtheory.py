@@ -18,7 +18,8 @@ from .errors import DomainError, FactorizationBudgetError
 
 _TRIAL_DIVISION_BOUND = 10_000
 # The least composite with no prime factor below _TRIAL_DIVISION_BOUND is
-# 10007^2, so a cofactor below it that trial division left is prime.
+# 10007^2, so a cofactor below it that trial division left is prime (below
+# 8192^2 trial division may stop at a smaller q, but then n < q^2).
 _TRIAL_PROVEN = 10_007**2
 
 # (psi_t, t): psi_t is the least strong pseudoprime to all of the first t
@@ -44,8 +45,10 @@ _MR_DETERMINISTIC_LIMIT = _MR_BOUNDS[-1]
 # an error probability below 4^-20.
 _MR_EXTRA_ROUNDS = 20
 
-# Polynomial steps Pollard rho may take on one cofactor, over all restarts.
-_RHO_BUDGET = 1 << 23
+# Polynomial steps Pollard rho may take on one cofactor, over all restarts:
+# 12 sqrt(p) for a prime factor p just below 2^40. Brent's rho, charged as
+# below, took at most 9.7 sqrt(p) steps on 20000 seeded 28-bit p.
+_RHO_BUDGET = 12 << 20
 
 
 def _small_primes(bound: int = _TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
@@ -59,7 +62,15 @@ def _small_primes(bound: int = _TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
 
 SMALL_PRIMES = _small_primes()
 _SMALL_PRIME_SET = frozenset(SMALL_PRIMES)
-_PRIMORIAL = math.prod(SMALL_PRIMES)
+# Trial division by one gcd with the product of the primes below q, for the
+# least q here with n < q^2, else of all of SMALL_PRIMES: a shorter product is
+# cheaper to gcd, and n < q^2 needs no prime from q up.
+_PRIMORIAL_Q = tuple(1 << k for k in range(5, 14))
+_PRIMORIAL_SQUARES = tuple(q * q for q in _PRIMORIAL_Q)
+_PRIMORIALS = tuple(
+    math.prod(p for p in SMALL_PRIMES if p < q)
+    for q in _PRIMORIAL_Q + (_TRIAL_DIVISION_BOUND,)
+)
 
 
 def gcd(a: int, b: int) -> int:
@@ -126,8 +137,10 @@ def is_prime(n: int) -> bool:
 def _pollard_rho(n: int) -> int:
     """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n.
 
-    Raises :class:`FactorizationBudgetError` before the steps of the
-    polynomial, summed over restarts, would pass ``_RHO_BUDGET``."""
+    Each polynomial step is charged to ``_RHO_BUDGET``, summed over restarts,
+    before it is taken: the r steps that move x ahead in one go, the steps
+    compared against x batch by batch. :class:`FactorizationBudgetError` is
+    raised when the next charge does not fit."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
@@ -139,20 +152,21 @@ def _pollard_rho(n: int) -> int:
         g = q = r = 1
         x = ys = y
         while g == 1:
-            # one round: r steps to move x ahead, at most r more against it
-            budget -= 2 * r
-            if budget < 0:
-                raise FactorizationBudgetError(
-                    f"Pollard rho found no factor of {n} within "
-                    f"{_RHO_BUDGET} steps"
-                )
+            # the steps ahead can only pay off with a batch after them
+            if budget < r + min(m, r):
+                raise _rho_exhausted(n)
+            budget -= r
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
             k = 0
             while k < r and g == 1:
+                batch = min(m, r - k)
+                if budget < batch:
+                    raise _rho_exhausted(n)
+                budget -= batch
                 ys = y
-                for _ in range(min(m, r - k)):
+                for _ in range(batch):
                     y = (y * y + c) % n
                     q = q * (x - y) % n
                 g = math.gcd(q, n)
@@ -165,6 +179,12 @@ def _pollard_rho(n: int) -> int:
                 g = math.gcd(x - ys, n)
         if g != n:
             return g
+
+
+def _rho_exhausted(n: int) -> FactorizationBudgetError:
+    return FactorizationBudgetError(
+        f"Pollard rho found no factor of {n} within {_RHO_BUDGET} steps"
+    )
 
 
 def _integer_root(c: int, k: int) -> int:
@@ -264,39 +284,32 @@ def _divide_out(n: int, p: int) -> tuple[int, int]:
 def factorize(n: int) -> Factorization:
     """Canonical prime factorization of n >= 1; each prime is proven once.
 
-    Trial division by the primes below 10^4: for n below 10007^2 one by one
-    up to sqrt(n), above it only by the primes dividing gcd(n, primorial).
-    A cofactor below 10007^2 left by trial division is prime, with no
-    Miller-Rabin. A larger one goes to :func:`is_prime`; if composite it gets
-    an exact perfect-power root, else Pollard rho, and each part again goes
-    to :func:`is_prime` unless below 10007^2. Pollard rho raises
-    :class:`FactorizationBudgetError` on a cofactor it cannot split within
-    ``_RHO_BUDGET`` steps.
+    Trial division only by the primes of one gcd: of n with the product of
+    the primes below 10^4, or for n < q^2 (q = 32, 64, ..., 8192) of the
+    primes below q. A cofactor below 10007^2 left by trial division is prime,
+    with no Miller-Rabin: its prime factors are at least 10007, or at least q
+    with the cofactor below q^2. A larger one goes to :func:`is_prime`; if
+    composite it gets an exact perfect-power root, else Pollard rho, and each
+    part again goes to :func:`is_prime` unless below 10007^2. Pollard rho
+    raises :class:`FactorizationBudgetError` on a cofactor it cannot split
+    within ``_RHO_BUDGET`` steps.
     """
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     value = n
     factors: list[tuple[int, int]] = []
-    if n < _TRIAL_PROVEN:
-        for p in SMALL_PRIMES:
-            if p * p > n:
-                break
-            if n % p == 0:
-                n, s = _divide_out(n, p)
-                factors.append((p, s))
-    else:
-        # g is squarefree, so what is left of it once p * p > g is prime
-        g = math.gcd(n, _PRIMORIAL)
-        for p in SMALL_PRIMES:
-            if p * p > g:
-                break
-            if g % p == 0:
-                g //= p
-                n, s = _divide_out(n, p)
-                factors.append((p, s))
-        if g > 1:
-            n, s = _divide_out(n, g)
-            factors.append((g, s))
+    # g is squarefree, so what is left of it once p * p > g is prime
+    g = math.gcd(n, _PRIMORIALS[bisect.bisect_right(_PRIMORIAL_SQUARES, n)])
+    for p in SMALL_PRIMES:
+        if p * p > g:
+            break
+        if g % p == 0:
+            g //= p
+            n, s = _divide_out(n, p)
+            factors.append((p, s))
+    if g > 1:
+        n, s = _divide_out(n, g)
+        factors.append((g, s))
     if n < _TRIAL_PROVEN:
         if n > 1:
             factors.append((n, 1))

@@ -11,6 +11,7 @@ from gcdft.errors import DomainError, FactorizationBudgetError
 from gcdft.numtheory import (
     _MR_DETERMINISTIC_LIMIT,
     _MR_EXTRA_ROUNDS,
+    _PRIMORIAL_Q,
     _TRIAL_PROVEN,
     SMALL_PRIMES,
     Factorization,
@@ -181,6 +182,31 @@ class TestFactorize:
     def test_trial_boundaries(self, n, factors):
         assert factorize.__wrapped__(n).factors == factors
 
+    def test_primorial_tiers(self):
+        # n around q^2 for every shorter primorial, and products of the primes
+        # next to q, against plain trial division
+        def reference(n):
+            factors, p = [], 2
+            while p * p <= n:
+                if n % p == 0:
+                    s = 0
+                    while n % p == 0:
+                        n //= p
+                        s += 1
+                    factors.append((p, s))
+                p += 1
+            return tuple(factors) + (((n, 1),) if n > 1 else ())
+
+        for q in _PRIMORIAL_Q:
+            below = max(p for p in SMALL_PRIMES if p < q)
+            above = min(p for p in SMALL_PRIMES if p > q)
+            for n in (
+                *range(q * q - 40, q * q + 40),
+                below * above, below**2, above**2, below * above**2,
+                2 * below * above, below**3, above * q, above * (q - 1),
+            ):
+                assert factorize.__wrapped__(n).factors == reference(n), n
+
     def test_each_prime_proven_once(self, monkeypatch):
         calls = []
         real = numtheory.is_prime
@@ -218,6 +244,17 @@ class TestFactorize:
     def test_semiprime_below_2_to_40_splits_within_the_budget(self):
         p, q = 1_099_511_627_689, 2_199_023_255_579  # prevprime(2^40), nextprime(2^41)
         assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
+
+    def test_seeded_semiprimes_near_2_to_40_split_within_the_budget(self):
+        rng = random.Random(40)
+        for _ in range(8):
+            p = rng.randrange(2**39, 2**40) | 1
+            while not is_prime(p):
+                p += 2
+            q = rng.randrange(2**40, 2**41) | 1
+            while not is_prime(q):
+                q += 2
+            assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
 
     def test_rho_budget_raises_a_domain_error(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 10)
@@ -447,8 +484,8 @@ def test_factorize_random_64bit_against_sympy():
 
 
 def test_factorize_seeded_sizes_against_sympy():
-    # n of every size up to 10^18, across the plain loop, the gcd path, the
-    # proven trial cofactor and Pollard rho
+    # n of every size up to 10^18, across the gcd path, the proven trial
+    # cofactor and Pollard rho
     sympy = pytest.importorskip("sympy")
     rng = random.Random(2017)
     for _ in range(600):
