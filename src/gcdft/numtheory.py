@@ -350,21 +350,41 @@ def as_factorization(n: int | Factorization) -> Factorization:
     return factorize(as_int(n))
 
 
-@lru_cache(maxsize=1 << 18)
-def divisor_tuple(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending, as a shared immutable tuple."""
-    fac = factorize(n)
+def _divisors_of(factors: tuple[tuple[int, int], ...]) -> list[int]:
     divs = [1]
-    for p, s in fac.factors:
+    for p, s in factors:
         powers = [p**e for e in range(1, s + 1)]
         divs += [d * q for d in divs for q in powers]
     divs.sort()
-    return tuple(divs)
+    return divs
+
+
+@lru_cache(maxsize=1 << 18)
+def divisor_tuple(n: int) -> tuple[int, ...]:
+    """All positive divisors of n, ascending, as a shared immutable tuple."""
+    return tuple(_divisors_of(factorize(n).factors))
 
 
 def divisors(n: int | Factorization) -> list[int]:
-    """All positive divisors of n in ascending order."""
+    """All positive divisors of n in ascending order. A Factorization is not
+    factored again: its divisors come from its primes."""
+    if isinstance(n, Factorization):
+        return _divisors_of(n.factors)
     return list(divisor_tuple(int(n)))
+
+
+def sub_factorization(fac: Factorization, d: int) -> Factorization:
+    """The factorization of a divisor d of ``fac.value``, read off
+    ``fac.factors`` with no factoring."""
+    if d < 1 or fac.value % d:
+        raise DomainError(f"{d} does not divide {fac.value}")
+    rest = d
+    factors = []
+    for p, _ in fac.factors:
+        rest, s = _divide_out(rest, p)
+        if s:
+            factors.append((p, s))
+    return Factorization._proven(d, tuple(factors))
 
 
 @lru_cache(maxsize=1 << 18)

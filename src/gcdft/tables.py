@@ -3,28 +3,31 @@
 A table row maps an order index to gcd(index, n) and the exact transform
 value, plus a per-prime-factor display string. The transform depends on the
 order only through that gcd, so a table is built from one evaluation per gcd
-class (one per divisor of n); compressed tables emit one row per class.
+class (one per divisor of n): the rows of a class share its value and form,
+and compressed tables emit one row per class. Rendering formats each class
+once and each row only its index.
 """
 
 from __future__ import annotations
 
 import io
 import json
-import math
 from csv import reader as csv_reader
-from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import DomainError
 from .functions import ID, ArithmeticFunction
 from .numtheory import Factorization, as_factorization, divisors
+from .ramanujan import DEFINITION_SCALE_LIMIT
 from .transform import _class_exponents, dft_dispatch
 
 _PRIME_LETTERS = "pqwxyz"
 
 
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     index: int
     gcd_value: int
     transform_value: int | Fraction
@@ -33,6 +36,8 @@ class TableRow:
 
 def format_exact(value: int | Fraction) -> str:
     """Decimal string for integers, "num/den" for proper rationals."""
+    if type(value) is int:
+        return str(value)
     if isinstance(value, Fraction) and value.denominator != 1:
         return f"{value.numerator}/{value.denominator}"
     return str(int(value))
@@ -78,13 +83,19 @@ def build_table(
 ) -> list[TableRow]:
     """Rows of the transform at every order 1..n, or one representative row
     per gcd class when compressed (the divisor itself represents its class).
+    A full table has at most DEFINITION_SCALE_LIMIT rows.
 
     Each class g | n is evaluated once. For f other than id its form joins
     the per-prime values h_{p^t}(p^s), t = v_p(g), each computed once."""
     fac = as_factorization(n)
+    if not compress and fac.value > DEFINITION_SCALE_LIMIT:
+        raise DomainError(
+            f"a full table of n = {fac.value} rows is above {DEFINITION_SCALE_LIMIT};"
+            " a compressed one (--compress) has a row per gcd class"
+        )
     local: dict[tuple[int, int], str] = {}
     classes = {}
-    for g in divisors(fac):
+    for g in divisors(n):  # an int n reads the per-n divisor cache
         exponents = _class_exponents(fac, g)
         if f is ID:
             form = _symbolic_gcd_form(fac, exponents)
@@ -93,47 +104,39 @@ def build_table(
                 if (p, t) not in local:
                     local[p, t] = format_exact(dft_dispatch(f, as_factorization(p**s), p**t).value)
             form = "*".join(local[p, t] for (p, _), t in zip(fac.factors, exponents)) or "1"
-        classes[g] = (dft_dispatch(f, fac, g).value, form)
-    indices = classes if compress else range(1, fac.value + 1)
-    return [TableRow(i, g := math.gcd(i, fac.value), *classes[g]) for i in indices]
+        classes[g] = (g, dft_dispatch(f, fac, g).value, form)
+    make, value = TableRow._make, fac.value
+    indices = classes if compress else range(1, value + 1)
+    return [make((i, *classes[gcd(i, value)])) for i in indices]
 
 
 TABLE_FIELDS = ("index", "gcd", "value", "form")
+_CLASS = itemgetter(1, 2, 3)  # the (gcd, value, form) a row shares with its class
 
 
 def render_table(rows: list[TableRow], fmt: str = "text") -> str:
+    """Rows as text, csv or json. Each distinct (gcd, value, form) is
+    formatted once, keyed by equality (equal int and Fraction values format
+    alike), and each row formats only its index."""
+    cells = dict.fromkeys(map(_CLASS, rows))
+    for g, value, form in cells:
+        cells[g, value, form] = (str(g), format_exact(value), form)
     if fmt == "text":
-        cells = [
-            (str(r.index), str(r.gcd_value), format_exact(r.transform_value), r.symbolic_form)
-            for r in rows
-        ]
-        widths = [
-            max(len(h), *(len(c[i]) for c in cells)) if cells else len(h)
-            for i, h in enumerate(TABLE_FIELDS)
-        ]
-        lines = ["  ".join(h.ljust(w) for h, w in zip(TABLE_FIELDS, widths))]
-        lines += ["  ".join(c.ljust(w) for c, w in zip(cell, widths)) for cell in cells]
+        indices = [str(r.index) for r in rows]
+        columns = [indices, *zip(*cells.values())] if rows else [()] * 4
+        widths = [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS, columns)]
+        tails = {k: "  ".join(map(str.ljust, c, widths[1:])) for k, c in cells.items()}
+        lines = ["  ".join(map(str.ljust, TABLE_FIELDS, widths))]
+        lines += [f"{i.ljust(widths[0])}  {tails[r[1:]]}" for i, r in zip(indices, rows)]
         return "\n".join(lines)
     if fmt == "csv":
+        tails = {k: ",".join(c) for k, c in cells.items()}
         lines = [",".join(TABLE_FIELDS)]
-        lines += [
-            f"{r.index},{r.gcd_value},{format_exact(r.transform_value)},{r.symbolic_form}"
-            for r in rows
-        ]
+        lines += [f"{r.index},{tails[r[1:]]}" for r in rows]
         return "\n".join(lines)
     if fmt == "json":
-        return json.dumps(
-            [
-                {
-                    "index": r.index,
-                    "gcd": r.gcd_value,
-                    "value": format_exact(r.transform_value),
-                    "form": r.symbolic_form,
-                }
-                for r in rows
-            ],
-            indent=2,
-        )
+        records = [(r.index, r.gcd_value, cells[r[1:]][1], r.symbolic_form) for r in rows]
+        return json.dumps([dict(zip(TABLE_FIELDS, rec)) for rec in records], indent=2)
     raise DomainError(f"unknown table format {fmt!r}")
 
 

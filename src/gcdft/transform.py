@@ -34,7 +34,15 @@ import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
-from .numtheory import Factorization, as_factorization, as_int, divisor_tuple, totient
+from .numtheory import (
+    Factorization,
+    as_factorization,
+    as_int,
+    divisor_tuple,
+    divisors,
+    sub_factorization,
+    totient,
+)
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, ramanujan_von_sterneck
 
 PATH_BRUTE_FLOAT = "brute_float"
@@ -148,10 +156,20 @@ def dft_exact_convolution(
     f: ArithmeticFunction, n: int | Factorization, m: int
 ) -> Exact:
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
-    sum: sum over d | n of f(n/d) * c_d(m)."""
+    sum: sum over d | n of f(n/d) * c_d(m).
+
+    A Factorization n is not factored again: each d and n/d is factored from
+    its primes, and c_d(m) is the product of c_{p^e}(m) over p^e || d (c_d(m)
+    is multiplicative in d). An int n reads the per-n divisor cache."""
     fac = as_factorization(n)
     m = as_int(m, "m")
     total = 0
+    if fac is n:
+        for d in divisors(fac):
+            r = prod(ramanujan_von_sterneck(p**e, m) for p, e in sub_factorization(fac, d).factors)
+            if r:
+                total += evaluate(f, sub_factorization(fac, fac.value // d)) * r
+        return total
     for d in divisor_tuple(fac.value):
         r = ramanujan_von_sterneck(d, m)
         if r:
@@ -270,14 +288,14 @@ def dft_dispatch(
 
     value = exact_closed_form(f, fac, m_reduced)
     if value is None:
-        value = dft_exact_convolution(f, fac, m_reduced)
+        value = dft_exact_convolution(f, n, m_reduced)
         agreeing = {PATH_CONVOLUTION}
     else:
         agreeing = {PATH_CLOSED_FORM}
 
     if verify:
         if PATH_CONVOLUTION not in agreeing:
-            convolution = dft_exact_convolution(f, fac, m_reduced)
+            convolution = dft_exact_convolution(f, n, m_reduced)
             if convolution != value:
                 raise InconsistencyError(
                     f"exact paths disagree for f={f.name}, n={fac.value}, "
