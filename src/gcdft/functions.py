@@ -144,13 +144,13 @@ def dirichlet_convolve(
     f: ArithmeticFunction, g: ArithmeticFunction, n: int | Factorization
 ) -> Exact:
     """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly."""
-    fac = as_factorization(n)
-    return sum(evaluate(f, fac.value // d) * evaluate(g, d) for d in divisors(fac))
+    divs = divisors(n)
+    return sum(evaluate(f, divs[-1] // d) * evaluate(g, d) for d in divs)
 
 
 def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    return sum(evaluate(t, d) for d in divisors(as_factorization(n)))
+    return sum(evaluate(t, d) for d in divisors(n))
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:

@@ -370,21 +370,7 @@ def divisors(n: int | Factorization) -> list[int]:
     factored again: its divisors come from its primes."""
     if isinstance(n, Factorization):
         return _divisors_of(n.factors)
-    return list(divisor_tuple(int(n)))
-
-
-def sub_factorization(fac: Factorization, d: int) -> Factorization:
-    """The factorization of a divisor d of ``fac.value``, read off
-    ``fac.factors`` with no factoring."""
-    if d < 1 or fac.value % d:
-        raise DomainError(f"{d} does not divide {fac.value}")
-    rest = d
-    factors = []
-    for p, _ in fac.factors:
-        rest, s = _divide_out(rest, p)
-        if s:
-            factors.append((p, s))
-    return Factorization._proven(d, tuple(factors))
+    return list(divisor_tuple(as_int(n)))
 
 
 @lru_cache(maxsize=1 << 18)

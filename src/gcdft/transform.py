@@ -34,15 +34,7 @@ import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
-from .numtheory import (
-    Factorization,
-    as_factorization,
-    as_int,
-    divisor_tuple,
-    divisors,
-    sub_factorization,
-    totient,
-)
+from .numtheory import Factorization, as_factorization, as_int, divisor_tuple, totient
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, ramanujan_von_sterneck
 
 PATH_BRUTE_FLOAT = "brute_float"
@@ -158,23 +150,32 @@ def dft_exact_convolution(
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
     sum: sum over d | n of f(n/d) * c_d(m).
 
-    A Factorization n is not factored again: each d and n/d is factored from
-    its primes, and c_d(m) is the product of c_{p^e}(m) over p^e || d (c_d(m)
-    is multiplicative in d). An int n reads the per-n divisor cache."""
+    An int n reads the per-n divisor cache and von Sterneck's cached c_d(m).
+    A given Factorization is not factored again: c_d(m) is multiplicative in
+    d, and for t = v_p(gcd(m, n)) its factor c_{p^e}(m) is phi(p^e) for
+    e <= t, -p^t for e = t + 1 and 0 beyond, so only the d with every factor
+    nonzero are built from the primes of n, each with the factors of n/d."""
     fac = as_factorization(n)
     m = as_int(m, "m")
-    total = 0
-    if fac is n:
-        for d in divisors(fac):
-            r = prod(ramanujan_von_sterneck(p**e, m) for p, e in sub_factorization(fac, d).factors)
+    if fac is not n:
+        total = 0
+        for d in divisor_tuple(fac.value):
+            r = ramanujan_von_sterneck(d, m)
             if r:
-                total += evaluate(f, sub_factorization(fac, fac.value // d)) * r
+                total += evaluate(f, fac.value // d) * r
         return total
-    for d in divisor_tuple(fac.value):
-        r = ramanujan_von_sterneck(d, m)
-        if r:
-            total += evaluate(f, fac.value // d) * r
-    return total
+    # (c_d(m), n/d, factors of n/d) over the d built from the primes so far
+    terms = [(1, 1, ())]
+    for (p, s), t in zip(fac.factors, _class_exponents(fac, m)):
+        local = [(1, 0)] + [(p**e - p ** (e - 1), e) for e in range(1, t + 1)]
+        if t < s:
+            local.append((-(p**t), t + 1))
+        terms = [
+            (c * r, v * p ** (s - e), co + ((p, s - e),) if e < s else co)
+            for c, v, co in terms
+            for r, e in local
+        ]
+    return sum(c * evaluate(f, Factorization._proven(v, co)) for c, v, co in terms)
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:

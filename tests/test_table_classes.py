@@ -11,7 +11,7 @@ import pytest
 from gcdft.cli import EXIT_USAGE, main
 from gcdft.errors import DomainError
 from gcdft.functions import ID, SIGMA, ArithmeticFunction, id_power
-from gcdft.numtheory import Factorization, factorize, sub_factorization
+from gcdft.numtheory import Factorization, factorize
 from gcdft.tables import TableRow, build_table, format_exact, parse_table, render_table
 from gcdft.transform import dft_dispatch, dft_exact_convolution
 
@@ -111,10 +111,3 @@ class TestGivenFactorization:
                 fac = Factorization(n, factorize(n).factors)
                 for m in range(n + 1):
                     assert dft_exact_convolution(f, fac, m) == dft_exact_convolution(f, n, m)
-
-    def test_sub_factorization(self):
-        fac = self.fac()
-        assert sub_factorization(fac, self.Q) == Factorization(self.Q, ((self.Q, 1),))
-        assert sub_factorization(factorize(360), 12) == factorize(12)
-        with pytest.raises(DomainError):
-            sub_factorization(fac, 6)
