@@ -17,9 +17,12 @@ from numbers import Rational
 from typing import Callable, Mapping
 
 from .errors import DomainError, UndefinedValueError
-from .numtheory import Factorization, as_factorization, divisors
+from .numtheory import Factorization, as_factorization
 
 Exact = int | Fraction
+
+# Entries a per-function memo holds before it is cleared and refilled.
+MEMO_LIMIT = 1 << 16
 
 
 def as_exact(value: object) -> Exact:
@@ -112,6 +115,8 @@ class ArithmeticFunction:
         if value is None:
             if self._pp_rule is None:
                 return self(p**e)
+            if len(self._memo) >= MEMO_LIMIT:
+                self._memo.clear()
             value = self._memo[key] = as_exact(self._pp_rule(p, e))
         return value
 
@@ -135,22 +140,32 @@ def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     if cached is not None:
         return cached
     result = math.prod(f.prime_power(p, s) for p, s in as_factorization(n).factors)
+    if len(f._value_memo) >= MEMO_LIMIT:
+        f._value_memo.clear()
     # a product of proper fractions can be integral
     result = f._value_memo[value] = as_exact(result)
     return result
+
+
+def _factored_divisors(n: int | Factorization) -> list[Factorization]:
+    """The divisors of n from its primes, none factored again; n/d mirrors d from the end."""
+    divs = [(1, ())]
+    for p, s in as_factorization(n).factors:
+        divs = [(d * p**e, df + ((p, e),) if e else df) for d, df in divs for e in range(s + 1)]
+    return [Factorization._proven(d, df) for d, df in divs]
 
 
 def dirichlet_convolve(
     f: ArithmeticFunction, g: ArithmeticFunction, n: int | Factorization
 ) -> Exact:
     """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly."""
-    divs = divisors(n)
-    return sum(evaluate(f, divs[-1] // d) * evaluate(g, d) for d in divs)
+    divs = _factored_divisors(n)
+    return sum(evaluate(f, c) * evaluate(g, d) for d, c in zip(divs, reversed(divs)))
 
 
 def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    return sum(evaluate(t, d) for d in divisors(n))
+    return sum(evaluate(t, d) for d in _factored_divisors(n))
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:

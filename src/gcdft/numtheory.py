@@ -345,6 +345,8 @@ def as_int(value: object, name: str = "n") -> int:
 
 def as_factorization(n: int | Factorization) -> Factorization:
     """Accept either an integer or an existing Factorization."""
+    if type(n) is int:
+        return factorize(n)
     if isinstance(n, Factorization):
         return n
     return factorize(as_int(n))

@@ -21,11 +21,25 @@ FLOAT_TOLERANCE = 1e-6
 
 
 def _coprime_indices(n: int) -> np.ndarray:
-    """The k in 1..n coprime to n: every multiple of a prime of n cleared."""
+    """The k in 1..n <= 10^6 coprime to n: every multiple of a prime of n cleared."""
+    if n < 1:
+        raise OracleScaleError("n must be >= 1")
+    if n > DEFINITION_SCALE_LIMIT:
+        raise OracleScaleError(
+            f"definition oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
+        )
     coprime = np.ones(n, dtype=bool)
     for p, _ in factorize(n).factors:
         coprime[p - 1 :: p] = False
     return np.flatnonzero(coprime) + 1
+
+
+def _definition_sum(k: np.ndarray, n: int, m: int) -> complex:
+    """The floating sum of e(km/n) over the residues ``k`` coprime to n."""
+    # k*m is reduced mod n in exact integer arithmetic before the angle is
+    # formed, keeping the phase error at the 1e-15 level even for huge m.
+    phase = (k * (m % n)) % n
+    return complex(np.exp(2j * np.pi * phase / n).sum())
 
 
 def ramanujan_definition(n: int, m: int) -> complex:
@@ -34,17 +48,7 @@ def ramanujan_definition(n: int, m: int) -> complex:
     The imaginary part of the result should vanish and the real part should
     sit within FLOAT_TOLERANCE of an integer.
     """
-    if n < 1:
-        raise OracleScaleError("n must be >= 1")
-    if n > DEFINITION_SCALE_LIMIT:
-        raise OracleScaleError(
-            f"definition oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
-        )
-    k = _coprime_indices(n)
-    # k*m is reduced mod n in exact integer arithmetic before the angle is
-    # formed, keeping the phase error at the 1e-15 level even for huge m.
-    phase = (k * (m % n)) % n
-    return complex(np.exp(2j * np.pi * phase / n).sum())
+    return _definition_sum(_coprime_indices(n), n, m)
 
 
 @lru_cache(maxsize=1 << 18)

@@ -12,9 +12,10 @@ independent ways:
   f = id, and a fully closed geometric form for completely multiplicative f.
 
 The transform depends on m only through its gcd class g = gcd(m, n), and the
-factor of p^s || n only through t = v_p(g) <= s. Every closed form reads m
-through :func:`_class_exponents` alone, so any integer m, zero and negative
-included, needs no reduction first.
+factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
+negative included, needs no reduction first. The per-prime product reads each
+t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
+read the class through :func:`_class_exponents`.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
 per-prime product for every multiplicative f, in plain ``int`` whenever f is
@@ -28,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -191,12 +192,14 @@ def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
     return result
 
 
+@lru_cache(maxsize=1 << 8)
 def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Exact:
     """The factor of p^s || n in the transform at an order of class
     t = v_p(gcd(m, n)) <= s:
     f(p^s) + (p-1) * sum_{b=1..t} p^(b-1) f(p^(s-b)),
     minus f(p^(s-t-1)) * p^t when t < s (the term is dropped entirely when
-    t = s, so f never sees a negative exponent)."""
+    t = s, so f never sees a negative exponent). Memoized on (f, p, s, t),
+    f by identity, and bounded, as distinct large primes would grow it."""
     term = f.prime_power(p, s)
     for b in range(1, t + 1):
         term += (p - 1) * p ** (b - 1) * f.prime_power(p, s - b)
@@ -213,9 +216,14 @@ def dft_closed_form_multiplicative(
     if not f.is_multiplicative:
         raise DomainError("closed form requires a multiplicative function")
     fac = as_factorization(n)
-    return prod(
-        _local_factor(f, p, s, t) for (p, s), t in zip(fac.factors, _class_exponents(fac, m))
-    )
+    g = gcd(as_int(m, "m"), fac.value)
+    result = 1
+    for p, s in fac.factors:
+        t = 0  # v_p(g), the class of p, as in _class_exponents
+        while g % p == 0:
+            g, t = g // p, t + 1
+        result *= _local_factor(f, p, s, t)
+    return result
 
 
 def dft_closed_form_completely_mult(
@@ -260,7 +268,7 @@ def exact_closed_form(
     """The transform from the closed form for f's kind: the per-prime product
     for a multiplicative f, and None for a general f (which only the
     convolution evaluates)."""
-    if f.is_multiplicative:
+    if f.kind is not Kind.GENERAL:
         return dft_closed_form_multiplicative(f, n, m)
     return None
 

@@ -19,7 +19,7 @@ from .functions import ID, ArithmeticFunction, Exact, Kind, get_function
 from .numtheory import divisors, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
-    ramanujan_definition,
+    _coprime_indices, _definition_sum,
     ramanujan_kluyver,
     ramanujan_von_sterneck,
 )
@@ -249,8 +249,9 @@ def check_ramanujan_agreement(
     tolerance: float = FLOAT_TOLERANCE,
 ) -> Iterator[tuple[str, Failure | None]]:
     """The two exact Ramanujan evaluators agree everywhere; the floating
-    definition agrees (rounded) up to the float_limit."""
+    definition agrees (rounded) up to the float_limit, on residues per n."""
     for n in n_values:
+        residues = _coprime_indices(n) if 0 < n <= float_limit else None
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
@@ -261,7 +262,7 @@ def check_ramanujan_agreement(
                 )
             yield "ramanujan-exact-agreement", failure
             if n <= float_limit:
-                approx = ramanujan_definition(n, m)
+                approx = _definition_sum(residues, n, m)
                 failure = None
                 if (
                     abs(approx.real - exact) >= tolerance

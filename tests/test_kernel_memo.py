@@ -1,0 +1,131 @@
+"""The memoized per-prime kernel and the bounded per-function memos: every
+value they hand out equals the uncached computation, and none of them grows
+past its bound."""
+
+import random
+from fractions import Fraction
+
+from gcdft import ramanujan
+from gcdft.functions import (
+    MEMO_LIMIT,
+    SIGMA,
+    ArithmeticFunction,
+    catalog_names,
+    evaluate,
+    get_function,
+    id_power,
+)
+from gcdft.numtheory import SMALL_PRIMES, Factorization, is_prime
+from gcdft.ramanujan import (
+    FLOAT_TOLERANCE,
+    ramanujan_definition,
+    ramanujan_kluyver,
+    ramanujan_von_sterneck,
+)
+from gcdft.transform import _local_factor, dft_closed_form_multiplicative, dft_exact_convolution
+from gcdft.verify import Failure, check_ramanujan_agreement
+
+RATIONAL = ArithmeticFunction.multiplicative(
+    "rational", lambda p, e: Fraction(e - 2, p + e), integer_valued=False
+)
+
+
+def kernel_functions():
+    return [get_function(name) for name in catalog_names()] + [id_power(-1), RATIONAL]
+
+
+class TestKernelMemo:
+    def test_bounded_after_many_distinct_primes(self):
+        rng = random.Random(60)
+        primes = set()
+        while len(primes) < 5000:
+            c = rng.getrandbits(60) | (1 << 59) | 1
+            if is_prime(c):
+                primes.add(c)
+        for p in primes:
+            fac = Factorization(p, ((p, 1),))
+            assert dft_closed_form_multiplicative(SIGMA, fac, 1) == p  # sigma(p) - 1
+        info = _local_factor.cache_info()
+        assert info.maxsize is not None
+        assert info.currsize <= info.maxsize
+
+    def test_functions_sharing_a_name_keep_their_own_values(self):
+        divisor_count = ArithmeticFunction.multiplicative("twin", lambda p, e: e + 1)
+        power = ArithmeticFunction.multiplicative("twin", lambda p, e: p**e)
+        for f in (divisor_count, power, divisor_count):
+            for n in range(1, 41):
+                for m in range(n + 1):
+                    assert dft_closed_form_multiplicative(f, n, m) == dft_exact_convolution(
+                        f, n, m
+                    )
+        assert dft_closed_form_multiplicative(divisor_count, 12, 12) == 28
+        assert dft_closed_form_multiplicative(power, 12, 12) == 40  # Pillai's sum
+
+    def test_cached_equals_uncached(self):
+        uncached = _local_factor.__wrapped__
+        prime_powers = [
+            (p, s) for p in SMALL_PRIMES if p <= 1 << 12 for s in range(1, 13) if p**s <= 1 << 12
+        ]
+        for f in kernel_functions():
+            for p, s in prime_powers:
+                for t in range(s + 1):
+                    cached, reference = _local_factor(f, p, s, t), uncached(f, p, s, t)
+                    assert cached == reference, (f.name, p, s, t)
+                    assert type(cached) is type(reference), (f.name, p, s, t)
+
+
+def per_order_agreement(n_values, float_limit, tolerance=FLOAT_TOLERANCE):
+    """check_ramanujan_agreement with the float definition evaluated from
+    scratch at every (n, m)."""
+    for n in n_values:
+        for m in range(1, n + 1):
+            exact = ramanujan_von_sterneck(n, m)
+            other = ramanujan_kluyver(n, m)
+            failure = None
+            if exact != other:
+                failure = Failure("ramanujan-exact-agreement", "-", n, m, str(exact), str(other))
+            yield "ramanujan-exact-agreement", failure
+            if n <= float_limit:
+                approx = ramanujan_definition(n, m)
+                failure = None
+                if abs(approx.real - exact) >= tolerance or abs(approx.imag) >= tolerance:
+                    failure = Failure(
+                        "ramanujan-float-agreement", "-", n, m, str(exact), repr(approx)
+                    )
+                yield "ramanujan-float-agreement", failure
+
+
+class TestRamanujanAgreement:
+    def test_residues_once_per_n_match_per_order_calls(self, monkeypatch):
+        n_values = range(1, 40)
+        assert list(check_ramanujan_agreement(n_values, float_limit=30)) == list(
+            per_order_agreement(n_values, float_limit=30)
+        )
+        honest = ramanujan._von_sterneck
+        monkeypatch.setattr(ramanujan, "_von_sterneck", lambda n, g: honest(n, g) + 1)
+        got = list(check_ramanujan_agreement(n_values, float_limit=30))
+        assert got == list(per_order_agreement(n_values, float_limit=30))
+        assert {identity for identity, failure in got if failure} == {
+            "ramanujan-exact-agreement",
+            "ramanujan-float-agreement",
+        }
+
+
+class TestMemoBounds:
+    def test_value_memo_after_sigma_to_two_hundred_thousand(self):
+        sigma = ArithmeticFunction.multiplicative(
+            "sigma", lambda p, e: (p ** (e + 1) - 1) // (p - 1)
+        )
+        for n in range(1, 200_001):
+            evaluate(sigma, n)
+        assert 0 < len(sigma._value_memo) <= MEMO_LIMIT
+        assert len(sigma._memo) <= MEMO_LIMIT
+        for n in (1, 2, 720, 65_537, 199_999, 200_000):
+            assert evaluate(sigma, n) == evaluate(SIGMA, n)
+
+    def test_prime_power_memo(self):
+        f = ArithmeticFunction.multiplicative("square", lambda p, e: p ** (2 * e))
+        for k in range(2, MEMO_LIMIT + 1000):
+            assert f.prime_power(k, 1) == k * k
+        assert 0 < len(f._memo) <= MEMO_LIMIT
+        assert type(f._memo) is dict and type(f._value_memo) is dict
