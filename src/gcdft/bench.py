@@ -1,11 +1,11 @@
 """Timing harness: brute-force float transform vs factorize-plus-dispatch (the
 closed form, or the exact convolution for a general function).
 
-Medians of a monotonic clock over several repetitions; caches are cleared
-between repetitions so the closed-form column pays for its factorization and
-the brute column for its gcd-class sieve. One float spot check per n, within
-:func:`transform.float_bound` of the exact value, guards against benchmarking
-a wrong value.
+Medians of a monotonic clock over several repetitions; the factorization
+cache is cleared between repetitions so the closed-form column pays for its
+factorization (the brute column keeps no cache of its own). One float spot
+check per n, within :func:`transform.float_bound` of the exact value, guards
+against benchmarking a wrong value.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import statistics
 import time
 from dataclasses import dataclass
 
-from . import transform
 from .errors import DomainError
 from .functions import ArithmeticFunction, Exact
 from .numtheory import factorize
@@ -55,7 +54,6 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
     brute_times = []
     closed_times = []
     for _ in range(repetitions):
-        transform._gcd_buckets.cache_clear()
         start = time.perf_counter()
         brute = dft_brute_float(f, n, m)
         brute_times.append(time.perf_counter() - start)

@@ -13,6 +13,7 @@ import math
 import re
 from enum import Enum
 from fractions import Fraction
+from functools import lru_cache
 from numbers import Rational
 from typing import Callable, Mapping
 
@@ -257,8 +258,10 @@ _ID_K = re.compile(r"id_(-?\d+)$")
 _J_K = re.compile(r"J_(\d+)$")
 
 
+@lru_cache(maxsize=1 << 5)
 def get_function(name: str) -> ArithmeticFunction:
-    """Look up a catalog function by name; id_<k> and J_<k> take a parameter."""
+    """Look up a catalog function by name; id_<k> and J_<k> take a parameter.
+    Memoized: one name is one object, so its memos and the kernel memo carry over."""
     if name in _CATALOG:
         return _CATALOG[name]
     m = _ID_K.match(name)

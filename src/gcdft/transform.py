@@ -3,8 +3,8 @@
 The transform sum_{k=1..n} f(gcd(k, n)) * exp(-2*pi*i*k*m/n) is computed three
 independent ways:
 
-* a brute-force floating sum (the oracle, O(n) per call): gcd(k, n) for every
-  k from a divisor sieve (:func:`_gcd_buckets`), and each twiddle as the
+* a brute-force floating sum (the oracle, O(n) per call): each divisor d of n,
+  largest last, writes f(d) to the multiples of d, and each twiddle is the
   product of two split tables of about sqrt(n) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum,
 * exact prime-factor products: the per-prime product for any multiplicative
@@ -80,6 +80,14 @@ def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
+def _ascending_divisors(n: int) -> tuple[int, ...]:
+    """``divisor_tuple(n)``, checked to be the ascending divisors a sieve needs."""
+    divs = divisor_tuple(n)
+    if divs[0] != 1 or any(n % d for d in divs) or list(divs) != sorted(set(divs)):
+        raise InconsistencyError(f"{divs} are not the ascending divisors of {n}")
+    return divs
+
+
 @lru_cache(maxsize=16)
 def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Divisors of n and, for k = 1..n, ``index[k-1]`` = the position of
@@ -88,9 +96,7 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     A divisor sieve: ``index[d-1::d] = i`` over the divisors in ascending
     order, so each k ends on its largest divisor of n, which is gcd(k, n).
     That is sigma(n)/n strided writes per entry, with no gcd computed."""
-    divs = divisor_tuple(n)
-    if divs[0] != 1 or any(n % d for d in divs) or list(divs) != sorted(set(divs)):
-        raise InconsistencyError(f"{divs} are not the ascending divisors of {n}")
+    divs = _ascending_divisors(n)
     index = np.empty(n, dtype=np.min_scalar_type(len(divs) - 1))
     for i, d in enumerate(divs):
         index[d - 1 :: d] = i
@@ -99,16 +105,18 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
 
 
 def _gcd_sequence(f: ArithmeticFunction, n: int) -> np.ndarray:
-    """The float sequence f(gcd(k, n)) for k = 1..n, f evaluated once per
-    divisor of n. Oracle use only (n <= 10^6)."""
+    """The floats f(gcd(k, n)), k = 1..n: each divisor d, ascending, writes f(d)
+    to the multiples of d, so k ends on gcd(k, n). Oracle use only (n <= 10^6)."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
             f"brute-force oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
         )
-    divs, index = _gcd_buckets(n)
-    return np.array([float(evaluate(f, d)) for d in divs])[index]
+    a = np.empty(n)
+    for d in _ascending_divisors(n):
+        a[d - 1 :: d] = float(evaluate(f, d))
+    return a
 
 
 def dft_brute_float(f: ArithmeticFunction, n: int, m: int) -> complex:

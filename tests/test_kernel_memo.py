@@ -5,7 +5,10 @@ past its bound."""
 import random
 from fractions import Fraction
 
+import pytest
+
 from gcdft import ramanujan
+from gcdft.errors import UndefinedValueError
 from gcdft.functions import (
     MEMO_LIMIT,
     SIGMA,
@@ -15,14 +18,19 @@ from gcdft.functions import (
     get_function,
     id_power,
 )
-from gcdft.numtheory import SMALL_PRIMES, Factorization, is_prime
+from gcdft.numtheory import SMALL_PRIMES, Factorization, factorize, is_prime
 from gcdft.ramanujan import (
     FLOAT_TOLERANCE,
     ramanujan_definition,
     ramanujan_kluyver,
     ramanujan_von_sterneck,
 )
-from gcdft.transform import _local_factor, dft_closed_form_multiplicative, dft_exact_convolution
+from gcdft.transform import (
+    _local_factor,
+    dft_closed_form_multiplicative,
+    dft_dispatch,
+    dft_exact_convolution,
+)
 from gcdft.verify import Failure, check_ramanujan_agreement
 
 RATIONAL = ArithmeticFunction.multiplicative(
@@ -72,6 +80,22 @@ class TestKernelMemo:
                     cached, reference = _local_factor(f, p, s, t), uncached(f, p, s, t)
                     assert cached == reference, (f.name, p, s, t)
                     assert type(cached) is type(reference), (f.name, p, s, t)
+
+
+class TestNamedFunctions:
+    def test_one_name_is_one_object(self):
+        for name in ("id_2", "id_-1", "J_3"):
+            assert get_function(name) is get_function(name)
+        for _ in range(2):
+            with pytest.raises(UndefinedValueError):
+                get_function("J_x")
+
+    def test_named_function_keeps_its_kernel_memo(self):
+        n, m = 720720, 7
+        dft_dispatch(get_function("J_2"), n, m)
+        hits = _local_factor.cache_info().hits
+        dft_dispatch(get_function("J_2"), n, m)
+        assert _local_factor.cache_info().hits - hits == len(factorize(n).factors)
 
 
 def per_order_agreement(n_values, float_limit, tolerance=FLOAT_TOLERANCE):

@@ -193,6 +193,48 @@ class TestGcdBuckets:
             transform._gcd_buckets(12)
 
 
+class TestGcdSequence:
+    """The brute oracles' sequence is sieved straight from f's values, with
+    no class index: it must equal the gather through ``_gcd_buckets``."""
+
+    RATIONAL = ArithmeticFunction.multiplicative(
+        "rational", lambda p, e: Fraction(e - 2, p + e), integer_valued=False
+    )
+
+    def functions(self):
+        return [get_function(name) for name in catalog_names()] + [
+            get_function("id_-1"),
+            self.RATIONAL,
+        ]
+
+    def test_equals_bucket_gather(self):
+        functions = self.functions()
+        for n in list(range(1, 1501)) + [720720]:
+            divs, index = transform._gcd_buckets(n)
+            for f in functions:
+                gathered = np.array([float(evaluate(f, d)) for d in divs])[index]
+                np.testing.assert_array_equal(transform._gcd_sequence(f, n), gathered)
+
+    def test_oracles_do_not_read_the_class_index(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError("the brute oracles must not build a class index")
+
+        monkeypatch.setattr(transform, "_gcd_buckets", refuse)
+        for f in (SIGMA, self.RATIONAL):
+            for n, m in ((1, 1), (12, 5), (360, 24), (1001, 7)):
+                exact = float(dft_exact_convolution(f, n, m))
+                assert dft_brute_float(f, n, m) == pytest.approx(exact, rel=1e-12, abs=1e-9)
+                spectrum = dft_brute_spectrum(f, n)
+                assert spectrum[m % n] == pytest.approx(exact, rel=1e-12, abs=1e-9)
+
+    def test_non_divisor_raises_in_both_oracles(self, monkeypatch):
+        monkeypatch.setattr(transform, "divisor_tuple", lambda n: (1, 2, 5, 12))
+        with pytest.raises(InconsistencyError):
+            dft_brute_float(ID, 12, 1)
+        with pytest.raises(InconsistencyError):
+            dft_brute_spectrum(ID, 12)
+
+
 class TestConvolutionPath:
     def test_coprime_order_is_totient(self):
         assert dft_exact_convolution(ID, 12, 5) == 4
