@@ -20,7 +20,7 @@ from .functions import ArithmeticFunction, Exact
 from .numtheory import factorize
 from .ramanujan import FLOAT_TOLERANCE
 from .tables import format_exact
-from .transform import dft_brute_float, dft_dispatch, float_bound
+from .transform import dft_brute_float, dft_dispatch, float_agrees, float_bound
 
 BENCH_FIELDS = (
     "n",
@@ -66,8 +66,6 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
 
     brute_median = statistics.median(brute_times)
     closed_median = statistics.median(closed_times)
-    bound = float_bound(f, n, FLOAT_TOLERANCE)
-    spot = abs(brute.real - float(value)) < bound and abs(brute.imag) < bound
     return BenchResult(
         n,
         f.name,
@@ -76,7 +74,7 @@ def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResul
         closed_median,
         brute_median / closed_median if closed_median > 0 else float("inf"),
         value,
-        spot,
+        float_agrees(brute, value, float_bound(f, n, FLOAT_TOLERANCE)),
     )
 
 
@@ -121,4 +119,4 @@ def render_bench(results: list[BenchResult], fmt: str = "csv") -> str:
             ],
             indent=2,
         )
-    raise ValueError(f"unknown bench format {fmt!r}")
+    raise DomainError(f"unknown bench format {fmt!r}")

@@ -16,12 +16,13 @@ from .functions import catalog_names, get_function
 from .numtheory import factorize
 from .ramanujan import (
     DEFINITION_SCALE_LIMIT,
+    FLOAT_TOLERANCE,
     ramanujan_definition,
     ramanujan_kluyver,
     ramanujan_von_sterneck,
 )
 from .tables import build_table, format_exact, render_table
-from .transform import dft_dispatch
+from .transform import dft_dispatch, float_agrees
 from .verify import FAULTS, SweepConfig, render_report, run_verification
 
 EXIT_OK = 0
@@ -80,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample-count", type=int, default=20)
     p.add_argument("--functions", default="id",
                    help="comma-separated catalog names (default id)")
-    p.add_argument("--tolerance", type=float, default=1e-6)
+    p.add_argument("--tolerance", type=float, default=FLOAT_TOLERANCE)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled m policy")
     p.add_argument("--inject-fault", choices=sorted(FAULTS), default=None,
@@ -162,6 +163,10 @@ def _cmd_bench(args) -> int:
         print(f"wrote {args.output}")
     else:
         print(rendered)
+    failed = [str(r.n) for r in results if not r.spot_check]
+    if failed:
+        print(f"spot check failed for f={f.name} at n = {', '.join(failed)}", file=sys.stderr)
+        return EXIT_INCONSISTENCY
     return EXIT_OK
 
 
@@ -171,7 +176,7 @@ def _cmd_ramanujan(args) -> int:
     if args.n <= DEFINITION_SCALE_LIMIT:
         approx = ramanujan_definition(args.n, args.m)
         definition = f"{approx.real:.9f}{approx.imag:+.2e}j"
-        agree = exact == kluyver and abs(approx.real - exact) < 1e-6
+        agree = exact == kluyver and float_agrees(approx, exact, FLOAT_TOLERANCE)
     else:
         definition = "skipped (n beyond oracle scale)"
         agree = exact == kluyver

@@ -289,6 +289,12 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     return max(tolerance, BRUTE_RELATIVE_TOLERANCE * float(l1))
 
 
+def float_agrees(approx: complex, exact: Exact, bound: float) -> bool:
+    """Whether a float oracle's value lies within ``bound`` of the real exact
+    value, in both its real and its imaginary part."""
+    return abs(approx.real - float(exact)) < bound and abs(approx.imag) < bound
+
+
 def dft_dispatch(
     f: ArithmeticFunction,
     n: int | Factorization,
@@ -321,13 +327,11 @@ def dft_dispatch(
             agreeing.add(PATH_CONVOLUTION)
         if fac.value <= DEFINITION_SCALE_LIMIT:
             brute = dft_brute_float(f, fac.value, m_reduced)
-            bound = float_bound(f, fac.value, FLOAT_TOLERANCE)
-            if abs(brute.real - float(value)) < bound and abs(brute.imag) < bound:
-                agreeing.add(PATH_BRUTE_FLOAT)
-            else:
+            if not float_agrees(brute, value, float_bound(f, fac.value, FLOAT_TOLERANCE)):
                 raise InconsistencyError(
                     f"brute-force value {brute} is out of tolerance of exact "
                     f"{value} for f={f.name}, n={fac.value}, m={m_reduced}"
                 )
+            agreeing.add(PATH_BRUTE_FLOAT)
 
     return DftReport(fac, m_reduced, f.name, as_exact(value), frozenset(agreeing))

@@ -1,13 +1,16 @@
 """Identity sweeps: every closed form is replayed against the independent
 evaluation paths over configurable (f, n, m) grids.
 
-Each check yields Failure records instead of raising, so a sweep reports the
-full damage; the CLI maps a nonempty failure list to exit code 2. A named
-fault can be injected into one path to prove the harness actually bites.
+Each check yields ``(identity, None)`` on a pass, or ``(identity, failure)``
+with a record built by :func:`_failure`, instead of raising, so a sweep
+reports the full damage; the CLI maps a nonempty failure list to exit code 2.
+A named fault can be injected into one path to prove the harness actually
+bites.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import random
@@ -30,6 +33,7 @@ from .transform import (
     dft_closed_form_multiplicative,
     dft_exact_convolution,
     exact_closed_form,
+    float_agrees,
     float_bound,
 )
 
@@ -95,6 +99,13 @@ class SweepReport:
         return not self.failures
 
 
+def _failure(identity: str, f_name: str, n: int, m: int, expected, got) -> Failure:
+    """The record of a failed check: ``expected`` by ``str``, ``got`` by
+    ``repr`` when it is a float oracle's complex value, else by ``str``."""
+    shown = repr(complex(got)) if isinstance(got, complex) else str(got)
+    return Failure(identity, f_name, n, m, str(expected), shown)
+
+
 def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]:
     """Deterministic m grid for a given n under the configured policy."""
     if policy == "all":
@@ -131,29 +142,19 @@ def check_path_equivalence(
             closed = exact_closed_form(f, n, m)
             if closed is not None:
                 closed = _perturb(closed, "closed", fault)
-                failure = None
-                if closed != convolution:
-                    failure = Failure(
-                        "path-equivalence-exact", f.name, n, m,
-                        str(convolution), str(closed),
-                    )
-                yield "path-equivalence-exact", failure
+                yield "path-equivalence-exact", None if closed == convolution else _failure(
+                    "path-equivalence-exact", f.name, n, m, convolution, closed
+                )
             approx = spectrum[m % n]
             target = closed if closed is not None else convolution
-            failure = None
-            if abs(approx.real - float(target)) >= bound or abs(approx.imag) >= bound:
-                failure = Failure(
-                    "path-equivalence-float", f.name, n, m,
-                    str(target), repr(complex(approx)),
-                )
-            yield "path-equivalence-float", failure
+            ok = float_agrees(approx, target, bound)
+            yield "path-equivalence-float", None if ok else _failure(
+                "path-equivalence-float", f.name, n, m, target, approx
+            )
             if f.integer_valued:
-                failure = None
-                if convolution.denominator != 1:
-                    failure = Failure(
-                        "integrality", f.name, n, m, "integer", str(convolution)
-                    )
-                yield "integrality", failure
+                yield "integrality", None if convolution.denominator == 1 else _failure(
+                    "integrality", f.name, n, m, "integer", convolution
+                )
 
 
 def check_closed_form_pair(
@@ -177,10 +178,9 @@ def check_closed_form_pair(
                 other = dft_closed_form_completely_mult(f, n, m)
             else:
                 continue
-            failure = None
-            if other != general:
-                failure = Failure(identity, f.name, n, m, str(general), str(other))
-            yield identity, failure
+            yield identity, None if other == general else _failure(
+                identity, f.name, n, m, general, other
+            )
 
 
 def check_gcd_dependence(
@@ -194,10 +194,9 @@ def check_gcd_dependence(
         for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
             left = exact_closed_form(f, n, m)
             right = by_class[math.gcd(m, n)]
-            failure = None
-            if left != right:
-                failure = Failure("gcd-dependence", f.name, n, m, str(right), str(left))
-            yield "gcd-dependence", failure
+            yield "gcd-dependence", None if left == right else _failure(
+                "gcd-dependence", f.name, n, m, right, left
+            )
 
 
 def check_multiplicativity(
@@ -221,12 +220,9 @@ def check_multiplicativity(
             for m in orders:
                 combined = exact_closed_form(f, n, m)
                 split = exact_closed_form(f, u, m) * exact_closed_form(f, v, m)
-                failure = None
-                if combined != split:
-                    failure = Failure(
-                        "multiplicativity", f.name, n, m, str(split), str(combined)
-                    )
-                yield "multiplicativity", failure
+                yield "multiplicativity", None if combined == split else _failure(
+                    "multiplicativity", f.name, n, m, split, combined
+                )
 
 
 def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, Failure | None]]:
@@ -237,10 +233,9 @@ def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, 
             if math.gcd(m, n) != 1:
                 continue
             value = dft_closed_form_gcd(n, m)
-            failure = None
-            if value != phi:
-                failure = Failure("coprime-order-totient", "id", n, m, str(phi), str(value))
-            yield "coprime-order-totient", failure
+            yield "coprime-order-totient", None if value == phi else _failure(
+                "coprime-order-totient", "id", n, m, phi, value
+            )
 
 
 def check_ramanujan_agreement(
@@ -255,66 +250,37 @@ def check_ramanujan_agreement(
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
-            failure = None
-            if exact != other:
-                failure = Failure(
-                    "ramanujan-exact-agreement", "-", n, m, str(exact), str(other)
-                )
-            yield "ramanujan-exact-agreement", failure
+            yield "ramanujan-exact-agreement", None if exact == other else _failure(
+                "ramanujan-exact-agreement", "-", n, m, exact, other
+            )
             if n <= float_limit:
                 approx = _definition_sum(residues, n, m)
-                failure = None
-                if (
-                    abs(approx.real - exact) >= tolerance
-                    or abs(approx.imag) >= tolerance
-                ):
-                    failure = Failure(
-                        "ramanujan-float-agreement", "-", n, m, str(exact), repr(approx)
-                    )
-                yield "ramanujan-float-agreement", failure
+                ok = float_agrees(approx, exact, tolerance)
+                yield "ramanujan-float-agreement", None if ok else _failure(
+                    "ramanujan-float-agreement", "-", n, m, exact, approx
+                )
 
 
 def run_verification(config: SweepConfig) -> SweepReport:
     """Run every identity sweep implied by the config and collect failures."""
     report = SweepReport()
     n_values = range(1, config.n_max + 1)
-    functions = [get_function(name) for name in config.functions]
-
-    for identity, failure in check_ramanujan_agreement(
-        n_values, float_limit=min(config.n_max, 500), tolerance=config.tolerance_float
-    ):
-        report.record(identity, failure)
-
-    for f in functions:
-        for identity, failure in check_path_equivalence(
-            f,
-            n_values,
-            policy=config.m_policy,
-            sample_count=config.sample_count,
-            tolerance=config.tolerance_float,
-            seed=config.seed,
-            fault=config.fault,
-        ):
-            report.record(identity, failure)
+    grid = dict(policy=config.m_policy, sample_count=config.sample_count, seed=config.seed)
+    checks = [check_ramanujan_agreement(n_values, tolerance=config.tolerance_float)]
+    for f in map(get_function, config.functions):
+        checks.append(check_path_equivalence(
+            f, n_values, tolerance=config.tolerance_float, fault=config.fault, **grid
+        ))
         if f.is_multiplicative:
-            for identity, failure in check_closed_form_pair(
-                f,
-                n_values,
-                policy=config.m_policy,
-                sample_count=config.sample_count,
-                seed=config.seed,
-            ):
-                report.record(identity, failure)
-            for identity, failure in check_gcd_dependence(f, n_values):
-                report.record(identity, failure)
-            for identity, failure in check_multiplicativity(
-                f, pair_max=min(100, config.n_max), seed=config.seed
-            ):
-                report.record(identity, failure)
+            checks += [
+                check_closed_form_pair(f, n_values, **grid),
+                check_gcd_dependence(f, n_values),
+                check_multiplicativity(f, pair_max=min(100, config.n_max), seed=config.seed),
+            ]
+    checks.append(check_coprime_order_totient(n_values))
 
-    for identity, failure in check_coprime_order_totient(n_values):
+    for identity, failure in itertools.chain(*checks):
         report.record(identity, failure)
-
     return report
 
 

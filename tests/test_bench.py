@@ -3,8 +3,11 @@
 import csv
 import io
 
+import pytest
+
 from gcdft import transform
 from gcdft.bench import BENCH_FIELDS, bench_one, render_bench, run_bench
+from gcdft.errors import DomainError
 from gcdft.functions import ID, ArithmeticFunction, get_function
 
 
@@ -69,3 +72,7 @@ class TestRendering:
         payload = json.loads(render_bench(results, "json"))
         assert payload[0]["n"] == 12
         assert payload[0]["spot_check"] is True
+
+    def test_unknown_format_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            render_bench([], "xml")

@@ -172,6 +172,21 @@ class TestBench:
         assert out == ""
         assert err.strip() == "error: repetitions must be >= 1"
 
+    def test_failed_spot_check_exits_three(self, capsys, monkeypatch):
+        from gcdft import transform
+
+        closed_form = transform.exact_closed_form
+        monkeypatch.setattr(
+            transform, "exact_closed_form", lambda f, n, m: closed_form(f, n, m) + 1
+        )
+        code, out, err = run_cli(
+            capsys, "bench", "--n", "60", "--f", "sigma", "--repetitions", "1",
+        )
+        assert code == EXIT_INCONSISTENCY
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [row["spot_check"] for row in rows] == ["0"]
+        assert "60" in err
+
 
 class TestRamanujan:
     def test_three_evaluators_agree(self, capsys):
@@ -187,6 +202,15 @@ class TestRamanujan:
         assert code == EXIT_OK
         rows = list(csv.reader(io.StringIO(out)))
         assert rows[1][2] == rows[1][3] == "-3"
+
+    def test_imaginary_part_of_the_definition_is_checked(self, capsys, monkeypatch):
+        import gcdft.cli as cli
+
+        honest = cli.ramanujan_definition
+        monkeypatch.setattr(cli, "ramanujan_definition", lambda n, m: honest(n, m) + 1e-3j)
+        code, out, _ = run_cli(capsys, "ramanujan", "--n", "12", "--m", "4")
+        assert code == EXIT_INCONSISTENCY
+        assert "agreement: NO" in out
 
 
 class TestFactor:

@@ -156,6 +156,55 @@ class TestFaultInjection:
         assert failures
         assert all(f.identity == "gcd-dependence" for f in failures)
 
+    @pytest.mark.parametrize(
+        "offset_kernel, check, expected",
+        [
+            (
+                False,
+                lambda: check_path_equivalence(ID, range(1, 5), fault="negate-closed-form"),
+                [
+                    Failure("path-equivalence-exact", "id", 1, 1, "1", "-1"),
+                    Failure("path-equivalence-float", "id", 1, 1, "-1", "(1+0j)"),
+                ],
+            ),
+            (
+                False,
+                lambda: check_path_equivalence(
+                    get_function("id_-1"), [2], fault="negate-closed-form"
+                ),
+                [
+                    Failure("path-equivalence-exact", "id_-1", 2, 1, "-1/2", "1/2"),
+                    Failure("path-equivalence-float", "id_-1", 2, 1, "1/2", "(-0.5+0j)"),
+                ],
+            ),
+            (
+                True,
+                lambda: check_gcd_dependence(get_function("sigma"), range(1, 5)),
+                [Failure("gcd-dependence", "sigma", 2, 1, "2", "3")],
+            ),
+            (
+                True,
+                lambda: check_closed_form_pair(get_function("id_2"), range(1, 5)),
+                [Failure("geometric-form-vs-multiplicative-form", "id_2", 2, 1, "4", "3")],
+            ),
+            (
+                True,
+                lambda: check_closed_form_pair(ID, range(1, 5)),
+                [Failure("gcd-form-vs-multiplicative-form", "id", 2, 1, "2", "1")],
+            ),
+        ],
+        ids=["negated-id", "negated-rational", "gcd-dependence", "geometric-pair", "gcd-pair"],
+    )
+    def test_first_failure_records(self, monkeypatch, offset_kernel, check, expected):
+        # expected values print by str, float oracle values by repr(complex)
+        if offset_kernel:
+            honest = transform._local_factor
+            monkeypatch.setattr(
+                transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1
+            )
+        failures = [failure for _, failure in check() if failure is not None]
+        assert failures[: len(expected)] == expected
+
     def test_fault_in_check_generator(self):
         failures = [
             failure
