@@ -375,7 +375,6 @@ def divisors(n: int | Factorization) -> list[int]:
     return list(divisor_tuple(as_int(n)))
 
 
-@lru_cache(maxsize=1 << 18)
 def moebius(n: int | Factorization) -> int:
     """Moebius function: 0 unless n is squarefree, else (-1)^(#prime factors)."""
     fac = as_factorization(n)

@@ -6,7 +6,9 @@ independent ways:
 * a brute-force floating sum (the oracle, O(n) per call): each divisor d of n,
   largest last, writes f(d) to the multiples of d, and each twiddle is the
   product of two split tables of about sqrt(n) entries,
-* an exact Dirichlet convolution of f with the Ramanujan sum,
+* an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
+  terms, built from the primes of n (no divisor is factored) and cached per
+  class (n, gcd(m, n)) and shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f.
@@ -36,7 +38,7 @@ import numpy as np
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
 from .numtheory import Factorization, as_factorization, as_int, divisor_tuple, totient
-from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, ramanujan_von_sterneck
+from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE
 
 PATH_BRUTE_FLOAT = "brute_float"
 PATH_CONVOLUTION = "convolution_exact"
@@ -115,7 +117,13 @@ def _gcd_sequence(f: ArithmeticFunction, n: int) -> np.ndarray:
         )
     a = np.empty(n)
     for d in _ascending_divisors(n):
-        a[d - 1 :: d] = float(evaluate(f, d))
+        value = evaluate(f, d)
+        try:
+            a[d - 1 :: d] = float(value)
+        except OverflowError:
+            raise OracleScaleError(
+                f"{f.name}({d}) is beyond float range: no float oracle at n = {n}"
+            ) from None
     return a
 
 
@@ -153,29 +161,16 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
     return np.fft.fft(np.roll(_gcd_sequence(f, n), 1))
 
 
-def dft_exact_convolution(
-    f: ArithmeticFunction, n: int | Factorization, m: int
-) -> Exact:
-    """Exact transform as the Dirichlet convolution of f with the Ramanujan
-    sum: sum over d | n of f(n/d) * c_d(m).
-
-    An int n reads the per-n divisor cache and von Sterneck's cached c_d(m).
-    A given Factorization is not factored again: c_d(m) is multiplicative in
-    d, and for t = v_p(gcd(m, n)) its factor c_{p^e}(m) is phi(p^e) for
-    e <= t, -p^t for e = t + 1 and 0 beyond, so only the d with every factor
-    nonzero are built from the primes of n, each with the factors of n/d."""
-    fac = as_factorization(n)
-    m = as_int(m, "m")
-    if fac is not n:
-        total = 0
-        for d in divisor_tuple(fac.value):
-            r = ramanujan_von_sterneck(d, m)
-            if r:
-                total += evaluate(f, fac.value // d) * r
-        return total
+@lru_cache(maxsize=1 << 7)
+def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, Factorization], ...]:
+    """The pairs (c_d(m), n/d), n/d a proven Factorization, over the d | n with
+    c_d(m) != 0 at the orders m of class g = gcd(m, n). c_d(m) is
+    multiplicative in d, and for t = v_p(g) its factor c_{p^e}(m) is phi(p^e)
+    for e <= t, -p^t for e = t + 1 and 0 beyond, so only those d are built,
+    from the primes of n. Bounded, and keyed on (n, g) alone: an entry serves every f."""
     # (c_d(m), n/d, factors of n/d) over the d built from the primes so far
     terms = [(1, 1, ())]
-    for (p, s), t in zip(fac.factors, _class_exponents(fac, m)):
+    for (p, s), t in zip(fac.factors, _class_exponents(fac, g)):
         local = [(1, 0)] + [(p**e - p ** (e - 1), e) for e in range(1, t + 1)]
         if t < s:
             local.append((-(p**t), t + 1))
@@ -184,7 +179,15 @@ def dft_exact_convolution(
             for c, v, co in terms
             for r, e in local
         ]
-    return sum(c * evaluate(f, Factorization._proven(v, co)) for c, v, co in terms)
+    return tuple((c, Factorization._proven(v, co)) for c, v, co in terms)
+
+
+def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:
+    """Exact transform as the Dirichlet convolution of f with the Ramanujan
+    sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`."""
+    fac = as_factorization(n)
+    g = gcd(as_int(m, "m"), fac.value)
+    return sum(c * evaluate(f, v) for c, v in _ramanujan_terms(fac, g))
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
@@ -286,7 +289,13 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     larger of ``tolerance`` and BRUTE_RELATIVE_TOLERANCE times the l1 norm
     sum_k |f(gcd(k, n))| = sum_{d | n} |f(d)| * phi(n/d), computed exactly."""
     l1 = sum(abs(evaluate(f, d)) * totient(n // d) for d in divisor_tuple(n))
-    return max(tolerance, BRUTE_RELATIVE_TOLERANCE * float(l1))
+    try:
+        norm = float(l1)
+    except OverflowError:
+        raise OracleScaleError(
+            f"the l1 norm of {f.name} at n = {n} is beyond float range: no float oracle"
+        ) from None
+    return max(tolerance, BRUTE_RELATIVE_TOLERANCE * norm)
 
 
 def float_agrees(approx: complex, exact: Exact, bound: float) -> bool:
@@ -311,14 +320,14 @@ def dft_dispatch(
 
     value = exact_closed_form(f, fac, m_reduced)
     if value is None:
-        value = dft_exact_convolution(f, n, m_reduced)
+        value = dft_exact_convolution(f, fac, m_reduced)
         agreeing = {PATH_CONVOLUTION}
     else:
         agreeing = {PATH_CLOSED_FORM}
 
     if verify:
         if PATH_CONVOLUTION not in agreeing:
-            convolution = dft_exact_convolution(f, n, m_reduced)
+            convolution = dft_exact_convolution(f, fac, m_reduced)
             if convolution != value:
                 raise InconsistencyError(
                     f"exact paths disagree for f={f.name}, n={fac.value}, "

@@ -10,6 +10,7 @@ bites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -62,6 +63,8 @@ class SweepConfig:
     def __post_init__(self):
         if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
+        if not (math.isfinite(self.tolerance_float) and self.tolerance_float > 0):
+            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance_float}")
         if self.m_policy not in M_POLICIES:
             raise DomainError(f"m_policy must be one of {M_POLICIES}")
         if self.m_policy == "sample" and self.sample_count < 1:
@@ -165,19 +168,20 @@ def check_closed_form_pair(
     seed: int = 0,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Geometric closed form vs per-prime-sum closed form (and the id-only
-    product vs the general multiplicative one when f = id)."""
+    product vs the general multiplicative one when f = id). Any other f has
+    no second closed form and yields nothing, evaluating nothing."""
+    if f is ID:
+        identity, oracle = "gcd-form-vs-multiplicative-form", dft_closed_form_gcd
+    elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
+        identity = "geometric-form-vs-multiplicative-form"
+        oracle = functools.partial(dft_closed_form_completely_mult, f)
+    else:
+        return
     rng = random.Random(seed)
     for n in n_values:
         for m in orders_for(n, policy, sample_count, rng):
             general = dft_closed_form_multiplicative(f, n, m)
-            if f is ID:
-                identity = "gcd-form-vs-multiplicative-form"
-                other = dft_closed_form_gcd(n, m)
-            elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
-                identity = "geometric-form-vs-multiplicative-form"
-                other = dft_closed_form_completely_mult(f, n, m)
-            else:
-                continue
+            other = oracle(n, m)
             yield identity, None if other == general else _failure(
                 identity, f.name, n, m, general, other
             )

@@ -7,7 +7,8 @@ import random
 
 import pytest
 
-from gcdft import transform
+from gcdft import transform, verify
+from gcdft.cli import EXIT_OK, EXIT_USAGE, main
 from gcdft.errors import DomainError
 from gcdft.functions import ID, get_function
 from gcdft.numtheory import divisors
@@ -296,3 +297,34 @@ def test_failure_record_fields():
     assert failure.identity == "identity-name"
     assert failure.expected == "4"
     assert failure.got == "5"
+
+
+class TestTolerance:
+    @pytest.mark.parametrize("tolerance", [-1.0, 0.0, math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite_and_positive(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            SweepConfig(n_max=5, tolerance_float=tolerance)
+
+    @pytest.mark.parametrize("tolerance", ["-1", "0", "nan", "inf"])
+    def test_cli_exits_usage(self, capsys, tolerance):
+        assert main(["verify", "--n-max", "5", "--tolerance", tolerance]) == EXIT_USAGE
+        assert capsys.readouterr().err.startswith("error: tolerance")
+
+    def test_cli_accepts_a_small_tolerance(self, capsys):
+        assert main(["verify", "--n-max", "5", "--tolerance", "1e-9"]) == EXIT_OK
+        assert "total: " in capsys.readouterr().out
+
+
+class TestClosedFormPairWork:
+    def test_plain_multiplicative_f_evaluates_no_kernel_product(self, monkeypatch):
+        calls = []
+        honest = verify.dft_closed_form_multiplicative
+        monkeypatch.setattr(
+            verify,
+            "dft_closed_form_multiplicative",
+            lambda f, n, m: calls.append(n) or honest(f, n, m),
+        )
+        assert list(check_closed_form_pair(get_function("sigma"), range(1, 30))) == []
+        assert calls == []
+        pairs = list(check_closed_form_pair(get_function("id_2"), range(1, 30)))
+        assert len(pairs) == len(calls) == sum(range(1, 30))

@@ -1,0 +1,57 @@
+"""Print one sha256 over a fixed grid of gcdft answers, so that two source
+trees can be checked to give the same values, value types and output:
+
+    PYTHONPATH=<tree>/src python3 tools/digest.py
+
+The grid: ``dft_dispatch(..., verify=True)`` (value, value type, paths and
+reduced order) and ``dft_exact_convolution`` on an int n and on a
+``Factorization``, for 13 functions, n < 90 and m in [-n, 2n]; the csv table,
+full and compressed, for n <= 130; and the verify report in every format for
+n_max in {1, 7, 19} under every m policy.
+"""
+
+import hashlib
+from fractions import Fraction
+
+from gcdft import ArithmeticFunction, Factorization, factorize, get_function
+from gcdft.functions import catalog_names
+from gcdft.tables import build_table, render_table
+from gcdft.transform import dft_dispatch, dft_exact_convolution
+from gcdft.verify import M_POLICIES, SweepConfig, render_report, run_verification
+
+NAMES = tuple(catalog_names()) + ("id_-1",)
+# a general rational f with f(1) != 1
+RATIONAL = ArithmeticFunction.from_table(
+    "rational", {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 131)}, integer_valued=False
+)
+
+
+def records():
+    for f in [get_function(name) for name in NAMES] + [RATIONAL]:
+        for n in range(1, 90):
+            fac = Factorization(n, factorize(n).factors)
+            for m in range(-n, 2 * n + 1):
+                r = dft_dispatch(f, n, m, verify=True)
+                yield f.name, n, m, r.value, sorted(r.paths_agreeing), r.m_reduced
+                for value in (r.value, dft_exact_convolution(f, n, m), dft_exact_convolution(f, fac, m)):
+                    yield value, type(value).__name__
+        for n in range(1, 131):
+            for compress in (False, True):
+                yield render_table(build_table(f, n, compress=compress), "csv")
+    for n_max in (1, 7, 19):
+        for policy in M_POLICIES:
+            config = SweepConfig(n_max=n_max, m_policy=policy, functions=NAMES)
+            report = run_verification(config)
+            for fmt in ("text", "json", "csv"):
+                yield render_report(report, config, fmt)
+
+
+def main() -> None:
+    digest = hashlib.sha256()
+    for record in records():
+        digest.update(repr(record).encode() + b"\n")
+    print(digest.hexdigest())
+
+
+if __name__ == "__main__":
+    main()
