@@ -352,6 +352,19 @@ def as_factorization(n: int | Factorization) -> Factorization:
     return factorize(as_int(n))
 
 
+def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
+    """The gcd class of the order m: for each p^s in ``fac.factors``, the
+    multiplicity t <= s of p in g = gcd(m, n). As gcd(0, n) = n and
+    gcd(-m, n) = gcd(m, n), every integer m falls in the class of its
+    residue mod n."""
+    g = math.gcd(as_int(m, "m"), fac.value)
+    exponents = []
+    for p, _ in fac.factors:
+        g, t = _divide_out(g, p)
+        exponents.append(t)
+    return tuple(exponents)
+
+
 def _divisors_of(factors: tuple[tuple[int, int], ...]) -> list[int]:
     divs = [1]
     for p, s in factors:

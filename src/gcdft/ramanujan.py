@@ -4,6 +4,12 @@ The sum is defined over the k <= n coprime to n of exp(2*pi*i*k*m/n); it is
 real, integer valued, and even in m, so the sign convention of the exponent
 does not matter (c_n(m) == c_n(-m), which the tests pin down). All evaluators
 reduce m mod n first; residue 0 is handled through gcd(0, n) = n.
+
+c_n(m) is multiplicative in n, and its value at a prime power,
+:func:`_prime_power_sum`, is the one exact rule of the package: von
+Sterneck's form is its product over the primes of n, and the exact
+convolution in :mod:`gcdft.transform` builds its terms from it. Kluyver's
+divisor sum and the floating definition are the rule's independent checks.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleScaleError
-from .numtheory import divisor_tuple, factorize, moebius, totient
+from .numtheory import _class_exponents, divisor_tuple, factorize, moebius
 
 DEFINITION_SCALE_LIMIT = 10**6
 FLOAT_TOLERANCE = 1e-6
@@ -51,19 +57,25 @@ def ramanujan_definition(n: int, m: int) -> complex:
     return _definition_sum(_coprime_indices(n), n, m)
 
 
+def _prime_power_sum(p: int, e: int, t: int) -> int:
+    """c_{p^e}(m) for t = v_p(gcd(m, n)) and e <= v_p(n): phi(p^e) for
+    e <= t, -p^t for e = t + 1 and 0 beyond. The one exact rule that von
+    Sterneck's form and the exact convolution both build from."""
+    if e <= t:
+        return p**e - p**e // p  # phi(p^e), and phi(1) = 1
+    return -(p**t) if e == t + 1 else 0
+
+
 @lru_cache(maxsize=1 << 18)
 def _von_sterneck(n: int, g: int) -> int:
-    reduced = n // g
-    phi_n = totient(n)
-    phi_reduced = totient(reduced)
-    # phi(d) divides phi(n) whenever d divides n, so this division is exact.
-    quotient, remainder = divmod(phi_n, phi_reduced)
-    assert remainder == 0
-    return moebius(reduced) * quotient
+    fac = factorize(n)
+    exponents = _class_exponents(fac, g)
+    return math.prod(_prime_power_sum(p, s, t) for (p, s), t in zip(fac.factors, exponents))
 
 
 def ramanujan_von_sterneck(n: int, m: int) -> int:
-    """Exact evaluation via mu(n/g) * phi(n) / phi(n/g) with g = gcd(m, n)."""
+    """Exact evaluation of mu(n/g) * phi(n) / phi(n/g), g = gcd(m, n), as the
+    product of :func:`_prime_power_sum` over the p^s || n."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     return _von_sterneck(n, math.gcd(m % n, n))

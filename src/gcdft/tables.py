@@ -14,15 +14,15 @@ import io
 import json
 from csv import reader as csv_reader
 from fractions import Fraction
-from math import gcd
+from math import gcd, prod
 from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomainError
 from .functions import ID, ArithmeticFunction
-from .numtheory import Factorization, as_factorization, divisors
+from .numtheory import Factorization, _class_exponents, as_factorization, divisors
 from .ramanujan import DEFINITION_SCALE_LIMIT
-from .transform import _class_exponents, dft_dispatch
+from .transform import dft_dispatch
 
 _PRIME_LETTERS = "pqwxyz"
 
@@ -83,15 +83,19 @@ def build_table(
 ) -> list[TableRow]:
     """Rows of the transform at every order 1..n, or one representative row
     per gcd class when compressed (the divisor itself represents its class).
-    A full table has at most DEFINITION_SCALE_LIMIT rows.
+    A table, full or compressed, has at most DEFINITION_SCALE_LIMIT rows.
 
     Each class g | n is evaluated once. For f other than id its form joins
     the per-prime values h_{p^t}(p^s), t = v_p(g), each computed once."""
     fac = as_factorization(n)
-    if not compress and fac.value > DEFINITION_SCALE_LIMIT:
+    # a compressed table has a row per divisor, counted before any is listed
+    rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
+    if rows > DEFINITION_SCALE_LIMIT:
+        kind = "compressed" if compress else "full"
+        hint = "" if compress else "; a compressed one (--compress) has a row per gcd class"
         raise DomainError(
-            f"a full table of n = {fac.value} rows is above {DEFINITION_SCALE_LIMIT};"
-            " a compressed one (--compress) has a row per gcd class"
+            f"a {kind} table of n = {fac.value} has {rows} rows, above"
+            f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
     local: dict[tuple[int, int], str] = {}
     classes = {}
@@ -102,7 +106,8 @@ def build_table(
         else:
             for (p, s), t in zip(fac.factors, exponents):
                 if (p, t) not in local:
-                    local[p, t] = format_exact(dft_dispatch(f, as_factorization(p**s), p**t).value)
+                    prime_power = Factorization._proven(p**s, ((p, s),))
+                    local[p, t] = format_exact(dft_dispatch(f, prime_power, p**t).value)
             form = "*".join(local[p, t] for (p, _), t in zip(fac.factors, exponents)) or "1"
         classes[g] = (g, dft_dispatch(f, fac, g).value, form)
     make, value = TableRow._make, fac.value

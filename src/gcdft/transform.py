@@ -7,8 +7,9 @@ independent ways:
   largest last, writes f(d) to the multiples of d, and each twiddle is the
   product of two split tables of about sqrt(n) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
-  terms, built from the primes of n (no divisor is factored) and cached per
-  class (n, gcd(m, n)) and shared by every f,
+  terms, built from the primes of n with the prime-power rule of
+  :mod:`gcdft.ramanujan` (no divisor is factored) and cached per class
+  (n, gcd(m, n)) and shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f.
@@ -17,7 +18,10 @@ The transform depends on m only through its gcd class g = gcd(m, n), and the
 factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
 negative included, needs no reduction first. The per-prime product reads each
 t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
-read the class through :func:`_class_exponents`.
+read the class through :func:`numtheory._class_exponents`. The float oracles
+and their l1 bound read the divisors of n, each with its factors, from the
+convolution's terms of the full class g = n, where c_d = phi(d) for every
+d | n: no divisor of n is factored.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
 per-prime product for every multiplicative f, in plain ``int`` whenever f is
@@ -31,14 +35,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
-from .numtheory import Factorization, as_factorization, as_int, divisor_tuple, totient
-from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE
+from .numtheory import Factorization, _class_exponents, as_factorization, as_int
+from .numtheory import divisor_tuple, factorize
+from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, _prime_power_sum
 
 PATH_BRUTE_FLOAT = "brute_float"
 PATH_CONVOLUTION = "convolution_exact"
@@ -66,27 +71,13 @@ def reduce_order(m: int, n: int) -> int:
     return r if r else n
 
 
-def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
-    """The gcd class of the order m: for each p^s in ``fac.factors``, the
-    multiplicity t <= s of p in g = gcd(m, n). As gcd(0, n) = n and
-    gcd(-m, n) = gcd(m, n), every integer m falls in the class of its
-    residue mod n."""
-    g = gcd(as_int(m, "m"), fac.value)
-    exponents = []
-    for p, _ in fac.factors:
-        t = 0
-        while g % p == 0:
-            g //= p
-            t += 1
-        exponents.append(t)
-    return tuple(exponents)
-
-
-def _ascending_divisors(n: int) -> tuple[int, ...]:
-    """``divisor_tuple(n)``, checked to be the ascending divisors a sieve needs."""
-    divs = divisor_tuple(n)
-    if divs[0] != 1 or any(n % d for d in divs) or list(divs) != sorted(set(divs)):
-        raise InconsistencyError(f"{divs} are not the ascending divisors of {n}")
+def _ascending_divisors(n: int) -> list[Factorization]:
+    """The divisors of n, ascending, as the proven n/d of the terms of the full
+    class g = n, where every c_d = phi(d) is nonzero; ``divisor_tuple(n)`` must
+    list exactly them, as a sieve needs."""
+    divs = sorted((v for _, v in _ramanujan_terms(factorize(n), n)), key=int)
+    if divisor_tuple(n) != tuple(map(int, divs)):
+        raise InconsistencyError(f"{divisor_tuple(n)} are not the ascending divisors of {n}")
     return divs
 
 
@@ -98,7 +89,7 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     A divisor sieve: ``index[d-1::d] = i`` over the divisors in ascending
     order, so each k ends on its largest divisor of n, which is gcd(k, n).
     That is sigma(n)/n strided writes per entry, with no gcd computed."""
-    divs = _ascending_divisors(n)
+    divs = tuple(map(int, _ascending_divisors(n)))
     index = np.empty(n, dtype=np.min_scalar_type(len(divs) - 1))
     for i, d in enumerate(divs):
         index[d - 1 :: d] = i
@@ -119,10 +110,10 @@ def _gcd_sequence(f: ArithmeticFunction, n: int) -> np.ndarray:
     for d in _ascending_divisors(n):
         value = evaluate(f, d)
         try:
-            a[d - 1 :: d] = float(value)
+            a[d.value - 1 :: d.value] = float(value)
         except OverflowError:
             raise OracleScaleError(
-                f"{f.name}({d}) is beyond float range: no float oracle at n = {n}"
+                f"{f.name}({d.value}) is beyond float range: no float oracle at n = {n}"
             ) from None
     return a
 
@@ -165,15 +156,22 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
 def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, Factorization], ...]:
     """The pairs (c_d(m), n/d), n/d a proven Factorization, over the d | n with
     c_d(m) != 0 at the orders m of class g = gcd(m, n). c_d(m) is
-    multiplicative in d, and for t = v_p(g) its factor c_{p^e}(m) is phi(p^e)
-    for e <= t, -p^t for e = t + 1 and 0 beyond, so only those d are built,
-    from the primes of n. Bounded, and keyed on (n, g) alone: an entry serves every f."""
+    multiplicative in d, and for t = v_p(g) its factor c_{p^e}(m) is the rule
+    :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1 only, so only
+    those d are built, from the primes of n. Bounded, and keyed on (n, g)
+    alone: an entry serves every f. More than DEFINITION_SCALE_LIMIT terms
+    raise :class:`OracleScaleError` before any is built."""
+    exponents = _class_exponents(fac, g)
+    count = prod(min(t + 1, s) + 1 for (_, s), t in zip(fac.factors, exponents))
+    if count > DEFINITION_SCALE_LIMIT:
+        raise OracleScaleError(
+            f"the exact convolution at n = {fac.value} has {count} nonzero terms,"
+            f" above {DEFINITION_SCALE_LIMIT}"
+        )
     # (c_d(m), n/d, factors of n/d) over the d built from the primes so far
     terms = [(1, 1, ())]
-    for (p, s), t in zip(fac.factors, _class_exponents(fac, g)):
-        local = [(1, 0)] + [(p**e - p ** (e - 1), e) for e in range(1, t + 1)]
-        if t < s:
-            local.append((-(p**t), t + 1))
+    for (p, s), t in zip(fac.factors, exponents):
+        local = [(_prime_power_sum(p, e, t), e) for e in range(min(t + 1, s) + 1)]
         terms = [
             (c * r, v * p ** (s - e), co + ((p, s - e),) if e < s else co)
             for c, v, co in terms
@@ -287,8 +285,9 @@ def exact_closed_form(
 def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     """How far a float oracle may stray from the exact transform at n: the
     larger of ``tolerance`` and BRUTE_RELATIVE_TOLERANCE times the l1 norm
-    sum_k |f(gcd(k, n))| = sum_{d | n} |f(d)| * phi(n/d), computed exactly."""
-    l1 = sum(abs(evaluate(f, d)) * totient(n // d) for d in divisor_tuple(n))
+    sum_k |f(gcd(k, n))| = sum_{d | n} phi(d) * |f(n/d)|, computed exactly
+    over the terms of the full class g = n, where c_d = phi(d)."""
+    l1 = sum(c * abs(evaluate(f, v)) for c, v in _ramanujan_terms(factorize(n), n))
     try:
         norm = float(l1)
     except OverflowError:

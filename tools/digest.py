@@ -4,8 +4,10 @@ trees can be checked to give the same values, value types and output:
     PYTHONPATH=<tree>/src python3 tools/digest.py
 
 The grid: ``dft_dispatch(..., verify=True)`` (value, value type, paths and
-reduced order) and ``dft_exact_convolution`` on an int n and on a
-``Factorization``, for 13 functions, n < 90 and m in [-n, 2n]; the csv table,
+reduced order), ``dft_exact_convolution`` on an int n and on a
+``Factorization`` and the ``repr`` of ``dft_brute_float``, for 13 functions,
+n < 90 and m in [-n, 2n], with the ``repr`` of ``float_bound`` at each n; the
+von Sterneck and Kluyver Ramanujan sums over the same (n, m); the csv table,
 full and compressed, for n <= 130; and the verify report in every format for
 n_max in {1, 7, 19} under every m policy.
 """
@@ -15,8 +17,9 @@ from fractions import Fraction
 
 from gcdft import ArithmeticFunction, Factorization, factorize, get_function
 from gcdft.functions import catalog_names
+from gcdft.ramanujan import FLOAT_TOLERANCE, ramanujan_kluyver, ramanujan_von_sterneck
 from gcdft.tables import build_table, render_table
-from gcdft.transform import dft_dispatch, dft_exact_convolution
+from gcdft.transform import dft_brute_float, dft_dispatch, dft_exact_convolution, float_bound
 from gcdft.verify import M_POLICIES, SweepConfig, render_report, run_verification
 
 NAMES = tuple(catalog_names()) + ("id_-1",)
@@ -27,14 +30,19 @@ RATIONAL = ArithmeticFunction.from_table(
 
 
 def records():
+    for n in range(1, 90):
+        for m in range(-n, 2 * n + 1):
+            yield n, m, ramanujan_von_sterneck(n, m), ramanujan_kluyver(n, m)
     for f in [get_function(name) for name in NAMES] + [RATIONAL]:
         for n in range(1, 90):
             fac = Factorization(n, factorize(n).factors)
+            yield repr(float_bound(f, n, FLOAT_TOLERANCE))
             for m in range(-n, 2 * n + 1):
                 r = dft_dispatch(f, n, m, verify=True)
                 yield f.name, n, m, r.value, sorted(r.paths_agreeing), r.m_reduced
                 for value in (r.value, dft_exact_convolution(f, n, m), dft_exact_convolution(f, fac, m)):
                     yield value, type(value).__name__
+                yield repr(dft_brute_float(f, n, m))
         for n in range(1, 131):
             for compress in (False, True):
                 yield render_table(build_table(f, n, compress=compress), "csv")
