@@ -83,11 +83,19 @@ def ramanujan_von_sterneck(n: int, m: int) -> int:
 
 @lru_cache(maxsize=1 << 18)
 def _kluyver(n: int, g: int) -> int:
+    count = math.prod(s + 1 for _, s in factorize(g).factors)
+    if count > DEFINITION_SCALE_LIMIT:
+        raise OracleScaleError(
+            f"Kluyver's sum at n = {n} runs over {count} divisors of gcd(m, n),"
+            f" above {DEFINITION_SCALE_LIMIT}"
+        )
     return sum(moebius(n // d) * d for d in divisor_tuple(g))
 
 
 def ramanujan_kluyver(n: int, m: int) -> int:
-    """Exact evaluation via the divisor sum of mu(n/d) * d over d | gcd(m, n)."""
+    """Exact evaluation via the divisor sum of mu(n/d) * d over d | gcd(m, n).
+    More than DEFINITION_SCALE_LIMIT divisors raise :class:`OracleScaleError`
+    before any is listed."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     return _kluyver(n, math.gcd(m % n, n))

@@ -242,9 +242,11 @@ def dft_closed_form_completely_mult(
     collapsed into a geometric ratio:
     (p-1) * f(p^(s-1)) * (f(p^t) - p^t) / (f(p^t) - p*f(p^(t-1))).
 
-    Whenever the ratio degenerates (f(p) = p, and generally any vanishing
-    denominator) that prime falls back to the uncollapsed sum, so mixed cases
-    such as f = id still evaluate; must always agree with
+    The denominator f(p)^(t-1) * (f(p) - p) vanishes when f(p) = p, where the
+    sum (p-1) * sum_{b=1..t} p^(b-1) f(p^(s-b)) is (p-1) * t * p^(s-1), and
+    when f(p) = 0 and t >= 2, where only f(1) survives, giving
+    (p-1) * p^(s-1) if t = s and 0 otherwise. So mixed cases such as f = id
+    still evaluate, without the per-prime kernel; must always agree with
     :func:`dft_closed_form_multiplicative`."""
     if f.kind is not Kind.COMPLETELY_MULTIPLICATIVE:
         raise DomainError("geometric closed form requires a completely multiplicative function")
@@ -256,11 +258,13 @@ def dft_closed_form_completely_mult(
             term -= f.prime_power(p, s - t - 1) * p**t
         if t >= 1:
             denominator = f.prime_power(p, t) - p * f.prime_power(p, t - 1)
-            if denominator == 0:
-                term = _local_factor(f, p, s, t)
-            else:
+            if denominator != 0:
                 ratio = Fraction(f.prime_power(p, t) - p**t, denominator)
                 term += (p - 1) * f.prime_power(p, s - 1) * ratio
+            elif f.prime_power(p, 1) == p:
+                term += (p - 1) * t * p ** (s - 1)
+            elif t == s:
+                term += (p - 1) * p ** (s - 1)
         result *= term
     return as_exact(result)
 

@@ -1,9 +1,9 @@
 """Identity sweeps: every closed form is replayed against the independent
 evaluation paths over configurable (f, n, m) grids.
 
-Each check yields ``(identity, None)`` on a pass, or ``(identity, failure)``
-with a record built by :func:`_failure`, instead of raising, so a sweep
-reports the full damage; the CLI maps a nonempty failure list to exit code 2.
+Each check yields ``(identity, None)`` on a pass, or ``(identity, failure)``,
+both built by :func:`_verdict`, instead of raising, so a sweep reports the
+full damage; the CLI maps a nonempty failure list to exit code 2.
 A named fault can be injected into one path to prove the harness actually
 bites.
 """
@@ -102,11 +102,21 @@ class SweepReport:
         return not self.failures
 
 
-def _failure(identity: str, f_name: str, n: int, m: int, expected, got) -> Failure:
-    """The record of a failed check: ``expected`` by ``str``, ``got`` by
-    ``repr`` when it is a float oracle's complex value, else by ``str``."""
+def _verdict(identity: str, f_name: str, n: int, m: int, expected, got, ok=None):
+    """``(identity, None)`` if ``ok`` (by default, if ``got == expected``),
+    else ``(identity, failure)``: ``expected`` by ``str``, ``got`` by ``repr``
+    when it is a float oracle's complex value, else by ``str``."""
+    if ok is None:
+        ok = got == expected
+    if ok:
+        return identity, None
     shown = repr(complex(got)) if isinstance(got, complex) else str(got)
-    return Failure(identity, f_name, n, m, str(expected), shown)
+    return identity, Failure(identity, f_name, n, m, str(expected), shown)
+
+
+def _class_table(f: ArithmeticFunction, n: int) -> dict[int, Exact]:
+    """The exact convolution at every gcd class g | n, keyed on g."""
+    return {g: dft_exact_convolution(f, n, g) for g in divisors(n)}
 
 
 def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]:
@@ -145,19 +155,14 @@ def check_path_equivalence(
             closed = exact_closed_form(f, n, m)
             if closed is not None:
                 closed = _perturb(closed, "closed", fault)
-                yield "path-equivalence-exact", None if closed == convolution else _failure(
-                    "path-equivalence-exact", f.name, n, m, convolution, closed
-                )
+                yield _verdict("path-equivalence-exact", f.name, n, m, convolution, closed)
             approx = spectrum[m % n]
             target = closed if closed is not None else convolution
             ok = float_agrees(approx, target, bound)
-            yield "path-equivalence-float", None if ok else _failure(
-                "path-equivalence-float", f.name, n, m, target, approx
-            )
+            yield _verdict("path-equivalence-float", f.name, n, m, target, approx, ok)
             if f.integer_valued:
-                yield "integrality", None if convolution.denominator == 1 else _failure(
-                    "integrality", f.name, n, m, "integer", convolution
-                )
+                ok = convolution.denominator == 1
+                yield _verdict("integrality", f.name, n, m, "integer", convolution, ok)
 
 
 def check_closed_form_pair(
@@ -182,9 +187,7 @@ def check_closed_form_pair(
         for m in orders_for(n, policy, sample_count, rng):
             general = dft_closed_form_multiplicative(f, n, m)
             other = oracle(n, m)
-            yield identity, None if other == general else _failure(
-                identity, f.name, n, m, general, other
-            )
+            yield _verdict(identity, f.name, n, m, general, other)
 
 
 def check_gcd_dependence(
@@ -194,13 +197,11 @@ def check_gcd_dependence(
     """The closed form at order m equals the convolution at order
     g = gcd(m, n), computed once per divisor g of n."""
     for n in n_values:
-        by_class = {g: dft_exact_convolution(f, n, g) for g in divisors(n)}
+        by_class = _class_table(f, n)
         for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
             left = exact_closed_form(f, n, m)
             right = by_class[math.gcd(m, n)]
-            yield "gcd-dependence", None if left == right else _failure(
-                "gcd-dependence", f.name, n, m, right, left
-            )
+            yield _verdict("gcd-dependence", f.name, n, m, right, left)
 
 
 def check_multiplicativity(
@@ -208,12 +209,14 @@ def check_multiplicativity(
     pair_max: int,
     seed: int = 0,
 ) -> Iterator[tuple[str, Failure | None]]:
-    """Transform at uv equals the product of the transforms at coprime u, v.
+    """The closed form at uv equals the product of the convolutions at
+    coprime u and v, read from class tables built once per u <= pair_max.
 
     Orders cover every divisor of uv (hence every distinct gcd class) plus a
     few seeded non-divisors.
     """
     rng = random.Random(seed)
+    by_class = {u: _class_table(f, u) for u in range(1, pair_max + 1)}
     for u in range(1, pair_max + 1):
         for v in range(u + 1, pair_max + 1):
             if math.gcd(u, v) != 1:
@@ -223,23 +226,20 @@ def check_multiplicativity(
             orders += [rng.randrange(1, n + 1) for _ in range(MULTIPLICATIVITY_EXTRA_ORDERS)]
             for m in orders:
                 combined = exact_closed_form(f, n, m)
-                split = exact_closed_form(f, u, m) * exact_closed_form(f, v, m)
-                yield "multiplicativity", None if combined == split else _failure(
-                    "multiplicativity", f.name, n, m, split, combined
-                )
+                split = by_class[u][math.gcd(m, u)] * by_class[v][math.gcd(m, v)]
+                yield _verdict("multiplicativity", f.name, n, m, split, combined)
 
 
 def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, Failure | None]]:
-    """At orders coprime to n the gcd transform collapses to the totient."""
+    """At orders coprime to n the dispatched closed form for f = id collapses
+    to the totient."""
+    f = get_function("id")  # the catalog object, not the alias ID, which tracers replace
     for n in n_values:
         phi = totient(n)
         for m in range(1, n + 1):
             if math.gcd(m, n) != 1:
                 continue
-            value = dft_closed_form_gcd(n, m)
-            yield "coprime-order-totient", None if value == phi else _failure(
-                "coprime-order-totient", "id", n, m, phi, value
-            )
+            yield _verdict("coprime-order-totient", f.name, n, m, phi, exact_closed_form(f, n, m))
 
 
 def check_ramanujan_agreement(
@@ -254,15 +254,11 @@ def check_ramanujan_agreement(
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
-            yield "ramanujan-exact-agreement", None if exact == other else _failure(
-                "ramanujan-exact-agreement", "-", n, m, exact, other
-            )
+            yield _verdict("ramanujan-exact-agreement", "-", n, m, exact, other)
             if n <= float_limit:
                 approx = _definition_sum(residues, n, m)
                 ok = float_agrees(approx, exact, tolerance)
-                yield "ramanujan-float-agreement", None if ok else _failure(
-                    "ramanujan-float-agreement", "-", n, m, exact, approx
-                )
+                yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx, ok)
 
 
 def run_verification(config: SweepConfig) -> SweepReport:

@@ -212,6 +212,22 @@ class TestRamanujan:
         assert code == EXIT_INCONSISTENCY
         assert "agreement: NO" in out
 
+    def test_kluyver_sum_over_too_many_divisors_is_usage_error(self, capsys):
+        # the product of the first 20 primes has 2^20 > 10^6 divisors
+        n = 1
+        for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59, 61, 67, 71):
+            n *= p
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "ramanujan", "--n", str(n), "--m", "0")
+        assert time.perf_counter() - start < 15.0
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(n) in err
+        code, out, _ = run_cli(capsys, "ramanujan", "--n", str(n), "--m", "1")
+        assert code == EXIT_OK
+        assert "agreement: yes" in out
+
 
 class TestFactor:
     def test_text(self, capsys):

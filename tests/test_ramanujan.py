@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+from gcdft import ramanujan
 from gcdft.errors import OracleScaleError
 from gcdft.numtheory import moebius, totient
 from gcdft.ramanujan import (
@@ -75,6 +76,16 @@ class TestKluyver:
     def test_divisor_sums(self):
         assert ramanujan_kluyver(12, 12) == totient(12) == 4
         assert ramanujan_kluyver(9, 3) == -3
+
+    def test_divisor_count_is_bounded_before_any_divisor_is_listed(self, monkeypatch):
+        def refuse(n):
+            raise AssertionError(f"listed the divisors of {n}")
+
+        monkeypatch.setattr(ramanujan, "DEFINITION_SCALE_LIMIT", 1 << 10)
+        monkeypatch.setattr(ramanujan, "divisor_tuple", refuse)
+        n = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])  # 2^11 divisors
+        with pytest.raises(OracleScaleError, match=str(n)):
+            ramanujan_kluyver(n, 0)
 
 
 class TestAgreement:

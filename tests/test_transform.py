@@ -320,6 +320,27 @@ class TestClosedFormCompletelyMult:
         with pytest.raises(DomainError):
             dft_closed_form_completely_mult(PHI, 4, 2)
 
+    def test_degenerate_primes_use_closed_sums_not_the_kernel(self, monkeypatch):
+        # f(p) = p and f(p) = 0 (t >= 2) zero the geometric denominator; the
+        # oracle must still be independent of the per-prime kernel it checks
+        functions = [
+            ID,
+            ArithmeticFunction.completely_multiplicative(
+                "mixed", lambda p: p if p == 2 else p * p
+            ),
+            ArithmeticFunction.completely_multiplicative(
+                "vanishing", lambda p: 0 if p == 2 else p
+            ),
+        ]
+        grid = [(f, n, m) for f in functions for n in range(1, 400) for m in divisors(n) + [5, 7]]
+        expected = [dft_closed_form_multiplicative(f, n, m) for f, n, m in grid]
+
+        def refuse(*args):
+            raise AssertionError("the geometric oracle called the per-prime kernel")
+
+        monkeypatch.setattr(transform, "_local_factor", refuse)
+        assert [dft_closed_form_completely_mult(f, n, m) for f, n, m in grid] == expected
+
 
 class TestGcdPowerSum:
     def test_pillai_example(self):

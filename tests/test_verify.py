@@ -12,6 +12,7 @@ from gcdft.cli import EXIT_OK, EXIT_USAGE, main
 from gcdft.errors import DomainError
 from gcdft.functions import ID, get_function
 from gcdft.numtheory import divisors
+from gcdft.transform import dft_exact_convolution
 from gcdft.verify import (
     Failure,
     SweepConfig,
@@ -328,3 +329,48 @@ class TestClosedFormPairWork:
         assert calls == []
         pairs = list(check_closed_form_pair(get_function("id_2"), range(1, 30)))
         assert len(pairs) == len(calls) == sum(range(1, 30))
+
+
+@pytest.fixture
+def offset_kernel(monkeypatch):
+    honest = transform._local_factor
+    monkeypatch.setattr(transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1)
+
+
+class TestNoIdentityChecksTheKernelAgainstItself:
+    EXACT_IDENTITIES = (
+        "path-equivalence-exact",
+        "gcd-dependence",
+        "multiplicativity",
+        "coprime-order-totient",
+        "gcd-form-vs-multiplicative-form",
+        "geometric-form-vs-multiplicative-form",
+    )
+
+    def test_offset_kernel_fails_every_exact_identity(self, offset_kernel):
+        report = run_verification(SweepConfig(n_max=12, functions=("sigma", "id_2", "id")))
+        failed = {identity for identity, (_, failures) in report.by_identity.items() if failures}
+        assert set(self.EXACT_IDENTITIES) <= failed
+
+    def test_multiplicativity_evaluates_one_closed_form_per_check(self, monkeypatch):
+        calls = []
+        honest = verify.exact_closed_form
+        monkeypatch.setattr(
+            verify, "exact_closed_form", lambda f, n, m: calls.append(n) or honest(f, n, m)
+        )
+        checks = list(check_multiplicativity(get_function("sigma"), 12))
+        assert checks and all(failure is None for _, failure in checks)
+        assert len(calls) == len(checks)
+
+    def test_first_multiplicativity_record(self, offset_kernel):
+        sigma = get_function("sigma")
+        failures = [f for _, f in check_multiplicativity(sigma, 12) if f is not None]
+        # u = 1, v = 2, m = 1: the convolutions give 1 * 2, the offset closed form 3
+        split = dft_exact_convolution(sigma, 1, 1) * dft_exact_convolution(sigma, 2, 1)
+        assert failures[0] == Failure("multiplicativity", "sigma", 2, 1, str(split), "3")
+        assert split == 2
+
+    def test_coprime_order_totient_reads_the_dispatched_closed_form(self, offset_kernel):
+        failures = [f for _, f in check_coprime_order_totient(range(1, 6)) if f is not None]
+        # n = 1 has no prime, so no kernel: the first failure is phi(2) = 1
+        assert failures[0] == Failure("coprime-order-totient", "id", 2, 1, "1", "2")

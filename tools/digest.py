@@ -9,23 +9,36 @@ reduced order), ``dft_exact_convolution`` on an int n and on a
 n < 90 and m in [-n, 2n], with the ``repr`` of ``float_bound`` at each n; the
 von Sterneck and Kluyver Ramanujan sums over the same (n, m); the csv table,
 full and compressed, for n <= 130; and the verify report in every format for
-n_max in {1, 7, 19} under every m policy.
+n_max in {1, 7, 19} under every m policy; and the value and value type of
+``dft_closed_form_completely_mult`` over the same (n, m), for every completely
+multiplicative catalog function, ``id_-1`` and two functions whose geometric
+ratio degenerates at p = 2: f(2) = 2 ("mixed") and f(2) = 0 ("vanishing").
 """
 
 import hashlib
 from fractions import Fraction
 
 from gcdft import ArithmeticFunction, Factorization, factorize, get_function
-from gcdft.functions import catalog_names
+from gcdft.functions import Kind, catalog_names
 from gcdft.ramanujan import FLOAT_TOLERANCE, ramanujan_kluyver, ramanujan_von_sterneck
 from gcdft.tables import build_table, render_table
-from gcdft.transform import dft_brute_float, dft_dispatch, dft_exact_convolution, float_bound
+from gcdft.transform import (
+    dft_brute_float,
+    dft_closed_form_completely_mult,
+    dft_dispatch,
+    dft_exact_convolution,
+    float_bound,
+)
 from gcdft.verify import M_POLICIES, SweepConfig, render_report, run_verification
 
 NAMES = tuple(catalog_names()) + ("id_-1",)
 # a general rational f with f(1) != 1
 RATIONAL = ArithmeticFunction.from_table(
     "rational", {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 131)}, integer_valued=False
+)
+DEGENERATE = (
+    ArithmeticFunction.completely_multiplicative("mixed", lambda p: p if p == 2 else p * p),
+    ArithmeticFunction.completely_multiplicative("vanishing", lambda p: 0 if p == 2 else p),
 )
 
 
@@ -52,6 +65,12 @@ def records():
             report = run_verification(config)
             for fmt in ("text", "json", "csv"):
                 yield render_report(report, config, fmt)
+    for f in [get_function(name) for name in NAMES] + list(DEGENERATE):
+        if f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
+            for n in range(1, 90):
+                for m in range(-n, 2 * n + 1):
+                    value = dft_closed_form_completely_mult(f, n, m)
+                    yield f.name, n, m, value, type(value).__name__
 
 
 def main() -> None:
