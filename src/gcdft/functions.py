@@ -1,5 +1,6 @@
 """Arithmetic functions as prime-power rules, with Dirichlet convolution,
-sum functions and Moebius inversion.
+sum functions and Moebius inversion; the convolution and the sum function
+read the factored divisors of :func:`numtheory._divisor_lattice`.
 
 Values are exact: a plain ``int`` whenever a value is integral and a
 ``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
@@ -18,7 +19,7 @@ from numbers import Rational
 from typing import Callable, Mapping
 
 from .errors import DomainError, UndefinedValueError
-from .numtheory import Factorization, as_factorization
+from .numtheory import Factorization, _divisor_lattice, as_factorization
 
 Exact = int | Fraction
 
@@ -148,25 +149,18 @@ def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     return result
 
 
-def _factored_divisors(n: int | Factorization) -> list[Factorization]:
-    """The divisors of n from its primes, none factored again; n/d mirrors d from the end."""
-    divs = [(1, ())]
-    for p, s in as_factorization(n).factors:
-        divs = [(d * p**e, df + ((p, e),) if e else df) for d, df in divs for e in range(s + 1)]
-    return [Factorization._proven(d, df) for d, df in divs]
-
-
 def dirichlet_convolve(
     f: ArithmeticFunction, g: ArithmeticFunction, n: int | Factorization
 ) -> Exact:
-    """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly."""
-    divs = _factored_divisors(n)
+    """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly; n/d
+    mirrors d from the other end of the divisor lattice."""
+    divs = [d for _, d in _divisor_lattice(as_factorization(n))]
     return sum(evaluate(f, c) * evaluate(g, d) for d, c in zip(divs, reversed(divs)))
 
 
 def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    return sum(evaluate(t, d) for d in _factored_divisors(n))
+    return sum(evaluate(t, d) for _, d in _divisor_lattice(as_factorization(n)))
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:

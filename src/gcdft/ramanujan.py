@@ -26,8 +26,11 @@ DEFINITION_SCALE_LIMIT = 10**6
 FLOAT_TOLERANCE = 1e-6
 
 
+@lru_cache(maxsize=16)
 def _coprime_indices(n: int) -> np.ndarray:
-    """The k in 1..n <= 10^6 coprime to n: every multiple of a prime of n cleared."""
+    """The k in 1..n <= 10^6 coprime to n: every multiple of a prime of n
+    cleared. In the smallest unsigned dtype that holds n, bounded, and
+    read-only, as every caller shares the array."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
@@ -37,15 +40,9 @@ def _coprime_indices(n: int) -> np.ndarray:
     coprime = np.ones(n, dtype=bool)
     for p, _ in factorize(n).factors:
         coprime[p - 1 :: p] = False
-    return np.flatnonzero(coprime) + 1
-
-
-def _definition_sum(k: np.ndarray, n: int, m: int) -> complex:
-    """The floating sum of e(km/n) over the residues ``k`` coprime to n."""
-    # k*m is reduced mod n in exact integer arithmetic before the angle is
-    # formed, keeping the phase error at the 1e-15 level even for huge m.
-    phase = (k * (m % n)) % n
-    return complex(np.exp(2j * np.pi * phase / n).sum())
+    k = (np.flatnonzero(coprime) + 1).astype(np.min_scalar_type(n))
+    k.flags.writeable = False
+    return k
 
 
 def ramanujan_definition(n: int, m: int) -> complex:
@@ -54,7 +51,10 @@ def ramanujan_definition(n: int, m: int) -> complex:
     The imaginary part of the result should vanish and the real part should
     sit within FLOAT_TOLERANCE of an integer.
     """
-    return _definition_sum(_coprime_indices(n), n, m)
+    # k*m is reduced mod n in exact integer arithmetic before the angle is
+    # formed, keeping the phase error at the 1e-15 level even for huge m.
+    phase = np.multiply(_coprime_indices(n), m % n, dtype=np.int64) % n
+    return complex(np.exp(2j * np.pi * phase / n).sum())
 
 
 def _prime_power_sum(p: int, e: int, t: int) -> int:

@@ -19,7 +19,7 @@ from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import DomainError
-from .functions import ID, ArithmeticFunction
+from .functions import ArithmeticFunction, get_function
 from .numtheory import Factorization, _class_exponents, as_factorization, divisors
 from .ramanujan import DEFINITION_SCALE_LIMIT
 from .transform import dft_dispatch
@@ -97,16 +97,17 @@ def build_table(
             f"a {kind} table of n = {fac.value} has {rows} rows, above"
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
+    symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
     local: dict[tuple[int, int], str] = {}
     classes = {}
     for g in divisors(n):  # an int n reads the per-n divisor cache
         exponents = _class_exponents(fac, g)
-        if f is ID:
+        if symbolic:
             form = _symbolic_gcd_form(fac, exponents)
         else:
             for (p, s), t in zip(fac.factors, exponents):
                 if (p, t) not in local:
-                    prime_power = Factorization._proven(p**s, ((p, s),))
+                    prime_power = Factorization(p**s, ((p, s),))
                     local[p, t] = format_exact(dft_dispatch(f, prime_power, p**t).value)
             form = "*".join(local[p, t] for (p, _), t in zip(fac.factors, exponents)) or "1"
         classes[g] = (g, dft_dispatch(f, fac, g).value, form)

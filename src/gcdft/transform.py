@@ -7,9 +7,9 @@ independent ways:
   largest last, writes f(d) to the multiples of d, and each twiddle is the
   product of two split tables of about sqrt(n) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
-  terms, built from the primes of n with the prime-power rule of
-  :mod:`gcdft.ramanujan` (no divisor is factored) and cached per class
-  (n, gcd(m, n)) and shared by every f,
+  terms: the divisor lattice of n from :mod:`gcdft.numtheory`, weighted per
+  prime by the prime-power rule of :mod:`gcdft.ramanujan` (no divisor is
+  factored), cached per class (n, gcd(m, n)) and shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f.
@@ -41,8 +41,8 @@ import numpy as np
 
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
-from .numtheory import Factorization, _class_exponents, as_factorization, as_int
-from .numtheory import divisor_tuple, factorize
+from .numtheory import Factorization, _class_exponents, _divisor_lattice, as_factorization
+from .numtheory import as_int, divisor_tuple, factorize
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, _prime_power_sum
 
 PATH_BRUTE_FLOAT = "brute_float"
@@ -157,27 +157,22 @@ def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, Factorizati
     """The pairs (c_d(m), n/d), n/d a proven Factorization, over the d | n with
     c_d(m) != 0 at the orders m of class g = gcd(m, n). c_d(m) is
     multiplicative in d, and for t = v_p(g) its factor c_{p^e}(m) is the rule
-    :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1 only, so only
-    those d are built, from the primes of n. Bounded, and keyed on (n, g)
+    :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1 only, so the
+    divisor lattice of n is built from the choices (c_{p^e}(m), s - e),
+    e <= min(t + 1, s), one list per p^s || n. Bounded, and keyed on (n, g)
     alone: an entry serves every f. More than DEFINITION_SCALE_LIMIT terms
     raise :class:`OracleScaleError` before any is built."""
-    exponents = _class_exponents(fac, g)
-    count = prod(min(t + 1, s) + 1 for (_, s), t in zip(fac.factors, exponents))
+    choices = [
+        [(_prime_power_sum(p, e, t), s - e) for e in range(min(t + 1, s) + 1)]
+        for (p, s), t in zip(fac.factors, _class_exponents(fac, g))
+    ]
+    count = prod(map(len, choices))
     if count > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
             f"the exact convolution at n = {fac.value} has {count} nonzero terms,"
             f" above {DEFINITION_SCALE_LIMIT}"
         )
-    # (c_d(m), n/d, factors of n/d) over the d built from the primes so far
-    terms = [(1, 1, ())]
-    for (p, s), t in zip(fac.factors, exponents):
-        local = [(_prime_power_sum(p, e, t), e) for e in range(min(t + 1, s) + 1)]
-        terms = [
-            (c * r, v * p ** (s - e), co + ((p, s - e),) if e < s else co)
-            for c, v, co in terms
-            for r, e in local
-        ]
-    return tuple((c, Factorization._proven(v, co)) for c, v, co in terms)
+    return tuple(_divisor_lattice(fac, choices))
 
 
 def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:

@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
 from .errors import DomainError
-from .functions import ID, ArithmeticFunction, Exact, Kind, get_function
+from .functions import ArithmeticFunction, Exact, Kind, get_function
 from .numtheory import divisors, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
-    _coprime_indices, _definition_sum,
+    ramanujan_definition,
     ramanujan_kluyver,
     ramanujan_von_sterneck,
 )
@@ -175,7 +175,7 @@ def check_closed_form_pair(
     """Geometric closed form vs per-prime-sum closed form (and the id-only
     product vs the general multiplicative one when f = id). Any other f has
     no second closed form and yields nothing, evaluating nothing."""
-    if f is ID:
+    if f is get_function("id"):  # the catalog object, which tracers leave in place
         identity, oracle = "gcd-form-vs-multiplicative-form", dft_closed_form_gcd
     elif f.kind is Kind.COMPLETELY_MULTIPLICATIVE:
         identity = "geometric-form-vs-multiplicative-form"
@@ -248,15 +248,14 @@ def check_ramanujan_agreement(
     tolerance: float = FLOAT_TOLERANCE,
 ) -> Iterator[tuple[str, Failure | None]]:
     """The two exact Ramanujan evaluators agree everywhere; the floating
-    definition agrees (rounded) up to the float_limit, on residues per n."""
+    definition agrees (rounded) up to the float_limit."""
     for n in n_values:
-        residues = _coprime_indices(n) if 0 < n <= float_limit else None
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
             yield _verdict("ramanujan-exact-agreement", "-", n, m, exact, other)
             if n <= float_limit:
-                approx = _definition_sum(residues, n, m)
+                approx = ramanujan_definition(n, m)
                 ok = float_agrees(approx, exact, tolerance)
                 yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx, ok)
 

@@ -1,5 +1,8 @@
 """The package's public names."""
 
+import pathlib
+import re
+
 import gcdft
 
 
@@ -14,3 +17,14 @@ def test_order_decomposition_is_gone():
         assert name not in gcdft.__all__
         assert not hasattr(gcdft, name)
         assert not hasattr(gcdft.transform, name)
+
+
+def test_only_numtheory_builds_unchecked_factorizations():
+    package = pathlib.Path(gcdft.__file__).parent
+    callers = [
+        p.name for p in sorted(package.glob("*.py")) if re.search(r"\b_proven\b", p.read_text())
+    ]
+    assert callers == ["numtheory.py"]
+    for name in ("_divisors_of", "_factored_divisors"):
+        assert not hasattr(gcdft.numtheory, name)
+        assert not hasattr(gcdft.functions, name)

@@ -9,6 +9,7 @@ from gcdft import transform
 from gcdft.bench import BENCH_FIELDS, bench_one, render_bench, run_bench
 from gcdft.errors import DomainError
 from gcdft.functions import ID, ArithmeticFunction, get_function
+from gcdft.numtheory import factorize
 
 
 class TestBenchOne:
@@ -51,6 +52,17 @@ class TestBenchOne:
         result = bench_one(get_function("sigma"), 60, repetitions=1)
         assert result.value == transform.dft_exact_convolution(get_function("sigma"), 60, 60) + 1
         assert not result.spot_check
+
+    def test_factorization_cache_is_left_as_it_was(self):
+        numbers = (1001, 7919 * 7927, 2**61 - 1)
+        for n in numbers:
+            factorize(n)
+        run_bench(ID, [60], 1)
+        before = factorize.cache_info()
+        for n in numbers:
+            factorize(n)
+        after = factorize.cache_info()
+        assert (after.hits, after.misses) == (before.hits + len(numbers), before.misses)
 
 
 class TestRendering:

@@ -1,0 +1,43 @@
+"""A module alias of a catalog function may be replaced by a forwarding
+wrapper, as a tracer does; the library recognises ``id`` by the catalog
+object, so its tables and sweeps do not change."""
+
+import sys
+
+import pytest
+
+from gcdft import functions
+from gcdft.functions import get_function
+from gcdft.tables import build_table
+from gcdft.verify import SweepConfig, run_verification
+
+
+@pytest.fixture
+def wrapped_id(monkeypatch):
+    """Every gcdft module's name for the catalog ``id`` points at a wrapper."""
+    original = get_function("id")
+
+    def forward(*args, **kwargs):
+        return original(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] != "gcdft":
+            continue
+        for attr, value in list(vars(module).items()):
+            if value is original:
+                monkeypatch.setattr(module, attr, forward)
+    assert functions.ID is forward
+
+
+def test_id_table_keeps_its_symbolic_forms(wrapped_id):
+    rows = build_table(get_function("id"), 6, compress=True)
+    assert [r.symbolic_form for r in rows] == [
+        "(p-1)(q-1)", "(2p-1)(q-1)", "(p-1)(2q-1)", "(2p-1)(2q-1)",
+    ]
+
+
+def test_id_sweep_checks_the_gcd_form(wrapped_id):
+    report = run_verification(SweepConfig(n_max=12, functions=("id",)))
+    assert report.passed
+    assert report.by_identity["gcd-form-vs-multiplicative-form"] == [78, 0]
+    assert "geometric-form-vs-multiplicative-form" not in report.by_identity

@@ -374,3 +374,13 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         failures = [f for _, f in check_coprime_order_totient(range(1, 6)) if f is not None]
         # n = 1 has no prime, so no kernel: the first failure is phi(2) = 1
         assert failures[0] == Failure("coprime-order-totient", "id", 2, 1, "1", "2")
+
+
+def test_ramanujan_float_checks_call_the_public_definition(monkeypatch):
+    calls = []
+    honest = verify.ramanujan_definition
+    monkeypatch.setattr(verify, "ramanujan_definition", lambda n, m: calls.append((n, m)) or honest(n, m))
+    results = list(check_ramanujan_agreement(range(1, 13)))
+    floats = [failure for identity, failure in results if identity == "ramanujan-float-agreement"]
+    assert len(floats) == len(calls) == 78
+    assert floats == [None] * 78

@@ -8,17 +8,31 @@ reduced order), ``dft_exact_convolution`` on an int n and on a
 ``Factorization`` and the ``repr`` of ``dft_brute_float``, for 13 functions,
 n < 90 and m in [-n, 2n], with the ``repr`` of ``float_bound`` at each n; the
 von Sterneck and Kluyver Ramanujan sums over the same (n, m); the csv table,
-full and compressed, for n <= 130; and the verify report in every format for
+full and compressed, of the int n and compressed of a ``Factorization``, for
+n <= 130; and the verify report in every format for
 n_max in {1, 7, 19} under every m policy; and the value and value type of
 ``dft_closed_form_completely_mult`` over the same (n, m), for every completely
 multiplicative catalog function, ``id_-1`` and two functions whose geometric
-ratio degenerates at p = 2: f(2) = 2 ("mixed") and f(2) = 0 ("vanishing").
+ratio degenerates at p = 2: f(2) = 2 ("mixed") and f(2) = 0 ("vanishing");
+``divisors`` of each n < 90, of the int and of a ``Factorization``;
+and ``dirichlet_convolve(f, phi, n)`` and ``sum_function(f, n)`` (value and
+value type) for every catalog function and ``id_-1``, on the int and the
+``Factorization``.
 """
 
 import hashlib
 from fractions import Fraction
 
-from gcdft import ArithmeticFunction, Factorization, factorize, get_function
+from gcdft import (
+    PHI,
+    ArithmeticFunction,
+    Factorization,
+    dirichlet_convolve,
+    divisors,
+    factorize,
+    get_function,
+    sum_function,
+)
 from gcdft.functions import Kind, catalog_names
 from gcdft.ramanujan import FLOAT_TOLERANCE, ramanujan_kluyver, ramanujan_von_sterneck
 from gcdft.tables import build_table, render_table
@@ -59,6 +73,8 @@ def records():
         for n in range(1, 131):
             for compress in (False, True):
                 yield render_table(build_table(f, n, compress=compress), "csv")
+            fac = Factorization(n, factorize(n).factors)
+            yield render_table(build_table(f, fac, compress=True), "csv")
     for n_max in (1, 7, 19):
         for policy in M_POLICIES:
             config = SweepConfig(n_max=n_max, m_policy=policy, functions=NAMES)
@@ -71,6 +87,13 @@ def records():
                 for m in range(-n, 2 * n + 1):
                     value = dft_closed_form_completely_mult(f, n, m)
                     yield f.name, n, m, value, type(value).__name__
+    for n in range(1, 90):
+        fac = Factorization(n, factorize(n).factors)
+        yield n, divisors(n), divisors(fac)
+        for f in map(get_function, NAMES):
+            for arg in (n, fac):
+                for value in (dirichlet_convolve(f, PHI, arg), sum_function(f, arg)):
+                    yield f.name, n, value, type(value).__name__
 
 
 def main() -> None:
