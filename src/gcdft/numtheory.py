@@ -365,32 +365,38 @@ def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _divisor_lattice(fac: Factorization, choices=None) -> list[tuple[int, Factorization]]:
+def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int, tuple]]:
     """The product over the p^s || n of one (weight, exponent) choice per
-    prime: each term is its weights' product and the divisor prod p^e, a
-    proven Factorization, in product order (the last prime varies fastest).
-    By default each prime chooses every e = 0..s with weight 1: the divisors
-    of n, with d and n/d mirrored from the two ends."""
+    prime: each term is its weights' product, the divisor prod p^e and that
+    divisor's factors, in product order (the last prime varies fastest). By
+    default each prime chooses every e = 0..s with weight 1: the divisors of
+    n, with d and n/d mirrored from the two ends."""
     if choices is None:
         choices = [[(1, e) for e in range(s + 1)] for _, s in fac.factors]
     terms = [(1, 1, ())]  # (weight, divisor, its factors) over the primes so far
     for (p, _), local in zip(fac.factors, choices):
         powers = [(r, p**e, ((p, e),) if e else ()) for r, e in local]
         terms = [(w * r, d * q, df + pe) for w, d, df in terms for r, q, pe in powers]
-    return [(w, Factorization._proven(d, df)) for w, d, df in terms]
+    return terms
+
+
+def _divisor_lattice(fac: Factorization, choices=None) -> list[tuple[int, Factorization]]:
+    """The terms of :func:`_lattice_terms` as (weight, divisor), each divisor
+    a proven Factorization, for callers that evaluate functions at it."""
+    return [(w, Factorization._proven(d, df)) for w, d, df in _lattice_terms(fac, choices)]
 
 
 @lru_cache(maxsize=1 << 18)
 def divisor_tuple(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending, as a shared immutable tuple."""
-    return tuple(sorted(d.value for _, d in _divisor_lattice(factorize(n))))
+    return tuple(sorted(d for _, d, _ in _lattice_terms(factorize(n))))
 
 
 def divisors(n: int | Factorization) -> list[int]:
     """All positive divisors of n in ascending order. A Factorization is not
     factored again: its divisors come from its primes."""
     if isinstance(n, Factorization):
-        return sorted(d.value for _, d in _divisor_lattice(n))
+        return sorted(d for _, d, _ in _lattice_terms(n))
     return list(divisor_tuple(as_int(n)))
 
 

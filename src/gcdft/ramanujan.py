@@ -26,11 +26,10 @@ DEFINITION_SCALE_LIMIT = 10**6
 FLOAT_TOLERANCE = 1e-6
 
 
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=1)
 def _coprime_indices(n: int) -> np.ndarray:
     """The k in 1..n <= 10^6 coprime to n: every multiple of a prime of n
-    cleared. In the smallest unsigned dtype that holds n, bounded, and
-    read-only, as every caller shares the array."""
+    cleared. Read-only and held for the last n, which a sweep asks for at every m."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
@@ -40,7 +39,7 @@ def _coprime_indices(n: int) -> np.ndarray:
     coprime = np.ones(n, dtype=bool)
     for p, _ in factorize(n).factors:
         coprime[p - 1 :: p] = False
-    k = (np.flatnonzero(coprime) + 1).astype(np.min_scalar_type(n))
+    k = np.flatnonzero(coprime) + 1
     k.flags.writeable = False
     return k
 
@@ -53,7 +52,7 @@ def ramanujan_definition(n: int, m: int) -> complex:
     """
     # k*m is reduced mod n in exact integer arithmetic before the angle is
     # formed, keeping the phase error at the 1e-15 level even for huge m.
-    phase = np.multiply(_coprime_indices(n), m % n, dtype=np.int64) % n
+    phase = (_coprime_indices(n) * (m % n)) % n
     return complex(np.exp(2j * np.pi * phase / n).sum())
 
 

@@ -99,17 +99,16 @@ def build_table(
         )
     symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
     local: dict[tuple[int, int], str] = {}
+    if not symbolic:  # h_{p^t}(p^s) for every t <= s, each prime checked once
+        for p, s in fac.factors:
+            prime_power = Factorization(p**s, ((p, s),))
+            for t in range(s + 1):
+                local[p, t] = format_exact(dft_dispatch(f, prime_power, p**t).value)
     classes = {}
     for g in divisors(n):  # an int n reads the per-n divisor cache
         exponents = _class_exponents(fac, g)
-        if symbolic:
-            form = _symbolic_gcd_form(fac, exponents)
-        else:
-            for (p, s), t in zip(fac.factors, exponents):
-                if (p, t) not in local:
-                    prime_power = Factorization(p**s, ((p, s),))
-                    local[p, t] = format_exact(dft_dispatch(f, prime_power, p**t).value)
-            form = "*".join(local[p, t] for (p, _), t in zip(fac.factors, exponents)) or "1"
+        pieces = (local[p, t] for (p, _), t in zip(fac.factors, exponents))
+        form = _symbolic_gcd_form(fac, exponents) if symbolic else "*".join(pieces) or "1"
         classes[g] = (g, dft_dispatch(f, fac, g).value, form)
     make, value = TableRow._make, fac.value
     indices = classes if compress else range(1, value + 1)

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import sys
 
 import pytest
 
@@ -63,6 +64,15 @@ class TestBenchOne:
             factorize(n)
         after = factorize.cache_info()
         assert (after.hits, after.misses) == (before.hits + len(numbers), before.misses)
+
+    def test_factorize_replaced_by_a_plain_wrapper(self, monkeypatch):
+        """A tracer swaps every gcdft alias of factorize for a wrapper with
+        no ``__wrapped__``; the timed cold work does not go through it."""
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gcdft" and getattr(module, "factorize", None) is factorize:
+                monkeypatch.setattr(module, "factorize", lambda n: factorize(n))
+        result = bench_one(ID, 60, 1)
+        assert result.value == 360 and result.spot_check
 
 
 class TestRendering:

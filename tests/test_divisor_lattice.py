@@ -3,7 +3,7 @@ lists, the divisor sums and the exact convolution's Ramanujan terms are all
 products over the primes of n of one (weight, exponent) choice per prime."""
 
 from gcdft import transform
-from gcdft.numtheory import Factorization, _divisor_lattice, divisor_tuple, factorize
+from gcdft.numtheory import Factorization, _divisor_lattice, divisor_tuple, divisors, factorize
 
 N_VALUES = list(range(1, 2001)) + [277200, 720720]
 
@@ -30,6 +30,12 @@ class TestDefaultChoices:
 
     def test_one_has_one_term(self):
         assert _divisor_lattice(factorize(1)) == [(1, Factorization(1, ()))]
+
+    def test_divisor_lists_build_no_factorization(self, monkeypatch):
+        fac = factorize(720720)
+        monkeypatch.setattr(Factorization, "_proven", None)
+        assert divisor_tuple.__wrapped__(720720) == tuple(divisors(fac))
+        assert len(divisors(fac)) == 240
 
 
 class TestWeightedChoices:

@@ -51,6 +51,13 @@ class TestDefinition:
         with pytest.raises(OracleScaleError):
             ramanujan_definition(0, 1)
 
+    def test_residues_are_read_only_and_held_for_one_n(self):
+        k = ramanujan._coprime_indices(12)
+        assert k.tolist() == [1, 5, 7, 11] and not k.flags.writeable
+        assert ramanujan._coprime_indices(12) is k
+        ramanujan._coprime_indices(10)
+        assert ramanujan._coprime_indices.cache_info().currsize == 1
+
 
 class TestVonSterneck:
     def test_coprime_gives_moebius(self):
