@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .bench import render_bench, run_bench
@@ -37,6 +38,18 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def _print(text: object) -> None:
+    """Print text to stdout and flush it. Once the reader has closed
+    stdout, it is pointed at os.devnull: the command runs on to its own exit
+    code, and the flush at exit stays quiet."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _add_format(parser: argparse.ArgumentParser, default: str = "text") -> None:
@@ -113,15 +126,15 @@ def _cmd_dft(args) -> int:
     report = dft_dispatch(f, args.n, args.m, verify=args.verify)
     paths = sorted(report.paths_agreeing)
     if args.format == "text":
-        print(format_exact(report.value))
+        _print(format_exact(report.value))
         if args.verify:
-            print(f"paths agreeing: {', '.join(paths)}")
+            _print(f"paths agreeing: {', '.join(paths)}")
     elif args.format == "csv":
-        print("f,n,m,value,paths")
-        print(f"{report.f_name},{report.n.value},{report.m_reduced},"
+        _print("f,n,m,value,paths")
+        _print(f"{report.f_name},{report.n.value},{report.m_reduced},"
               f"{format_exact(report.value)},{';'.join(paths)}")
     else:
-        print(json.dumps({
+        _print(json.dumps({
             "f": report.f_name,
             "n": report.n.value,
             "m": report.m_reduced,
@@ -134,7 +147,7 @@ def _cmd_dft(args) -> int:
 def _cmd_table(args) -> int:
     f = get_function(args.f)
     rows = build_table(f, args.n, compress=args.compress)
-    print(render_table(rows, args.format))
+    _print(render_table(rows, args.format))
     return EXIT_OK
 
 
@@ -149,7 +162,7 @@ def _cmd_verify(args) -> int:
         fault=args.inject_fault,
     )
     report = run_verification(config)
-    print(render_report(report, config, args.format))
+    _print(render_report(report, config, args.format))
     return EXIT_OK if report.passed else EXIT_VERIFICATION
 
 
@@ -160,9 +173,9 @@ def _cmd_bench(args) -> int:
     if args.output:
         with open(args.output, "w") as handle:
             handle.write(rendered + "\n")
-        print(f"wrote {args.output}")
+        _print(f"wrote {args.output}")
     else:
-        print(rendered)
+        _print(rendered)
     failed = [str(r.n) for r in results if not r.spot_check]
     if failed:
         print(f"spot check failed for f={f.name} at n = {', '.join(failed)}", file=sys.stderr)
@@ -181,15 +194,15 @@ def _cmd_ramanujan(args) -> int:
         definition = "skipped (n beyond oracle scale)"
         agree = exact == kluyver
     if args.format == "text":
-        print(f"von Sterneck: {exact}")
-        print(f"Kluyver divisor sum: {kluyver}")
-        print(f"definition (float): {definition}")
-        print(f"agreement: {'yes' if agree else 'NO'}")
+        _print(f"von Sterneck: {exact}")
+        _print(f"Kluyver divisor sum: {kluyver}")
+        _print(f"definition (float): {definition}")
+        _print(f"agreement: {'yes' if agree else 'NO'}")
     elif args.format == "csv":
-        print("n,m,von_sterneck,kluyver,definition,agree")
-        print(f"{args.n},{args.m},{exact},{kluyver},{definition},{int(agree)}")
+        _print("n,m,von_sterneck,kluyver,definition,agree")
+        _print(f"{args.n},{args.m},{exact},{kluyver},{definition},{int(agree)}")
     else:
-        print(json.dumps({
+        _print(json.dumps({
             "n": args.n, "m": args.m,
             "von_sterneck": exact, "kluyver": kluyver,
             "definition": definition, "agree": agree,
@@ -200,13 +213,13 @@ def _cmd_ramanujan(args) -> int:
 def _cmd_factor(args) -> int:
     fac = factorize(args.n)
     if args.format == "text":
-        print(f"{fac.value} = {fac}")
+        _print(f"{fac.value} = {fac}")
     elif args.format == "csv":
-        print("prime,multiplicity")
+        _print("prime,multiplicity")
         for p, s in fac.factors:
-            print(f"{p},{s}")
+            _print(f"{p},{s}")
     else:
-        print(json.dumps({
+        _print(json.dumps({
             "n": fac.value,
             "factors": [{"prime": p, "multiplicity": s} for p, s in fac.factors],
         }, indent=2))

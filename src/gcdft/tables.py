@@ -2,20 +2,23 @@
 
 A table row maps an order index to gcd(index, n) and the exact transform
 value, plus a per-prime-factor display string. The transform depends on the
-order only through that gcd, so a table is built from one evaluation per gcd
-class (one per divisor of n): the rows of a class share its value and form,
-and compressed tables emit one row per class. Rendering formats each class
-once and each row only its index.
+order only through that gcd, so a table holds d(n) gcd classes, one per
+divisor of n, each evaluated once: a :class:`Table` keeps one (gcd, value,
+form) cell per class and, per row, its index and the position of its class.
+A class sieve places every order in its class with no gcd per row, and a
+:class:`TableRow` is built only when one is asked for. Rendering formats each
+class once and each row only its index.
 """
 
 from __future__ import annotations
 
 import io
 import json
+from collections.abc import Sequence
 from csv import reader as csv_reader
 from fractions import Fraction
-from math import gcd, prod
-from operator import itemgetter
+from math import prod
+from operator import eq
 from typing import NamedTuple
 
 from .errors import DomainError
@@ -32,6 +35,36 @@ class TableRow(NamedTuple):
     gcd_value: int
     transform_value: int | Fraction
     symbolic_form: str
+
+
+class Table(Sequence):
+    """The rows of a table, held as its gcd classes: ``cells`` has one
+    (gcd, value, form) per class, ``indices`` the row indices and
+    ``positions`` the position in ``cells`` of each row's class. A row is
+    built only when asked for; a table equals any sequence of equal rows."""
+
+    __slots__ = ("cells", "indices", "positions")
+    __hash__ = None
+
+    def __init__(self, cells: Sequence, indices: Sequence[int], positions: Sequence[int]):
+        self.cells, self.indices, self.positions = cells, indices, positions
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [self[k] for k in range(*i.indices(len(self)))]
+        return TableRow(self.indices[i], *self.cells[self.positions[i]])
+
+    def __iter__(self):
+        cells = self.cells
+        return (TableRow(i, *cells[p]) for i, p in zip(self.indices, self.positions))
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
 
 
 def format_exact(value: int | Fraction) -> str:
@@ -80,13 +113,17 @@ def _symbolic_gcd_form(fac: Factorization, exponents: tuple[int, ...]) -> str:
 
 def build_table(
     f: ArithmeticFunction, n: int | Factorization, *, compress: bool = False
-) -> list[TableRow]:
-    """Rows of the transform at every order 1..n, or one representative row
-    per gcd class when compressed (the divisor itself represents its class).
-    A table, full or compressed, has at most DEFINITION_SCALE_LIMIT rows.
+) -> Table:
+    """The transform at every order 1..n, or one representative row per gcd
+    class when compressed (the divisor itself represents its class), as a
+    :class:`Table` of one cell per class. A table, full or compressed, has at
+    most DEFINITION_SCALE_LIMIT rows.
 
     Each class g | n is evaluated once. For f other than id its form joins
-    the per-prime values h_{p^t}(p^s), t = v_p(g), each computed once."""
+    the per-prime values h_{p^t}(p^s), t = v_p(g), each computed once. The
+    class of each order k comes from a sieve: for each divisor d in
+    ascending order, every multiple of d is set to d's class, so k ends in
+    the class of the largest d dividing both k and n, gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -104,44 +141,59 @@ def build_table(
             prime_power = Factorization(p**s, ((p, s),))
             for t in range(s + 1):
                 local[p, t] = format_exact(dft_dispatch(f, prime_power, p**t).value)
-    classes = {}
-    for g in divisors(n):  # an int n reads the per-n divisor cache
+    classes = divisors(n)  # an int n reads the per-n divisor cache
+    cells = []
+    for g in classes:
         exponents = _class_exponents(fac, g)
         pieces = (local[p, t] for (p, _), t in zip(fac.factors, exponents))
         form = _symbolic_gcd_form(fac, exponents) if symbolic else "*".join(pieces) or "1"
-        classes[g] = (g, dft_dispatch(f, fac, g).value, form)
-    make, value = TableRow._make, fac.value
-    indices = classes if compress else range(1, value + 1)
-    return [make((i, *classes[gcd(i, value)])) for i in indices]
+        cells.append((g, dft_dispatch(f, fac, g).value, form))
+    if compress:
+        return Table(tuple(cells), tuple(classes), range(len(classes)))
+    value = fac.value
+    positions = [0] * value
+    for j, d in enumerate(classes):
+        positions[d - 1 :: d] = [j] * (value // d)
+    return Table(tuple(cells), range(1, value + 1), tuple(positions))
 
 
 TABLE_FIELDS = ("index", "gcd", "value", "form")
-_CLASS = itemgetter(1, 2, 3)  # the (gcd, value, form) a row shares with its class
 
 
-def render_table(rows: list[TableRow], fmt: str = "text") -> str:
-    """Rows as text, csv or json. Each distinct (gcd, value, form) is
-    formatted once, keyed by equality (equal int and Fraction values format
-    alike), and each row formats only its index."""
-    cells = dict.fromkeys(map(_CLASS, rows))
-    for g, value, form in cells:
-        cells[g, value, form] = (str(g), format_exact(value), form)
+def render_table(rows: Sequence[TableRow], fmt: str = "text") -> str:
+    """Rows as text, csv or json, rendered from (row indices, class position
+    per row, cells per class). A :class:`Table` hands these over; other rows
+    are grouped once by equal (gcd, value, form), so equal int and Fraction
+    values format alike. Each class is formatted once and each row only its
+    index, and no row object is built."""
+    if isinstance(rows, Table):
+        indices, positions, cells = rows.indices, rows.positions, rows.cells
+    else:
+        classes: dict[tuple, int] = {}
+        positions = [classes.setdefault(r[1:], len(classes)) for r in rows]
+        indices, cells = [r.index for r in rows], list(classes)
+    shown = [(str(g), format_exact(value), form) for g, value, form in cells]
     if fmt == "text":
-        indices = [str(r.index) for r in rows]
-        columns = [indices, *zip(*cells.values())] if rows else [()] * 4
+        labels = list(map(str, indices))
+        columns = [labels, *zip(*shown)] if labels else [()] * 4
         widths = [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS, columns)]
-        tails = {k: "  ".join(map(str.ljust, c, widths[1:])) for k, c in cells.items()}
+        tails = ["  ".join(map(str.ljust, c, widths[1:])) for c in shown]
         lines = ["  ".join(map(str.ljust, TABLE_FIELDS, widths))]
-        lines += [f"{i.ljust(widths[0])}  {tails[r[1:]]}" for i, r in zip(indices, rows)]
+        lines += [f"{i.ljust(widths[0])}  {tails[p]}" for i, p in zip(labels, positions)]
         return "\n".join(lines)
     if fmt == "csv":
-        tails = {k: ",".join(c) for k, c in cells.items()}
+        tails = [",".join(c) for c in shown]
         lines = [",".join(TABLE_FIELDS)]
-        lines += [f"{r.index},{tails[r[1:]]}" for r in rows]
+        lines += [f"{i},{tails[p]}" for i, p in zip(indices, positions)]
         return "\n".join(lines)
-    if fmt == "json":
-        records = [(r.index, r.gcd_value, cells[r[1:]][1], r.symbolic_form) for r in rows]
-        return json.dumps([dict(zip(TABLE_FIELDS, rec)) for rec in records], indent=2)
+    if fmt == "json":  # the text of json.dumps(records, indent=2), a record per row
+        tails = [
+            f',\n    "gcd": {g},\n    "value": {json.dumps(v)},\n    "form": {json.dumps(form)}'
+            "\n  }"
+            for g, v, form in shown
+        ]
+        records = [f'  {{\n    "index": {i}{tails[p]}' for i, p in zip(indices, positions)]
+        return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
     raise DomainError(f"unknown table format {fmt!r}")
 
 

@@ -1,5 +1,5 @@
-"""Print one sha256 over a fixed grid of gcdft answers, so that two source
-trees can be checked to give the same values, value types and output:
+"""Print two sha256 lines over a fixed grid of gcdft answers, so that two
+source trees can be checked to give the same values, value types and output:
 
     PYTHONPATH=<tree>/src python3 tools/digest.py
 
@@ -17,7 +17,8 @@ ratio degenerates at p = 2: f(2) = 2 ("mixed") and f(2) = 0 ("vanishing");
 ``divisors`` of each n < 90, of the int and of a ``Factorization``;
 and ``dirichlet_convolve(f, phi, n)`` and ``sum_function(f, n)`` (value and
 value type) for every catalog function and ``id_-1``, on the int and the
-``Factorization``.
+``Factorization``. The second line hashes the text and json renders of the
+same table grid, full and compressed.
 """
 
 import hashlib
@@ -56,6 +57,15 @@ DEGENERATE = (
 )
 
 
+def table_grid(f):
+    """For each n <= 130: the full and compressed table of the int n, and the
+    compressed table of its ``Factorization``."""
+    for n in range(1, 131):
+        yield build_table(f, n)
+        yield build_table(f, n, compress=True)
+        yield build_table(f, Factorization(n, factorize(n).factors), compress=True)
+
+
 def records():
     for n in range(1, 90):
         for m in range(-n, 2 * n + 1):
@@ -70,11 +80,8 @@ def records():
                 for value in (r.value, dft_exact_convolution(f, n, m), dft_exact_convolution(f, fac, m)):
                     yield value, type(value).__name__
                 yield repr(dft_brute_float(f, n, m))
-        for n in range(1, 131):
-            for compress in (False, True):
-                yield render_table(build_table(f, n, compress=compress), "csv")
-            fac = Factorization(n, factorize(n).factors)
-            yield render_table(build_table(f, fac, compress=True), "csv")
+        for table in table_grid(f):
+            yield render_table(table, "csv")
     for n_max in (1, 7, 19):
         for policy in M_POLICIES:
             config = SweepConfig(n_max=n_max, m_policy=policy, functions=NAMES)
@@ -96,11 +103,19 @@ def records():
                     yield f.name, n, value, type(value).__name__
 
 
+def table_records():
+    for f in [get_function(name) for name in NAMES] + [RATIONAL]:
+        for table in table_grid(f):
+            for fmt in ("text", "json"):
+                yield render_table(table, fmt)
+
+
 def main() -> None:
-    digest = hashlib.sha256()
-    for record in records():
-        digest.update(repr(record).encode() + b"\n")
-    print(digest.hexdigest())
+    for stream in (records(), table_records()):
+        digest = hashlib.sha256()
+        for record in stream:
+            digest.update(repr(record).encode() + b"\n")
+        print(digest.hexdigest())
 
 
 if __name__ == "__main__":
