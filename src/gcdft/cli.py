@@ -22,7 +22,7 @@ from .ramanujan import (
     ramanujan_kluyver,
     ramanujan_von_sterneck,
 )
-from .tables import build_table, format_exact, render_table
+from .tables import build_table, format_exact, render_blocks
 from .transform import dft_dispatch, float_agrees
 from .verify import FAULTS, SweepConfig, render_report, run_verification
 
@@ -147,7 +147,8 @@ def _cmd_dft(args) -> int:
 def _cmd_table(args) -> int:
     f = get_function(args.f)
     rows = build_table(f, args.n, compress=args.compress)
-    _print(render_table(rows, args.format))
+    for block in render_blocks(rows, args.format):  # whole lines: the bytes of one print
+        _print(block)
     return EXIT_OK
 
 

@@ -23,7 +23,7 @@ from .numtheory import Factorization, _divisor_lattice, as_factorization
 
 Exact = int | Fraction
 
-# Entries a per-function memo holds before it is cleared and refilled.
+# Entries a function's value memo holds before it is cleared and refilled.
 MEMO_LIMIT = 1 << 16
 
 
@@ -50,13 +50,11 @@ class ArithmeticFunction:
     Both multiplicative kinds carry a ``(p, e) -> value`` rule; a completely
     multiplicative one is built from a ``p -> value`` rule as f(p^e) = f(p)^e.
     General functions carry a finite value table. f(1) = 1 is implied for the
-    two multiplicative kinds. Instances are immutable; prime-power values are
-    memoized per instance.
+    two multiplicative kinds. Instances are immutable; values are memoized
+    per instance, and the rule runs on every prime-power call.
     """
 
-    __slots__ = (
-        "name", "kind", "_pp_rule", "_table", "integer_valued", "_memo", "_value_memo",
-    )
+    __slots__ = ("name", "kind", "_pp_rule", "_table", "integer_valued", "_value_memo")
 
     def __init__(
         self,
@@ -76,7 +74,6 @@ class ArithmeticFunction:
         self._pp_rule = prime_power_rule
         self._table = None if direct_rule is None else {k: as_exact(v) for k, v in direct_rule.items()}
         self.integer_valued = integer_valued
-        self._memo: dict[tuple[int, int], Exact] = {}
         self._value_memo: dict[int, Exact] = {}
 
     @classmethod
@@ -112,15 +109,9 @@ class ArithmeticFunction:
             raise DomainError(f"{self.name}(p^{e}): negative exponent")
         if e == 0:
             return 1
-        key = (p, e)
-        value = self._memo.get(key)
-        if value is None:
-            if self._pp_rule is None:
-                return self(p**e)
-            if len(self._memo) >= MEMO_LIMIT:
-                self._memo.clear()
-            value = self._memo[key] = as_exact(self._pp_rule(p, e))
-        return value
+        if self._pp_rule is None:
+            return self(p**e)
+        return as_exact(self._pp_rule(p, e))
 
     def __call__(self, n: int | Factorization) -> Exact:
         return evaluate(self, n)
@@ -255,7 +246,7 @@ _J_K = re.compile(r"J_(\d+)$")
 @lru_cache(maxsize=1 << 5)
 def get_function(name: str) -> ArithmeticFunction:
     """Look up a catalog function by name; id_<k> and J_<k> take a parameter.
-    Memoized: one name is one object, so its memos and the kernel memo carry over."""
+    Memoized: one name is one object, so its value memo and the kernel memo carry over."""
     if name in _CATALOG:
         return _CATALOG[name]
     m = _ID_K.match(name)

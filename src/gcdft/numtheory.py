@@ -14,7 +14,10 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .errors import DomainError, FactorizationBudgetError
+from .errors import DomainError, FactorizationBudgetError, OracleScaleError
+
+# The most terms a divisor walk, a table or an oracle sum is rated for.
+DEFINITION_SCALE_LIMIT = 10**6
 
 _TRIAL_DIVISION_BOUND = 10_000
 # The least composite with no prime factor below _TRIAL_DIVISION_BOUND is
@@ -370,8 +373,15 @@ def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int, tup
     prime: each term is its weights' product, the divisor prod p^e and that
     divisor's factors, in product order (the last prime varies fastest). By
     default each prime chooses every e = 0..s with weight 1: the divisors of
-    n, with d and n/d mirrored from the two ends."""
+    n, with d and n/d mirrored from the two ends; more than
+    DEFINITION_SCALE_LIMIT of them raise :class:`OracleScaleError` before any
+    is built."""
     if choices is None:
+        count = math.prod(s + 1 for _, s in fac.factors)
+        if count > DEFINITION_SCALE_LIMIT:
+            raise OracleScaleError(
+                f"n = {fac.value} has {count} divisors, above {DEFINITION_SCALE_LIMIT}"
+            )
         choices = [[(1, e) for e in range(s + 1)] for _, s in fac.factors]
     terms = [(1, 1, ())]  # (weight, divisor, its factors) over the primes so far
     for (p, _), local in zip(fac.factors, choices):
@@ -408,7 +418,6 @@ def moebius(n: int | Factorization) -> int:
     return -1 if len(fac.factors) % 2 else 1
 
 
-@lru_cache(maxsize=1 << 18)
 def totient(n: int | Factorization) -> int:
     """Euler totient via the prime-power product; totient(1) = 1."""
     fac = as_factorization(n)

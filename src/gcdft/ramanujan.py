@@ -20,9 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleScaleError
-from .numtheory import _class_exponents, divisor_tuple, factorize, moebius
+from .numtheory import DEFINITION_SCALE_LIMIT, _class_exponents, divisor_tuple, factorize, moebius
 
-DEFINITION_SCALE_LIMIT = 10**6
 FLOAT_TOLERANCE = 1e-6
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import io
 import json
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from csv import reader as csv_reader
 from fractions import Fraction
 from math import prod
@@ -158,14 +158,26 @@ def build_table(
 
 
 TABLE_FIELDS = ("index", "gcd", "value", "form")
+# Rows per rendered block: a block's lines are held at once, the table's are not.
+_BLOCK_ROWS = 1 << 14
 
 
 def render_table(rows: Sequence[TableRow], fmt: str = "text") -> str:
-    """Rows as text, csv or json, rendered from (row indices, class position
-    per row, cells per class). A :class:`Table` hands these over; other rows
+    """Rows as text, csv or json: the blocks of :func:`render_blocks`,
+    joined by newlines."""
+    return "\n".join(render_blocks(rows, fmt))
+
+
+def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
+    """The render of :func:`render_table` in blocks of whole lines, each of at
+    most _BLOCK_ROWS rows (the first one holds the header), so a large table
+    can be written block by block. Rendered from (row indices, class position
+    per row, cells per class): a :class:`Table` hands these over; other rows
     are grouped once by equal (gcd, value, form), so equal int and Fraction
     values format alike. Each class is formatted once and each row only its
     index, and no row object is built."""
+    if fmt not in ("text", "csv", "json"):
+        raise DomainError(f"unknown table format {fmt!r}")
     if isinstance(rows, Table):
         indices, positions, cells = rows.indices, rows.positions, rows.cells
     else:
@@ -173,28 +185,42 @@ def render_table(rows: Sequence[TableRow], fmt: str = "text") -> str:
         positions = [classes.setdefault(r[1:], len(classes)) for r in rows]
         indices, cells = [r.index for r in rows], list(classes)
     shown = [(str(g), format_exact(value), form) for g, value, form in cells]
+    count = len(indices)
+    blocks = (  # (indices, positions, whether it is the last) per block, sliced as needed
+        (indices[k : k + _BLOCK_ROWS], positions[k : k + _BLOCK_ROWS], k + _BLOCK_ROWS >= count)
+        for k in range(0, count, _BLOCK_ROWS)
+    )
     if fmt == "text":
-        labels = list(map(str, indices))
-        columns = [labels, *zip(*shown)] if labels else [()] * 4
-        widths = [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS, columns)]
+        width = max(len(TABLE_FIELDS[0]), max(map(len, map(str, indices)), default=0))
+        columns = list(zip(*shown)) if count else [()] * 3
+        widths = [width] + [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS[1:], columns)]
         tails = ["  ".join(map(str.ljust, c, widths[1:])) for c in shown]
         lines = ["  ".join(map(str.ljust, TABLE_FIELDS, widths))]
-        lines += [f"{i.ljust(widths[0])}  {tails[p]}" for i, p in zip(labels, positions)]
-        return "\n".join(lines)
-    if fmt == "csv":
+        for block, places, _ in blocks:
+            lines += [f"{str(i).ljust(width)}  {tails[p]}" for i, p in zip(block, places)]
+            yield "\n".join(lines)
+            lines = []
+    elif fmt == "csv":
         tails = [",".join(c) for c in shown]
         lines = [",".join(TABLE_FIELDS)]
-        lines += [f"{i},{tails[p]}" for i, p in zip(indices, positions)]
-        return "\n".join(lines)
-    if fmt == "json":  # the text of json.dumps(records, indent=2), a record per row
+        for block, places, _ in blocks:
+            lines += [f"{i},{tails[p]}" for i, p in zip(block, places)]
+            yield "\n".join(lines)
+            lines = []
+    else:  # the text of json.dumps(records, indent=2), a record per row
         tails = [
             f',\n    "gcd": {g},\n    "value": {json.dumps(v)},\n    "form": {json.dumps(form)}'
             "\n  }"
             for g, v, form in shown
         ]
-        records = [f'  {{\n    "index": {i}{tails[p]}' for i, p in zip(indices, positions)]
-        return "[\n" + ",\n".join(records) + "\n]" if records else "[]"
-    raise DomainError(f"unknown table format {fmt!r}")
+        lines = ["[" if count else "[]"]
+        for block, places, last in blocks:
+            records = [f'  {{\n    "index": {i}{tails[p]}' for i, p in zip(block, places)]
+            lines.append(",\n".join(records) + ("\n]" if last else ","))
+            yield "\n".join(lines)
+            lines = []
+    if lines:  # no rows: the header alone
+        yield lines[0]
 
 
 def parse_table(text: str, fmt: str) -> list[TableRow]:

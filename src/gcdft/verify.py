@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .errors import DomainError
+from .errors import DomainError, InconsistencyError
 from .functions import ArithmeticFunction, Exact, Kind, get_function
 from .numtheory import divisors, totient
 from .ramanujan import (
@@ -119,6 +119,11 @@ def _class_table(f: ArithmeticFunction, n: int) -> dict[int, Exact]:
     return {g: dft_exact_convolution(f, n, g) for g in divisors(n)}
 
 
+def _missing(error: KeyError) -> str:
+    """The expected value shown for a class missing from a class table."""
+    return f"class {error.args[0]} missing from the class table"
+
+
 def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]:
     """Deterministic m grid for a given n under the configured policy."""
     if policy == "all":
@@ -145,10 +150,15 @@ def check_path_equivalence(
     fault: str | None = None,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Convolution vs closed form (exact) and vs the FFT spectrum (float,
-    within :func:`float_bound` of the exact value)."""
+    within :func:`float_bound` of the exact value). An
+    :class:`InconsistencyError` of the float oracle at n fails the float
+    check at each of n's orders."""
     rng = random.Random(seed)
     for n in n_values:
-        spectrum = dft_brute_spectrum(f, n)
+        try:
+            spectrum = dft_brute_spectrum(f, n)
+        except InconsistencyError as exc:
+            spectrum = exc
         bound = float_bound(f, n, tolerance)
         for m in orders_for(n, policy, sample_count, rng):
             convolution = _perturb(dft_exact_convolution(f, n, m), "convolution", fault)
@@ -156,9 +166,12 @@ def check_path_equivalence(
             if closed is not None:
                 closed = _perturb(closed, "closed", fault)
                 yield _verdict("path-equivalence-exact", f.name, n, m, convolution, closed)
-            approx = spectrum[m % n]
             target = closed if closed is not None else convolution
-            ok = float_agrees(approx, target, bound)
+            if isinstance(spectrum, InconsistencyError):
+                approx, ok = f"oracle error: {spectrum}", False
+            else:
+                approx = spectrum[m % n]
+                ok = float_agrees(approx, target, bound)
             yield _verdict("path-equivalence-float", f.name, n, m, target, approx, ok)
             if f.integer_valued:
                 ok = convolution.denominator == 1
@@ -195,12 +208,16 @@ def check_gcd_dependence(
     n_values: Iterable[int],
 ) -> Iterator[tuple[str, Failure | None]]:
     """The closed form at order m equals the convolution at order
-    g = gcd(m, n), computed once per divisor g of n."""
+    g = gcd(m, n), computed once per divisor g of n; a class missing from
+    the class table fails the check."""
     for n in n_values:
         by_class = _class_table(f, n)
         for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
             left = exact_closed_form(f, n, m)
-            right = by_class[math.gcd(m, n)]
+            try:
+                right = by_class[math.gcd(m, n)]
+            except KeyError as missing:
+                right = _missing(missing)
             yield _verdict("gcd-dependence", f.name, n, m, right, left)
 
 
@@ -213,7 +230,8 @@ def check_multiplicativity(
     coprime u and v, read from class tables built once per u <= pair_max.
 
     Orders cover every divisor of uv (hence every distinct gcd class) plus a
-    few seeded non-divisors.
+    few seeded non-divisors. A class missing from a class table fails the
+    check.
     """
     rng = random.Random(seed)
     by_class = {u: _class_table(f, u) for u in range(1, pair_max + 1)}
@@ -226,7 +244,10 @@ def check_multiplicativity(
             orders += [rng.randrange(1, n + 1) for _ in range(MULTIPLICATIVITY_EXTRA_ORDERS)]
             for m in orders:
                 combined = exact_closed_form(f, n, m)
-                split = by_class[u][math.gcd(m, u)] * by_class[v][math.gcd(m, v)]
+                try:
+                    split = by_class[u][math.gcd(m, u)] * by_class[v][math.gcd(m, v)]
+                except KeyError as missing:
+                    split = _missing(missing)
                 yield _verdict("multiplicativity", f.name, n, m, split, combined)
 
 

@@ -30,7 +30,7 @@ def rational_general():
 
 class TestOnePath:
     def test_cold_call_factors_only_n(self, monkeypatch):
-        for cache in (numtheory.factorize, numtheory.divisor_tuple, numtheory.totient):
+        for cache in (numtheory.factorize, numtheory.divisor_tuple):
             cache.cache_clear()
         ramanujan._von_sterneck.cache_clear()
         factored = []

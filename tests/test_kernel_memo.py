@@ -143,13 +143,17 @@ class TestMemoBounds:
         for n in range(1, 200_001):
             evaluate(sigma, n)
         assert 0 < len(sigma._value_memo) <= MEMO_LIMIT
-        assert len(sigma._memo) <= MEMO_LIMIT
         for n in (1, 2, 720, 65_537, 199_999, 200_000):
             assert evaluate(sigma, n) == evaluate(SIGMA, n)
 
-    def test_prime_power_memo(self):
-        f = ArithmeticFunction.multiplicative("square", lambda p, e: p ** (2 * e))
-        for k in range(2, MEMO_LIMIT + 1000):
-            assert f.prime_power(k, 1) == k * k
-        assert 0 < len(f._memo) <= MEMO_LIMIT
-        assert type(f._memo) is dict and type(f._value_memo) is dict
+    def test_prime_power_runs_the_rule_on_every_call(self):
+        calls = []
+        f = ArithmeticFunction.multiplicative(
+            "square", lambda p, e: calls.append((p, e)) or p ** (2 * e)
+        )
+        for _ in range(3):
+            assert [f.prime_power(p, e) for p in (2, 3, 97) for e in (1, 2, 5)] == [
+                p ** (2 * e) for p in (2, 3, 97) for e in (1, 2, 5)
+            ]
+        assert calls == [(p, e) for p in (2, 3, 97) for e in (1, 2, 5)] * 3
+        assert type(f._value_memo) is dict

@@ -31,7 +31,6 @@ def replace_everywhere(monkeypatch, original, replacement):
 CACHES = (
     numtheory.factorize,
     numtheory.divisor_tuple,
-    numtheory.totient,
     ramanujan._von_sterneck,
     transform._ramanujan_terms,
     transform._gcd_buckets,

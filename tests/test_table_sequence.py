@@ -11,7 +11,16 @@ import pytest
 from gcdft import tables
 from gcdft.functions import ID, SIGMA, ArithmeticFunction, catalog_names, get_function
 from gcdft.numtheory import divisor_tuple
-from gcdft.tables import TABLE_FIELDS, Table, TableRow, build_table, format_exact, render_table
+from gcdft.cli import main
+from gcdft.tables import (
+    TABLE_FIELDS,
+    Table,
+    TableRow,
+    build_table,
+    format_exact,
+    render_blocks,
+    render_table,
+)
 
 RATIONAL = ArithmeticFunction.from_table(
     "rational", {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 1002)}, integer_valued=False
@@ -100,6 +109,22 @@ class TestRendering:
     def test_empty_rows(self):
         for fmt in FORMATS:
             assert render_table([], fmt) == per_row_render([], fmt)
+
+    def test_blocks_join_to_the_render(self, monkeypatch, capsys):
+        monkeypatch.setattr(tables, "_BLOCK_ROWS", 7)
+        for f in (SIGMA, RATIONAL):
+            for n in (1, 6, 7, 8, 14, 15, 60):
+                for compress in (False, True):
+                    table = build_table(f, n, compress=compress)
+                    rows = list(table)
+                    for fmt in FORMATS:
+                        blocks = list(render_blocks(table, fmt))
+                        assert len(blocks) == -(-len(rows) // 7)
+                        assert "\n".join(blocks) == per_row_render(rows, fmt)
+                        assert list(render_blocks(rows, fmt)) == blocks
+        for fmt in FORMATS:
+            assert main(["table", "--f", "sigma", "--n", "60", "--format", fmt]) == 0
+            assert capsys.readouterr().out == render_table(build_table(SIGMA, 60), fmt) + "\n"
 
 
 @pytest.fixture

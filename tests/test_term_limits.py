@@ -1,21 +1,23 @@
 """Bounds on the work a single n can ask for, and tables that never factor
 a given Factorization again.
 
-A compressed table has a row per divisor of n, and the exact convolution a
-term per nonzero Ramanujan sum; both counts double with each distinct prime
-of n. Past DEFINITION_SCALE_LIMIT they raise before listing any divisor or
-building any term, and the CLI exits 1."""
+A divisor list or divisor sum walks every divisor of n, a compressed table
+has a row per divisor, and the exact convolution a term per nonzero
+Ramanujan sum; each count doubles with each distinct prime of n. Past
+DEFINITION_SCALE_LIMIT they raise before listing any divisor or building any
+term, and the CLI exits 1."""
 
 import math
 import sys
+import time
 
 import pytest
 
 from gcdft import numtheory, tables, transform
 from gcdft.cli import EXIT_OK, EXIT_USAGE, main
 from gcdft.errors import DomainError, OracleScaleError
-from gcdft.functions import ID, SIGMA, ArithmeticFunction
-from gcdft.numtheory import SMALL_PRIMES, Factorization
+from gcdft.functions import ID, ONE, SIGMA, ArithmeticFunction, dirichlet_convolve, sum_function
+from gcdft.numtheory import SMALL_PRIMES, Factorization, divisor_tuple, divisors
 from gcdft.ramanujan import DEFINITION_SCALE_LIMIT
 from gcdft.tables import build_table
 from gcdft.transform import dft_dispatch, dft_exact_convolution
@@ -63,6 +65,19 @@ class TestRealLimit:
 
     def test_limit_is_between_19_and_20_primes(self):
         assert 2**19 <= DEFINITION_SCALE_LIMIT < 2**20
+
+    def test_divisor_walks_raise_before_listing_divisors(self):
+        walks = (
+            divisors,
+            lambda n: divisor_tuple(n.value),
+            lambda n: sum_function(ONE, n),
+            lambda n: dirichlet_convolve(ID, ONE, n),
+        )
+        start = time.perf_counter()
+        for walk in walks:
+            with pytest.raises(OracleScaleError, match="1048576 divisors"):
+                walk(self.N)
+        assert time.perf_counter() - start < 1
 
     def test_compressed_table_raises_before_listing_divisors(self, monkeypatch):
         def refuse(n):

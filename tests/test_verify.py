@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from gcdft import transform, verify
-from gcdft.cli import EXIT_OK, EXIT_USAGE, main
+from gcdft import numtheory, ramanujan, transform, verify
+from gcdft.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from gcdft.errors import DomainError
 from gcdft.functions import ID, get_function
 from gcdft.numtheory import divisors
@@ -206,6 +206,37 @@ class TestFaultInjection:
             )
         failures = [failure for _, failure in check() if failure is not None]
         assert failures[: len(expected)] == expected
+
+    def test_a_dropped_lattice_term_is_reported(self, monkeypatch, capsys):
+        # every divisor walk loses n itself: the float oracle's divisor check
+        # raises, and each class table lacks the class g = n
+        caches = (numtheory.divisor_tuple, transform._ramanujan_terms, ramanujan._kluyver)
+        honest = numtheory._lattice_terms
+        for cache in caches:
+            cache.cache_clear()
+        monkeypatch.setattr(
+            numtheory, "_lattice_terms", lambda fac, choices=None: honest(fac, choices)[:-1]
+        )
+        try:
+            failures = [failure for _, failure in check_path_equivalence(ID, [2]) if failure]
+            code = main(["verify", "--n-max", "12", "--functions", "sigma"])
+        finally:
+            for cache in caches:
+                cache.cache_clear()
+        assert failures[1] == Failure(
+            "path-equivalence-float", "id", 2, 1, "1",
+            "oracle error: (1,) are not the ascending divisors of 2",
+        )
+        assert code == EXIT_VERIFICATION
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        for line in (
+            "FAIL path-equivalence-float: 0/78 passed",
+            "FAIL gcd-dependence: 0/234 passed",
+            "FAIL multiplicativity: ",
+            "total: 1031 checks, ",
+        ):
+            assert line in captured.out
 
     def test_fault_in_check_generator(self):
         failures = [

@@ -18,7 +18,12 @@ ratio degenerates at p = 2: f(2) = 2 ("mixed") and f(2) = 0 ("vanishing");
 and ``dirichlet_convolve(f, phi, n)`` and ``sum_function(f, n)`` (value and
 value type) for every catalog function and ``id_-1``, on the int and the
 ``Factorization``. The second line hashes the text and json renders of the
-same table grid, full and compressed.
+same table grid, full and compressed. The third hashes, with their types,
+``totient`` and ``jordan(k, n)`` for k = 1..3; ``moebius_invert``,
+``sum_function_product`` and ``evaluate(sum_function_of(f), n)``, each on the
+int n < 90 and its ``Factorization``; and ``f.prime_power(p, e)`` for the
+primes p < 30 and e <= 6, for every catalog function, ``id_-1`` and a
+rational multiplicative f.
 """
 
 import hashlib
@@ -34,7 +39,15 @@ from gcdft import (
     get_function,
     sum_function,
 )
-from gcdft.functions import Kind, catalog_names
+from gcdft.functions import (
+    Kind,
+    catalog_names,
+    evaluate,
+    moebius_invert,
+    sum_function_of,
+    sum_function_product,
+)
+from gcdft.numtheory import SMALL_PRIMES, jordan, totient
 from gcdft.ramanujan import FLOAT_TOLERANCE, ramanujan_kluyver, ramanujan_von_sterneck
 from gcdft.tables import build_table, render_table
 from gcdft.transform import (
@@ -50,6 +63,10 @@ NAMES = tuple(catalog_names()) + ("id_-1",)
 # a general rational f with f(1) != 1
 RATIONAL = ArithmeticFunction.from_table(
     "rational", {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 131)}, integer_valued=False
+)
+# a multiplicative rational f, with values of both signs and zeros
+RATIONAL_MULTIPLICATIVE = ArithmeticFunction.multiplicative(
+    "rational-multiplicative", lambda p, e: Fraction(e - 2, p + e), integer_valued=False
 )
 DEGENERATE = (
     ArithmeticFunction.completely_multiplicative("mixed", lambda p: p if p == 2 else p * p),
@@ -110,8 +127,28 @@ def table_records():
                 yield render_table(table, fmt)
 
 
+def multiplicative_records():
+    for n in range(1, 90):
+        fac = Factorization(n, factorize(n).factors)
+        for arg in (n, fac):
+            for value in (totient(arg), *(jordan(k, arg) for k in (1, 2, 3))):
+                yield n, value, type(value).__name__
+    for f in [get_function(name) for name in NAMES] + [RATIONAL_MULTIPLICATIVE]:
+        summed = sum_function_of(f)
+        for n in range(1, 90):
+            fac = Factorization(n, factorize(n).factors)
+            for arg in (n, fac):
+                values = moebius_invert(f, arg), sum_function_product(f, arg), evaluate(summed, arg)
+                for value in values:
+                    yield f.name, n, value, type(value).__name__
+        for p in SMALL_PRIMES[:10]:  # the primes below 30
+            for e in range(7):
+                value = f.prime_power(p, e)
+                yield f.name, p, e, value, type(value).__name__
+
+
 def main() -> None:
-    for stream in (records(), table_records()):
+    for stream in (records(), table_records(), multiplicative_records()):
         digest = hashlib.sha256()
         for record in stream:
             digest.update(repr(record).encode() + b"\n")
