@@ -186,41 +186,43 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
         indices, cells = [r.index for r in rows], list(classes)
     shown = [(str(g), format_exact(value), form) for g, value, form in cells]
     count = len(indices)
-    blocks = (  # (indices, positions, whether it is the last) per block, sliced as needed
-        (indices[k : k + _BLOCK_ROWS], positions[k : k + _BLOCK_ROWS], k + _BLOCK_ROWS >= count)
-        for k in range(0, count, _BLOCK_ROWS)
-    )
     if fmt == "text":
         width = max(len(TABLE_FIELDS[0]), max(map(len, map(str, indices)), default=0))
         columns = list(zip(*shown)) if count else [()] * 3
         widths = [width] + [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS[1:], columns)]
         tails = ["  ".join(map(str.ljust, c, widths[1:])) for c in shown]
-        lines = ["  ".join(map(str.ljust, TABLE_FIELDS, widths))]
-        for block, places, _ in blocks:
-            lines += [f"{str(i).ljust(width)}  {tails[p]}" for i, p in zip(block, places)]
-            yield "\n".join(lines)
-            lines = []
+        head = "  ".join(map(str.ljust, TABLE_FIELDS, widths))
+
+        def body(block, places, last):
+            return [f"{str(i).ljust(width)}  {tails[p]}" for i, p in zip(block, places)]
+
     elif fmt == "csv":
         tails = [",".join(c) for c in shown]
-        lines = [",".join(TABLE_FIELDS)]
-        for block, places, _ in blocks:
-            lines += [f"{i},{tails[p]}" for i, p in zip(block, places)]
-            yield "\n".join(lines)
-            lines = []
+        head = ",".join(TABLE_FIELDS)
+
+        def body(block, places, last):
+            return [f"{i},{tails[p]}" for i, p in zip(block, places)]
+
     else:  # the text of json.dumps(records, indent=2), a record per row
         tails = [
             f',\n    "gcd": {g},\n    "value": {json.dumps(v)},\n    "form": {json.dumps(form)}'
             "\n  }"
             for g, v, form in shown
         ]
-        lines = ["[" if count else "[]"]
-        for block, places, last in blocks:
+        head = "[" if count else "[]"
+
+        def body(block, places, last):
             records = [f'  {{\n    "index": {i}{tails[p]}' for i, p in zip(block, places)]
-            lines.append(",\n".join(records) + ("\n]" if last else ","))
-            yield "\n".join(lines)
-            lines = []
-    if lines:  # no rows: the header alone
-        yield lines[0]
+            return [",\n".join(records) + ("\n]" if last else ",")]
+
+    lines = [head]
+    for k in range(0, count, _BLOCK_ROWS):
+        end = k + _BLOCK_ROWS
+        lines += body(indices[k:end], positions[k:end], end >= count)
+        yield "\n".join(lines)
+        lines = []
+    if not count:  # the header alone
+        yield head
 
 
 def parse_table(text: str, fmt: str) -> list[TableRow]:
