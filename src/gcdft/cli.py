@@ -172,8 +172,11 @@ def _cmd_bench(args) -> int:
     results = run_bench(f, args.n_values, args.repetitions)
     rendered = render_bench(results, args.format)
     if args.output:
-        with open(args.output, "w") as handle:
-            handle.write(rendered + "\n")
+        try:
+            with open(args.output, "w") as handle:
+                handle.write(rendered + "\n")
+        except OSError as exc:
+            raise DomainError(f"cannot write {args.output}: {exc.strerror or exc}") from None
         _print(f"wrote {args.output}")
     else:
         _print(rendered)

@@ -19,7 +19,7 @@ from numbers import Rational
 from typing import Callable, Mapping
 
 from .errors import DomainError, UndefinedValueError
-from .numtheory import Factorization, _divisor_lattice, as_factorization
+from .numtheory import Factorization, _divisor_lattice, as_factorization, as_int
 
 Exact = int | Fraction
 
@@ -205,6 +205,7 @@ LIOUVILLE = ArithmeticFunction.completely_multiplicative("lambda", lambda p: -1)
 
 def id_power(k: int) -> ArithmeticFunction:
     """id_k(n) = n^k; completely multiplicative. Negative k yields rationals."""
+    k = as_int(k, "k")
     if k == 0:
         return ONE
     if k == 1:
@@ -218,6 +219,7 @@ def id_power(k: int) -> ArithmeticFunction:
 
 def jordan_function(k: int) -> ArithmeticFunction:
     """J_k as a multiplicative function; jordan_function(1) is phi."""
+    k = as_int(k, "k")
     if k < 1:
         raise DomainError("jordan_function requires k >= 1")
     if k == 1:

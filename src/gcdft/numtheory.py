@@ -78,6 +78,7 @@ _PRIMORIALS = tuple(
 
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two nonnegative integers; gcd(a, 0) = a."""
+    a, b = as_int(a, "a"), as_int(b, "b")
     if a < 0 or b < 0:
         raise DomainError("gcd arguments must be nonnegative")
     if a == 0 and b == 0:
@@ -429,6 +430,7 @@ def totient(n: int | Factorization) -> int:
 
 def jordan(k: int, n: int | Factorization) -> int:
     """Jordan totient J_k(n) = prod(p^(k*s) - p^(k*(s-1))); jordan(1, n) == totient(n)."""
+    k = as_int(k, "k")
     if k < 1:
         raise DomainError("jordan requires k >= 1")
     fac = as_factorization(n)

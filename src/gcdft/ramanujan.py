@@ -20,7 +20,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import OracleScaleError
-from .numtheory import DEFINITION_SCALE_LIMIT, _class_exponents, divisor_tuple, factorize, moebius
+from .numtheory import DEFINITION_SCALE_LIMIT, _class_exponents, as_int, divisor_tuple, factorize
+from .numtheory import moebius
 
 FLOAT_TOLERANCE = 1e-6
 
@@ -51,6 +52,7 @@ def ramanujan_definition(n: int, m: int) -> complex:
     """
     # k*m is reduced mod n in exact integer arithmetic before the angle is
     # formed, keeping the phase error at the 1e-15 level even for huge m.
+    n, m = as_int(n, "n"), as_int(m, "m")
     phase = (_coprime_indices(n) * (m % n)) % n
     return complex(np.exp(2j * np.pi * phase / n).sum())
 
@@ -74,6 +76,7 @@ def _von_sterneck(n: int, g: int) -> int:
 def ramanujan_von_sterneck(n: int, m: int) -> int:
     """Exact evaluation of mu(n/g) * phi(n) / phi(n/g), g = gcd(m, n), as the
     product of :func:`_prime_power_sum` over the p^s || n."""
+    n, m = as_int(n, "n"), as_int(m, "m")
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     return _von_sterneck(n, math.gcd(m % n, n))
@@ -94,6 +97,7 @@ def ramanujan_kluyver(n: int, m: int) -> int:
     """Exact evaluation via the divisor sum of mu(n/d) * d over d | gcd(m, n).
     More than DEFINITION_SCALE_LIMIT divisors raise :class:`OracleScaleError`
     before any is listed."""
+    n, m = as_int(n, "n"), as_int(m, "m")
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     return _kluyver(n, math.gcd(m % n, n))

@@ -2,10 +2,10 @@
 
 A table row maps an order index to gcd(index, n) and the exact transform
 value, plus a per-prime-factor display string. The transform depends on the
-order only through that gcd, so a table holds d(n) gcd classes, one per
-divisor of n, each evaluated once: a :class:`Table` keeps one (gcd, value,
-form) cell per class and, per row, its index and the position of its class.
-A class sieve places every order in its class with no gcd per row, and a
+order only through that gcd, so a :class:`Table` keeps one (gcd, value, form)
+cell per gcd class, one per divisor of n, read from one product over the
+prime powers of n, and, per row, its index and the position of its class. A
+class sieve places every order in its class with no gcd per row, and a
 :class:`TableRow` is built only when one is asked for. Rendering formats each
 class once and each row only its index.
 """
@@ -17,13 +17,14 @@ import json
 from collections.abc import Iterator, Sequence
 from csv import reader as csv_reader
 from fractions import Fraction
+from itertools import product
 from math import prod
 from operator import eq
 from typing import NamedTuple
 
 from .errors import DomainError
-from .functions import ArithmeticFunction, get_function
-from .numtheory import Factorization, _class_exponents, as_factorization, divisors
+from .functions import ArithmeticFunction, as_exact, get_function
+from .numtheory import Factorization, _lattice_terms, as_factorization
 from .ramanujan import DEFINITION_SCALE_LIMIT
 from .transform import dft_dispatch
 
@@ -83,31 +84,24 @@ def parse_exact(text: str) -> int | Fraction:
     return int(text)
 
 
-def _prime_letter(i: int) -> str:
-    if i < len(_PRIME_LETTERS):
-        return _PRIME_LETTERS[i]
-    return f"p{i + 1}"
+def _gcd_piece(i: int, s: int, t: int) -> str:
+    """The factor of p^s || n, p the i-th prime of n, in totient form for
+    f = id at an order of class t = v_p(gcd(m, n)) <= s, e.g. "(2q-1)" for
+    s = 1, t = 1 or "[4phi(p^3)+p^2]" for s = t = 3."""
+    letter = _PRIME_LETTERS[i] if i < len(_PRIME_LETTERS) else f"p{i + 1}"
+    if s == 1:
+        return f"(2{letter}-1)" if t else f"({letter}-1)"
+    base = f"phi({letter}^{s})"
+    if t == s:
+        tail = letter if s == 2 else f"{letter}^{s - 1}"
+        return f"[{t + 1}{base}+{tail}]"
+    return f"{t + 1}{base}" if t else base
 
 
 def _symbolic_gcd_form(fac: Factorization, exponents: tuple[int, ...]) -> str:
-    """Per-prime-factor display in totient form for f = id, e.g. "(2p-1)(q-1)"
-    for n = pq at an order divisible by p only; ``exponents`` is the gcd
-    class, t = v_p(gcd(m, n)) <= s for each p^s || n."""
-    pieces = []
-    for i, ((_, s), t) in enumerate(zip(fac.factors, exponents)):
-        letter = _prime_letter(i)
-        if s == 1:
-            pieces.append(f"(2{letter}-1)" if t >= 1 else f"({letter}-1)")
-            continue
-        count = t + 1
-        base = f"phi({letter}^{s})"
-        if t == s:
-            tail = letter if s == 2 else f"{letter}^{s - 1}"
-            pieces.append(f"[{count}{base}+{tail}]")
-        elif count == 1:
-            pieces.append(base)
-        else:
-            pieces.append(f"{count}{base}")
+    """The form of f = id at the gcd class ``exponents``, its :func:`_gcd_piece`
+    per prime joined: "(2p-1)(q-1)" for n = pq at an order divisible by p only."""
+    pieces = (_gcd_piece(i, s, t) for i, ((_, s), t) in enumerate(zip(fac.factors, exponents)))
     return "".join(pieces) or "1"
 
 
@@ -116,14 +110,15 @@ def build_table(
 ) -> Table:
     """The transform at every order 1..n, or one representative row per gcd
     class when compressed (the divisor itself represents its class), as a
-    :class:`Table` of one cell per class. A table, full or compressed, has at
-    most DEFINITION_SCALE_LIMIT rows.
+    :class:`Table` of one cell per class, at most DEFINITION_SCALE_LIMIT rows.
 
-    Each class g | n is evaluated once. For f other than id its form joins
-    the per-prime values h_{p^t}(p^s), t = v_p(g), each computed once. The
-    class of each order k comes from a sieve: for each divisor d in
-    ascending order, every multiple of d is set to d's class, so k ends in
-    the class of the largest d dividing both k and n, gcd(k, n)."""
+    Each h_{p^t}(p^s), p^s || n and t <= s, is dispatched once, and
+    :func:`numtheory._lattice_terms` multiplies one per prime into each
+    class g and, for a multiplicative f, its value; a general f, whose
+    transform does not factor, is dispatched per class. The form joins the
+    same pieces: the values, or :func:`_gcd_piece` for f = id. A sieve sets
+    every multiple of each divisor d, ascending, to d's class, so the order
+    k ends in the class of gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -135,19 +130,19 @@ def build_table(
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
     symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
-    local: dict[tuple[int, int], str] = {}
-    if not symbolic:  # h_{p^t}(p^s) for every t <= s, each prime checked once
-        for p, s in fac.factors:
-            prime_power = Factorization(p**s, ((p, s),))
-            for t in range(s + 1):
-                local[p, t] = format_exact(dft_dispatch(f, prime_power, p**t).value)
-    classes = divisors(n)  # an int n reads the per-n divisor cache
-    cells = []
-    for g in classes:
-        exponents = _class_exponents(fac, g)
-        pieces = (local[p, t] for (p, _), t in zip(fac.factors, exponents))
-        form = _symbolic_gcd_form(fac, exponents) if symbolic else "*".join(pieces) or "1"
-        cells.append((g, dft_dispatch(f, fac, g).value, form))
+    choices, pieces = [], []
+    for i, (p, s) in enumerate(fac.factors):
+        prime_power = Factorization(p**s, ((p, s),))  # each prime checked once
+        local = list(enumerate(dft_dispatch(f, prime_power, p**t).value for t in range(s + 1)))
+        choices.append([(v, t) for t, v in local])
+        pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v) for t, v in local])
+    join = "".join if symbolic else "*".join
+    general = not f.is_multiplicative  # its transform does not factor
+    cells = sorted(  # by class: the classes g are distinct
+        (g, dft_dispatch(f, fac, g).value if general else as_exact(v), join(form) or "1")
+        for (v, g, _), form in zip(_lattice_terms(fac, choices), product(*pieces))
+    )
+    classes = [g for g, _, _ in cells]
     if compress:
         return Table(tuple(cells), tuple(classes), range(len(classes)))
     value = fac.value

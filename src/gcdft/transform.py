@@ -67,6 +67,9 @@ class DftReport:
 
 def reduce_order(m: int, n: int) -> int:
     """Reduce any integer m to the representative in 1..n (residue 0 -> n)."""
+    m, n = as_int(m, "m"), as_int(n, "n")
+    if n < 1:
+        raise DomainError("n must be >= 1")
     r = m % n
     return r if r else n
 
@@ -314,7 +317,7 @@ def dft_dispatch(
     :class:`InconsistencyError`. The brute float value is accepted within
     :func:`float_bound`."""
     fac = as_factorization(n)
-    m_reduced = reduce_order(as_int(m, "m"), fac.value)
+    m_reduced = reduce_order(m, fac.value)
 
     value = exact_closed_form(f, fac, m_reduced)
     if value is None:

@@ -166,6 +166,17 @@ class TestBench:
         assert target.exists()
         assert target.read_text().startswith("n,")
 
+    def test_unwritable_output_is_usage_error(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "bench.csv"
+        code, out, err = run_cli(
+            capsys, "bench", "--n", "10", "--repetitions", "1", "--output", str(target),
+        )
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert err.startswith("error: cannot write ")
+        assert len(err.splitlines()) == 1
+        assert not target.exists()
+
     def test_zero_repetitions_is_usage_error(self, capsys):
         code, out, err = run_cli(capsys, "bench", "--n", "10", "--repetitions", "0")
         assert code == EXIT_USAGE

@@ -29,6 +29,12 @@ from gcdft.tables import (
 from gcdft.transform import dft_brute_float, dft_dispatch
 
 
+# a multiplicative rational f, with values of both signs and zeros
+RATIONAL_MULTIPLICATIVE = ArithmeticFunction.multiplicative(
+    "rational-multiplicative", lambda p, e: Fraction(e - 2, p + e), integer_valued=False
+)
+
+
 def per_index_rows(f, n):
     """The full table evaluated order by order: one dispatch per row, plus
     one per prime of n for the form of f other than id."""
@@ -204,6 +210,8 @@ class TestGcdClassEvaluation:
             )
 
     def test_one_dispatch_per_class_and_local_factor(self, monkeypatch):
+        """A multiplicative f dispatches once per h_{p^t}(p^s), t <= s, and
+        a general f once per class on top."""
         import gcdft.tables as tables
 
         calls = []
@@ -211,7 +219,31 @@ class TestGcdClassEvaluation:
         monkeypatch.setattr(
             tables, "dft_dispatch", lambda *a, **k: calls.append(a) or honest(*a, **k)
         )
-        rows = build_table(SIGMA, 720)
-        assert len(rows) == 720
+        for f, n in [(SIGMA, 720), (ID, 720), (RATIONAL_MULTIPLICATIVE, 720), (SIGMA, 720720)]:
+            for compress in (False, True):
+                calls.clear()
+                assert len(build_table(f, n, compress=compress)) == (
+                    len(divisor_tuple(n)) if compress else n
+                )
+                assert len(calls) == sum(s + 1 for _, s in factorize(n).factors)
+        calls.clear()
+        build_table(self.GENERAL, 720)
         local_factors = sum(s + 1 for _, s in factorize(720).factors)
-        assert len(calls) <= len(divisor_tuple(720)) + local_factors == 40
+        assert len(calls) == len(divisor_tuple(720)) + local_factors == 40
+
+    @pytest.mark.parametrize(
+        "name",
+        [n for n in catalog_names() if n != "id"] + ["id_-1", "rational-multiplicative"],
+    )
+    def test_values_are_products_of_their_forms(self, name):
+        """Each class value of a multiplicative f is the product of the
+        per-prime values its form joins, in int when it is integral."""
+        f = RATIONAL_MULTIPLICATIVE if name == "rational-multiplicative" else get_function(name)
+        for n in [*range(1, 131), 360, 720, 1001, 720720]:
+            for row in build_table(f, n, compress=True):
+                factors = [parse_exact(piece) for piece in row.symbolic_form.split("*")]
+                assert len(factors) == max(1, len(factorize(n).factors))
+                assert row.transform_value == math.prod(factors)
+                assert type(row.transform_value) is (
+                    int if math.prod(factors).denominator == 1 else Fraction
+                )

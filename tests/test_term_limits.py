@@ -80,10 +80,11 @@ class TestRealLimit:
         assert time.perf_counter() - start < 1
 
     def test_compressed_table_raises_before_listing_divisors(self, monkeypatch):
-        def refuse(n):
+        def refuse(*args, **kwargs):
             raise AssertionError("the divisors must not be listed")
 
-        monkeypatch.setattr(tables, "divisors", refuse)
+        monkeypatch.setattr(tables, "_lattice_terms", refuse)
+        monkeypatch.setattr(tables, "dft_dispatch", refuse)
         with pytest.raises(DomainError, match="compressed"):
             build_table(ID, self.N, compress=True)
 

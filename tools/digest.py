@@ -1,4 +1,4 @@
-"""Print two sha256 lines over a fixed grid of gcdft answers, so that two
+"""Print four sha256 lines over a fixed grid of gcdft answers, so that two
 source trees can be checked to give the same values, value types and output:
 
     PYTHONPATH=<tree>/src python3 tools/digest.py
@@ -23,11 +23,16 @@ same table grid, full and compressed. The third hashes, with their types,
 ``sum_function_product`` and ``evaluate(sum_function_of(f), n)``, each on the
 int n < 90 and its ``Factorization``; and ``f.prime_power(p, e)`` for the
 primes p < 30 and e <= 6, for every catalog function, ``id_-1`` and a
-rational multiplicative f.
+rational multiplicative f. The fourth hashes each row of the table grid as
+(index, gcd, value, value type, form), since a csv render hides whether a
+value is an int or a Fraction; it covers the rational multiplicative f too,
+and the compressed tables at n = 360, 720, 1001 and 720720, where a general f
+defined on their divisors stands in for ``RATIONAL``.
 """
 
 import hashlib
 from fractions import Fraction
+from itertools import chain
 
 from gcdft import (
     PHI,
@@ -67,6 +72,13 @@ RATIONAL = ArithmeticFunction.from_table(
 # a multiplicative rational f, with values of both signs and zeros
 RATIONAL_MULTIPLICATIVE = ArithmeticFunction.multiplicative(
     "rational-multiplicative", lambda p, e: Fraction(e - 2, p + e), integer_valued=False
+)
+LARGE_N = (360, 720, 1001, 720720)
+# RATIONAL's rule on the divisors of LARGE_N, for their compressed tables
+RATIONAL_DIVISORS = ArithmeticFunction.from_table(
+    "rational",
+    {d: Fraction(d % 7 - 3, 1 + d % 4) for n in LARGE_N for d in divisors(n)},
+    integer_valued=False,
 )
 DEGENERATE = (
     ArithmeticFunction.completely_multiplicative("mixed", lambda p: p if p == 2 else p * p),
@@ -147,8 +159,18 @@ def multiplicative_records():
                 yield f.name, p, e, value, type(value).__name__
 
 
+def typed_table_records():
+    for f in [get_function(name) for name in NAMES] + [RATIONAL, RATIONAL_MULTIPLICATIVE]:
+        large = RATIONAL_DIVISORS if f is RATIONAL else f
+        compressed = (build_table(large, n, compress=True) for n in LARGE_N)
+        for table in chain(table_grid(f), compressed):
+            for index, g, value, form in table:
+                yield index, g, value, type(value).__name__, form
+
+
 def main() -> None:
-    for stream in (records(), table_records(), multiplicative_records()):
+    streams = records(), table_records(), multiplicative_records(), typed_table_records()
+    for stream in streams:
         digest = hashlib.sha256()
         for record in stream:
             digest.update(repr(record).encode() + b"\n")
