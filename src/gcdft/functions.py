@@ -1,6 +1,6 @@
 """Arithmetic functions as prime-power rules, with Dirichlet convolution,
-sum functions and Moebius inversion; the convolution and the sum function
-read the factored divisors of :func:`numtheory._divisor_lattice`.
+sum functions and Moebius inversion, which read f at every divisor of n from
+one walk over the divisor lattice of n, :func:`_divisor_values`.
 
 Values are exact: a plain ``int`` whenever a value is integral and a
 ``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
@@ -18,13 +18,11 @@ from functools import lru_cache
 from numbers import Rational
 from typing import Callable, Mapping
 
+from . import numtheory
 from .errors import DomainError, UndefinedValueError
-from .numtheory import Factorization, _divisor_lattice, as_factorization, as_int
+from .numtheory import Factorization, as_factorization, as_int
 
 Exact = int | Fraction
-
-# Entries a function's value memo holds before it is cleared and refilled.
-MEMO_LIMIT = 1 << 16
 
 
 def as_exact(value: object) -> Exact:
@@ -50,11 +48,11 @@ class ArithmeticFunction:
     Both multiplicative kinds carry a ``(p, e) -> value`` rule; a completely
     multiplicative one is built from a ``p -> value`` rule as f(p^e) = f(p)^e.
     General functions carry a finite value table. f(1) = 1 is implied for the
-    two multiplicative kinds. Instances are immutable; values are memoized
-    per instance, and the rule runs on every prime-power call.
+    two multiplicative kinds. Instances are immutable, and the rule runs on
+    every prime-power call.
     """
 
-    __slots__ = ("name", "kind", "_pp_rule", "_table", "integer_valued", "_value_memo")
+    __slots__ = ("name", "kind", "_pp_rule", "_table", "integer_valued")
 
     def __init__(
         self,
@@ -74,7 +72,6 @@ class ArithmeticFunction:
         self._pp_rule = prime_power_rule
         self._table = None if direct_rule is None else {k: as_exact(v) for k, v in direct_rule.items()}
         self.integer_valued = integer_valued
-        self._value_memo: dict[int, Exact] = {}
 
     @classmethod
     def multiplicative(
@@ -121,37 +118,43 @@ class ArithmeticFunction:
 
 
 def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
-    """f(n), computed from prime-power values for multiplicative kinds."""
+    """f(n), the product of f's prime-power values for multiplicative kinds."""
     if f.kind is Kind.GENERAL:
         value = int(n)
-        table = f._table
-        if value not in table:
+        if value not in f._table:
             raise UndefinedValueError(f"{f.name} has no rule for {value}")
-        return table[value]
-    value = int(n)
-    cached = f._value_memo.get(value)
-    if cached is not None:
-        return cached
-    result = math.prod(f.prime_power(p, s) for p, s in as_factorization(n).factors)
-    if len(f._value_memo) >= MEMO_LIMIT:
-        f._value_memo.clear()
+        return f._table[value]
     # a product of proper fractions can be integral
-    result = f._value_memo[value] = as_exact(result)
-    return result
+    return as_exact(math.prod(f.prime_power(p, s) for p, s in as_factorization(n).factors))
+
+
+@lru_cache(maxsize=1 << 8)
+def _divisor_values(f: ArithmeticFunction, fac: Factorization) -> dict[int, Exact]:
+    """{n/d: f(n/d)} for every d | n, the exponent of each p^s || n in n/d
+    running from s down to 0 as in the convolution's terms: the lattice
+    weights of ``f.prime_power`` for a multiplicative f, else f's table,
+    which must hold every divisor. Bounded, keyed on f by identity, and
+    shared by every caller, so never changed."""
+    if f.kind is Kind.GENERAL:
+        choices = [[(1, e) for e in range(s, -1, -1)] for _, s in fac.factors]
+        return {v: evaluate(f, v) for _, v in numtheory._lattice_terms(fac, choices)}
+    choices = [[(f.prime_power(p, e), e) for e in range(s, -1, -1)] for p, s in fac.factors]
+    return {v: as_exact(w) for w, v in numtheory._lattice_terms(fac, choices)}
 
 
 def dirichlet_convolve(
     f: ArithmeticFunction, g: ArithmeticFunction, n: int | Factorization
 ) -> Exact:
-    """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly; n/d
-    mirrors d from the other end of the divisor lattice."""
-    divs = [d for _, d in _divisor_lattice(as_factorization(n))]
-    return sum(evaluate(f, c) * evaluate(g, d) for d, c in zip(divs, reversed(divs)))
+    """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly; d
+    mirrors n/d from the other end of :func:`_divisor_values`."""
+    fac = as_factorization(n)
+    values = _divisor_values(g, fac).values()
+    return sum(a * b for a, b in zip(_divisor_values(f, fac).values(), reversed(values)))
 
 
 def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    return sum(evaluate(t, d) for _, d in _divisor_lattice(as_factorization(n)))
+    return sum(_divisor_values(t, as_factorization(n)).values())
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:
@@ -248,7 +251,7 @@ _J_K = re.compile(r"J_(\d+)$")
 @lru_cache(maxsize=1 << 5)
 def get_function(name: str) -> ArithmeticFunction:
     """Look up a catalog function by name; id_<k> and J_<k> take a parameter.
-    Memoized: one name is one object, so its value memo and the kernel memo carry over."""
+    Memoized: one name is one object, so its cached values and the kernel memo carry over."""
     if name in _CATALOG:
         return _CATALOG[name]
     m = _ID_K.match(name)

@@ -1,8 +1,7 @@
-"""Exact integer primitives: gcd, primality, factorization and the classical
-multiplicative functions built on prime-power factorizations.
-
-Everything here works on arbitrary-precision Python ints; no operation is
-allowed to overflow or round.
+"""Exact integer primitives: gcd, primality, factorization, the divisor
+lattice of plain (weight, divisor) int pairs and the classical multiplicative
+functions built on prime-power factorizations. Everything here works on
+arbitrary-precision Python ints; no operation may overflow or round.
 """
 
 from __future__ import annotations
@@ -128,6 +127,7 @@ def is_prime(n: int) -> bool:
     bases get 20 seeded random ones on top, and a True means strong probable
     prime (error below 4^-20).
     """
+    n = as_int(n)
     if n < 2:
         return False
     if n <= _TRIAL_DIVISION_BOUND:
@@ -231,6 +231,9 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
+        factors = tuple((as_int(p, "prime"), as_int(s, "multiplicity")) for p, s in self.factors)
+        object.__setattr__(self, "value", as_int(self.value, "Factorization value"))
+        object.__setattr__(self, "factors", factors)
         if self.value < 1:
             raise DomainError("Factorization value must be positive")
         product = 1
@@ -296,8 +299,9 @@ def factorize(n: int) -> Factorization:
     composite it gets an exact perfect-power root, else Pollard rho, and each
     part again goes to :func:`is_prime` unless below 10007^2. Pollard rho
     raises :class:`FactorizationBudgetError` on a cofactor it cannot split
-    within ``_RHO_BUDGET`` steps.
+    within ``_RHO_BUDGET`` steps. A float or a bool raises :class:`DomainError`.
     """
+    n = as_int(n)
     if n < 1:
         raise DomainError("factorize requires n >= 1")
     value = n
@@ -349,11 +353,7 @@ def as_int(value: object, name: str = "n") -> int:
 
 def as_factorization(n: int | Factorization) -> Factorization:
     """Accept either an integer or an existing Factorization."""
-    if type(n) is int:
-        return factorize(n)
-    if isinstance(n, Factorization):
-        return n
-    return factorize(as_int(n))
+    return n if isinstance(n, Factorization) else factorize(n)
 
 
 def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
@@ -369,45 +369,38 @@ def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int, tuple]]:
+def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int]]:
     """The product over the p^s || n of one (weight, exponent) choice per
-    prime: each term is its weights' product, the divisor prod p^e and that
-    divisor's factors, in product order (the last prime varies fastest). By
-    default each prime chooses every e = 0..s with weight 1: the divisors of
-    n, with d and n/d mirrored from the two ends; more than
-    DEFINITION_SCALE_LIMIT of them raise :class:`OracleScaleError` before any
-    is built."""
+    prime: each term is its weights' product and the divisor prod p^e, in
+    product order (the last prime varies fastest). By default each prime
+    chooses every e = 0..s with weight 1: the divisors of n, with d and n/d
+    mirrored from the two ends. A walk of more than DEFINITION_SCALE_LIMIT
+    terms raises :class:`OracleScaleError` before any is built."""
     if choices is None:
-        count = math.prod(s + 1 for _, s in fac.factors)
-        if count > DEFINITION_SCALE_LIMIT:
-            raise OracleScaleError(
-                f"n = {fac.value} has {count} divisors, above {DEFINITION_SCALE_LIMIT}"
-            )
         choices = [[(1, e) for e in range(s + 1)] for _, s in fac.factors]
-    terms = [(1, 1, ())]  # (weight, divisor, its factors) over the primes so far
+    count = math.prod(map(len, choices))
+    if count > DEFINITION_SCALE_LIMIT:
+        raise OracleScaleError(
+            f"a walk over {count} divisors of n = {fac.value} is above {DEFINITION_SCALE_LIMIT}"
+        )
+    terms = [(1, 1)]  # (weight, divisor) over the primes so far
     for (p, _), local in zip(fac.factors, choices):
-        powers = [(r, p**e, ((p, e),) if e else ()) for r, e in local]
-        terms = [(w * r, d * q, df + pe) for w, d, df in terms for r, q, pe in powers]
+        powers = [(r, p**e) for r, e in local]
+        terms = [(w * r, d * q) for w, d in terms for r, q in powers]
     return terms
-
-
-def _divisor_lattice(fac: Factorization, choices=None) -> list[tuple[int, Factorization]]:
-    """The terms of :func:`_lattice_terms` as (weight, divisor), each divisor
-    a proven Factorization, for callers that evaluate functions at it."""
-    return [(w, Factorization._proven(d, df)) for w, d, df in _lattice_terms(fac, choices)]
 
 
 @lru_cache(maxsize=1 << 18)
 def divisor_tuple(n: int) -> tuple[int, ...]:
     """All positive divisors of n, ascending, as a shared immutable tuple."""
-    return tuple(sorted(d for _, d, _ in _lattice_terms(factorize(n))))
+    return tuple(sorted(d for _, d in _lattice_terms(factorize(n))))
 
 
 def divisors(n: int | Factorization) -> list[int]:
     """All positive divisors of n in ascending order. A Factorization is not
     factored again: its divisors come from its primes."""
     if isinstance(n, Factorization):
-        return sorted(d for _, d, _ in _lattice_terms(n))
+        return sorted(d for _, d in _lattice_terms(n))
     return list(divisor_tuple(as_int(n)))
 
 

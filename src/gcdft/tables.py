@@ -140,7 +140,7 @@ def build_table(
     general = not f.is_multiplicative  # its transform does not factor
     cells = sorted(  # by class: the classes g are distinct
         (g, dft_dispatch(f, fac, g).value if general else as_exact(v), join(form) or "1")
-        for (v, g, _), form in zip(_lattice_terms(fac, choices), product(*pieces))
+        for (v, g), form in zip(_lattice_terms(fac, choices), product(*pieces))
     )
     classes = [g for g, _, _ in cells]
     if compress:

@@ -8,8 +8,8 @@ independent ways:
   product of two split tables of about sqrt(n) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
   terms: the divisor lattice of n from :mod:`gcdft.numtheory`, weighted per
-  prime by the prime-power rule of :mod:`gcdft.ramanujan` (no divisor is
-  factored), cached per class (n, gcd(m, n)) and shared by every f,
+  prime by the prime-power rule of :mod:`gcdft.ramanujan` as int pairs
+  (c_d(m), n/d), cached per class (n, gcd(m, n)) and shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f.
@@ -19,9 +19,9 @@ factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
 negative included, needs no reduction first. The per-prime product reads each
 t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
 read the class through :func:`numtheory._class_exponents`. The float oracles
-and their l1 bound read the divisors of n, each with its factors, from the
-convolution's terms of the full class g = n, where c_d = phi(d) for every
-d | n: no divisor of n is factored.
+and their l1 bound read the divisors of n from the convolution's terms of the
+full class g = n, where c_d = phi(d) for every d | n. Every exact walk reads
+f's values from :func:`functions._divisor_values`: no divisor is factored.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
 per-prime product for every multiplicative f, in plain ``int`` whenever f is
@@ -39,10 +39,11 @@ from math import gcd, isqrt, prod
 
 import numpy as np
 
+from . import numtheory
 from .errors import DomainError, InconsistencyError, OracleScaleError
-from .functions import ArithmeticFunction, Exact, Kind, as_exact, evaluate
-from .numtheory import Factorization, _class_exponents, _divisor_lattice, as_factorization
-from .numtheory import as_int, divisor_tuple, factorize
+from .functions import ArithmeticFunction, Exact, Kind, _divisor_values, as_exact
+from .numtheory import Factorization, _class_exponents, as_factorization, as_int
+from .numtheory import divisor_tuple, factorize
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, _prime_power_sum
 
 PATH_BRUTE_FLOAT = "brute_float"
@@ -74,12 +75,12 @@ def reduce_order(m: int, n: int) -> int:
     return r if r else n
 
 
-def _ascending_divisors(n: int) -> list[Factorization]:
-    """The divisors of n, ascending, as the proven n/d of the terms of the full
-    class g = n, where every c_d = phi(d) is nonzero; ``divisor_tuple(n)`` must
-    list exactly them, as a sieve needs."""
-    divs = sorted((v for _, v in _ramanujan_terms(factorize(n), n)), key=int)
-    if divisor_tuple(n) != tuple(map(int, divs)):
+def _ascending_divisors(n: int) -> list[int]:
+    """The divisors of n, ascending, as the n/d of the terms of the full class
+    g = n, where every c_d = phi(d) is nonzero; ``divisor_tuple(n)`` must list
+    exactly them, as a sieve needs."""
+    divs = sorted(v for _, v in _ramanujan_terms(factorize(n), n))
+    if divisor_tuple(n) != tuple(divs):
         raise InconsistencyError(f"{divisor_tuple(n)} are not the ascending divisors of {n}")
     return divs
 
@@ -92,7 +93,7 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     A divisor sieve: ``index[d-1::d] = i`` over the divisors in ascending
     order, so each k ends on its largest divisor of n, which is gcd(k, n).
     That is sigma(n)/n strided writes per entry, with no gcd computed."""
-    divs = tuple(map(int, _ascending_divisors(n)))
+    divs = tuple(_ascending_divisors(n))
     index = np.empty(n, dtype=np.min_scalar_type(len(divs) - 1))
     for i, d in enumerate(divs):
         index[d - 1 :: d] = i
@@ -110,13 +111,13 @@ def _gcd_sequence(f: ArithmeticFunction, n: int) -> np.ndarray:
             f"brute-force oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
         )
     a = np.empty(n)
+    values = _divisor_values(f, factorize(n))
     for d in _ascending_divisors(n):
-        value = evaluate(f, d)
         try:
-            a[d.value - 1 :: d.value] = float(value)
+            a[d - 1 :: d] = float(values[d])
         except OverflowError:
             raise OracleScaleError(
-                f"{f.name}({d.value}) is beyond float range: no float oracle at n = {n}"
+                f"{f.name}({d}) is beyond float range: no float oracle at n = {n}"
             ) from None
     return a
 
@@ -156,10 +157,10 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=1 << 7)
-def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, Factorization], ...]:
-    """The pairs (c_d(m), n/d), n/d a proven Factorization, over the d | n with
-    c_d(m) != 0 at the orders m of class g = gcd(m, n). c_d(m) is
-    multiplicative in d, and for t = v_p(g) its factor c_{p^e}(m) is the rule
+def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
+    """The int pairs (c_d(m), n/d) over the d | n with c_d(m) != 0 at the
+    orders m of class g = gcd(m, n). c_d(m) is multiplicative in d, and for
+    t = v_p(g) its factor c_{p^e}(m) is the rule
     :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1 only, so the
     divisor lattice of n is built from the choices (c_{p^e}(m), s - e),
     e <= min(t + 1, s), one list per p^s || n. Bounded, and keyed on (n, g)
@@ -175,7 +176,7 @@ def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, Factorizati
             f"the exact convolution at n = {fac.value} has {count} nonzero terms,"
             f" above {DEFINITION_SCALE_LIMIT}"
         )
-    return tuple(_divisor_lattice(fac, choices))
+    return tuple(numtheory._lattice_terms(fac, choices))
 
 
 def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:
@@ -183,7 +184,8 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`."""
     fac = as_factorization(n)
     g = gcd(as_int(m, "m"), fac.value)
-    return sum(c * evaluate(f, v) for c, v in _ramanujan_terms(fac, g))
+    values = _divisor_values(f, fac)
+    return sum(c * values[v] for c, v in _ramanujan_terms(fac, g))
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
@@ -289,7 +291,8 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     larger of ``tolerance`` and BRUTE_RELATIVE_TOLERANCE times the l1 norm
     sum_k |f(gcd(k, n))| = sum_{d | n} phi(d) * |f(n/d)|, computed exactly
     over the terms of the full class g = n, where c_d = phi(d)."""
-    l1 = sum(c * abs(evaluate(f, v)) for c, v in _ramanujan_terms(factorize(n), n))
+    values = _divisor_values(f, factorize(n))
+    l1 = sum(c * abs(values[v]) for c, v in _ramanujan_terms(factorize(n), n))
     try:
         norm = float(l1)
     except OverflowError:

@@ -1,35 +1,46 @@
-"""One divisor-lattice builder, ``numtheory._divisor_lattice``: the divisor
-lists, the divisor sums and the exact convolution's Ramanujan terms are all
-products over the primes of n of one (weight, exponent) choice per prime."""
+"""One divisor-lattice builder, ``numtheory._lattice_terms``: the divisor
+lists, the divisor values of f and the exact convolution's Ramanujan terms
+are all products over the primes of n of one (weight, exponent) choice per
+prime, and each term is a plain (weight, divisor) pair of ints."""
+
+import pytest
 
 from gcdft import transform
-from gcdft.numtheory import Factorization, _divisor_lattice, divisor_tuple, divisors, factorize
+from gcdft.errors import OracleScaleError
+from gcdft.numtheory import (
+    DEFINITION_SCALE_LIMIT,
+    Factorization,
+    _lattice_terms,
+    divisor_tuple,
+    divisors,
+    factorize,
+)
 
 N_VALUES = list(range(1, 2001)) + [277200, 720720]
 
 
-def assert_checked(terms):
-    """Every divisor a term carries passes the public constructor's checks."""
-    for _, d in terms:
-        assert Factorization(d.value, d.factors) == d, d
+def assert_plain(terms, n):
+    """Every term is a pair of ints whose divisor divides n."""
+    for w, d in terms:
+        assert type(w) is int and type(d) is int, (w, d)
+        assert n % d == 0, (n, d)
 
 
 class TestDefaultChoices:
     def test_divisors_mirrored_from_both_ends(self):
         for n in N_VALUES:
-            terms = _divisor_lattice(factorize(n))
-            assert_checked(terms)
+            terms = _lattice_terms(factorize(n))
+            assert_plain(terms, n)
             assert {w for w, _ in terms} == {1}
-            divs = [d.value for _, d in terms]
+            divs = [d for _, d in terms]
             assert sorted(divs) == list(divisor_tuple(n)), n
             assert all(a * b == n for a, b in zip(divs, reversed(divs))), n
 
     def test_product_order_varies_the_last_prime_fastest(self):
-        divs = [d.value for _, d in _divisor_lattice(factorize(12))]
-        assert divs == [1, 3, 2, 6, 4, 12]
+        assert [d for _, d in _lattice_terms(factorize(12))] == [1, 3, 2, 6, 4, 12]
 
     def test_one_has_one_term(self):
-        assert _divisor_lattice(factorize(1)) == [(1, Factorization(1, ()))]
+        assert _lattice_terms(factorize(1)) == [(1, 1)]
 
     def test_divisor_lists_build_no_factorization(self, monkeypatch):
         fac = factorize(720720)
@@ -40,13 +51,21 @@ class TestDefaultChoices:
 
 class TestWeightedChoices:
     def test_weights_multiply_along_each_term(self):
-        terms = _divisor_lattice(factorize(12), [[(5, 1)], [(2, 0), (-3, 1)]])
-        assert terms == [(10, Factorization(2, ((2, 1),))), (-15, Factorization(6, ((2, 1), (3, 1))))]
+        terms = _lattice_terms(factorize(12), [[(5, 1)], [(2, 0), (-3, 1)]])
+        assert terms == [(10, 2), (-15, 6)]
+
+    def test_a_walk_above_the_limit_raises_before_any_term(self):
+        fac = Factorization(2**20, ((2, 20),))
+        choices = [[(1, e) for e in range(21)]]
+        assert len(_lattice_terms(fac, choices)) == 21
+        wide = [[(1, 0)] * (DEFINITION_SCALE_LIMIT + 1)]
+        with pytest.raises(OracleScaleError, match=str(DEFINITION_SCALE_LIMIT + 1)):
+            _lattice_terms(fac, wide)
 
     def test_ramanujan_terms_of_every_class(self):
         for n in N_VALUES:
             fac = factorize(n)
             for g in divisor_tuple(n):
                 terms = transform._ramanujan_terms(fac, g)
-                assert_checked(terms)
-                assert all(c != 0 and n % d.value == 0 for c, d in terms), (n, g)
+                assert_plain(terms, n)
+                assert all(c != 0 for c, _ in terms), (n, g)

@@ -1,4 +1,4 @@
-"""The memoized per-prime kernel and the bounded per-function memos: every
+"""The memoized per-prime kernel and the bounded caches of f's values: every
 value they hand out equals the uncached computation, and none of them grows
 past its bound."""
 
@@ -10,9 +10,9 @@ import pytest
 from gcdft import ramanujan
 from gcdft.errors import UndefinedValueError
 from gcdft.functions import (
-    MEMO_LIMIT,
     SIGMA,
     ArithmeticFunction,
+    _divisor_values,
     catalog_names,
     evaluate,
     get_function,
@@ -136,15 +136,30 @@ class TestRamanujanAgreement:
 
 
 class TestMemoBounds:
-    def test_value_memo_after_sigma_to_two_hundred_thousand(self):
+    def test_divisor_values_after_eight_times_its_bound(self):
         sigma = ArithmeticFunction.multiplicative(
             "sigma", lambda p, e: (p ** (e + 1) - 1) // (p - 1)
         )
-        for n in range(1, 200_001):
-            evaluate(sigma, n)
-        assert 0 < len(sigma._value_memo) <= MEMO_LIMIT
-        for n in (1, 2, 720, 65_537, 199_999, 200_000):
-            assert evaluate(sigma, n) == evaluate(SIGMA, n)
+        maxsize = _divisor_values.cache_info().maxsize
+        assert maxsize is not None
+        for n in range(1, 8 * maxsize + 1):
+            dft_exact_convolution(sigma, n, 1)
+        assert 0 < _divisor_values.cache_info().currsize <= maxsize
+        for n in (1, 2, 720, 8 * maxsize - 1, 8 * maxsize):
+            values = _divisor_values(sigma, factorize(n))
+            assert values == {n // d: evaluate(SIGMA, n // d) for d in sorted(values, reverse=True)}
+
+    def test_divisor_values_key_f_by_identity(self):
+        twins = [ArithmeticFunction.multiplicative("twin", lambda p, e: e + 1) for _ in range(2)]
+        other = ArithmeticFunction.multiplicative("twin", lambda p, e: p**e)
+        fac = factorize(12)
+        misses = _divisor_values.cache_info().misses
+        first, second, third = (_divisor_values(f, fac) for f in (*twins, other))
+        assert _divisor_values.cache_info().misses - misses == 3
+        assert first is not second and first == second
+        assert list(first.items()) == [(12, 6), (4, 3), (6, 4), (2, 2), (3, 2), (1, 1)]
+        assert list(third.items()) == [(d, d) for d in (12, 4, 6, 2, 3, 1)]
+        assert _divisor_values(twins[0], fac) is first
 
     def test_prime_power_runs_the_rule_on_every_call(self):
         calls = []
@@ -156,4 +171,3 @@ class TestMemoBounds:
                 p ** (2 * e) for p in (2, 3, 97) for e in (1, 2, 5)
             ]
         assert calls == [(p, e) for p in (2, 3, 97) for e in (1, 2, 5)] * 3
-        assert type(f._value_memo) is dict
