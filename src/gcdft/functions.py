@@ -131,10 +131,9 @@ def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
 @lru_cache(maxsize=1 << 8)
 def _divisor_values(f: ArithmeticFunction, fac: Factorization) -> dict[int, Exact]:
     """{n/d: f(n/d)} for every d | n, the exponent of each p^s || n in n/d
-    running from s down to 0 as in the convolution's terms: the lattice
-    weights of ``f.prime_power`` for a multiplicative f, else f's table,
-    which must hold every divisor. Bounded, keyed on f by identity, and
-    shared by every caller, so never changed."""
+    running from s down to 0 as in the convolution's terms: lattice weights
+    of ``f.prime_power`` for a multiplicative f, else its table entries.
+    Bounded, keyed on f by identity, and shared by every caller: never changed."""
     if f.kind is Kind.GENERAL:
         choices = [[(1, e) for e in range(s, -1, -1)] for _, s in fac.factors]
         return {v: evaluate(f, v) for _, v in numtheory._lattice_terms(fac, choices)}

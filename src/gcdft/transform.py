@@ -75,11 +75,12 @@ def reduce_order(m: int, n: int) -> int:
     return r if r else n
 
 
-def _ascending_divisors(n: int) -> list[int]:
+def _ascending_divisors(fac: Factorization) -> list[int]:
     """The divisors of n, ascending, as the n/d of the terms of the full class
     g = n, where every c_d = phi(d) is nonzero; ``divisor_tuple(n)`` must list
     exactly them, as a sieve needs."""
-    divs = sorted(v for _, v in _ramanujan_terms(factorize(n), n))
+    n = fac.value
+    divs = sorted(v for _, v in _ramanujan_terms(fac, n))
     if divisor_tuple(n) != tuple(divs):
         raise InconsistencyError(f"{divisor_tuple(n)} are not the ascending divisors of {n}")
     return divs
@@ -93,7 +94,7 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     A divisor sieve: ``index[d-1::d] = i`` over the divisors in ascending
     order, so each k ends on its largest divisor of n, which is gcd(k, n).
     That is sigma(n)/n strided writes per entry, with no gcd computed."""
-    divs = tuple(_ascending_divisors(n))
+    divs = tuple(_ascending_divisors(factorize(n)))
     index = np.empty(n, dtype=np.min_scalar_type(len(divs) - 1))
     for i, d in enumerate(divs):
         index[d - 1 :: d] = i
@@ -111,8 +112,9 @@ def _gcd_sequence(f: ArithmeticFunction, n: int) -> np.ndarray:
             f"brute-force oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
         )
     a = np.empty(n)
-    values = _divisor_values(f, factorize(n))
-    for d in _ascending_divisors(n):
+    fac = factorize(n)
+    values = _divisor_values(f, fac)
+    for d in _ascending_divisors(fac):
         try:
             a[d - 1 :: d] = float(values[d])
         except OverflowError:
@@ -159,10 +161,9 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
 @lru_cache(maxsize=1 << 7)
 def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
     """The int pairs (c_d(m), n/d) over the d | n with c_d(m) != 0 at the
-    orders m of class g = gcd(m, n). c_d(m) is multiplicative in d, and for
-    t = v_p(g) its factor c_{p^e}(m) is the rule
-    :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1 only, so the
-    divisor lattice of n is built from the choices (c_{p^e}(m), s - e),
+    orders m of class g = gcd(m, n). For t = v_p(g), the factor c_{p^e}(m)
+    of c_d(m) is :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1
+    only, so the lattice of n is built from the choices (c_{p^e}(m), s - e),
     e <= min(t + 1, s), one list per p^s || n. Bounded, and keyed on (n, g)
     alone: an entry serves every f. More than DEFINITION_SCALE_LIMIT terms
     raise :class:`OracleScaleError` before any is built."""
@@ -183,9 +184,8 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
     sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`."""
     fac = as_factorization(n)
-    g = gcd(as_int(m, "m"), fac.value)
     values = _divisor_values(f, fac)
-    return sum(c * values[v] for c, v in _ramanujan_terms(fac, g))
+    return sum(c * values[v] for c, v in _ramanujan_terms(fac, gcd(as_int(m, "m"), fac.value)))
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
@@ -291,8 +291,9 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     larger of ``tolerance`` and BRUTE_RELATIVE_TOLERANCE times the l1 norm
     sum_k |f(gcd(k, n))| = sum_{d | n} phi(d) * |f(n/d)|, computed exactly
     over the terms of the full class g = n, where c_d = phi(d)."""
-    values = _divisor_values(f, factorize(n))
-    l1 = sum(c * abs(values[v]) for c, v in _ramanujan_terms(factorize(n), n))
+    fac = factorize(n)
+    values = _divisor_values(f, fac)
+    l1 = sum(c * abs(values[v]) for c, v in _ramanujan_terms(fac, n))
     try:
         norm = float(l1)
     except OverflowError:
