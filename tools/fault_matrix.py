@@ -21,7 +21,6 @@ its error in place of the counts.
 
 import argparse
 import sys
-from functools import _lru_cache_wrapper
 
 from gcdft import numtheory, ramanujan, transform
 from gcdft.verify import SweepConfig, run_verification
@@ -64,8 +63,8 @@ def _gcdft_modules():
 
 def _clear_caches() -> None:
     for module in _gcdft_modules():
-        for value in vars(module).values():
-            if isinstance(value, _lru_cache_wrapper):
+        for value in list(vars(module).values()):
+            if callable(getattr(value, "cache_clear", None)):
                 value.cache_clear()
 
 
