@@ -378,8 +378,7 @@ def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int]]:
     terms raises :class:`OracleScaleError` before any is built."""
     if choices is None:
         choices = [[(1, e) for e in range(s + 1)] for _, s in fac.factors]
-    count = math.prod(map(len, choices))
-    if count > DEFINITION_SCALE_LIMIT:
+    if (count := math.prod(map(len, choices))) > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
             f"a walk over {count} divisors of n = {fac.value} is above {DEFINITION_SCALE_LIMIT}"
         )

@@ -19,9 +19,9 @@ factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
 negative included, needs no reduction first. The per-prime product reads each
 t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
 read the class through :func:`numtheory._class_exponents`. The float oracles
-and their l1 bound read the divisors of n from the convolution's terms of the
-full class g = n, where c_d = phi(d) for every d | n. Every exact walk reads
-f's values from :func:`functions._divisor_values`: no divisor is factored.
+and their l1 bound read the divisors of n from the terms of the full class
+g = n, where c_d = phi(d). f's values come from :func:`functions._divisor_values`
+or, past 10^6 divisors, from the class lattice: no divisor is factored.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
 per-prime product for every multiplicative f, in plain ``int`` whenever f is
@@ -158,34 +158,39 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
     return np.fft.fft(np.roll(_gcd_sequence(f, n), 1))
 
 
-@lru_cache(maxsize=1 << 7)
-def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
-    """The int pairs (c_d(m), n/d) over the d | n with c_d(m) != 0 at the
-    orders m of class g = gcd(m, n). For t = v_p(g), the factor c_{p^e}(m)
-    of c_d(m) is :func:`ramanujan._prime_power_sum`, nonzero for e <= t + 1
-    only, so the lattice of n is built from the choices (c_{p^e}(m), s - e),
-    e <= min(t + 1, s), one list per p^s || n. Bounded, and keyed on (n, g)
-    alone: an entry serves every f. More than DEFINITION_SCALE_LIMIT terms
-    raise :class:`OracleScaleError` before any is built."""
+def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
+    """(weight(p, s, e, t), n/d) over the d | n with c_d(m) != 0 at the orders
+    of class g, in one order for every weight: for t = v_p(g), c_{p^e}(m) = 0
+    unless e <= t + 1 (:func:`ramanujan._prime_power_sum`); n/d has p^(s-e)."""
     choices = [
-        [(_prime_power_sum(p, e, t), s - e) for e in range(min(t + 1, s) + 1)]
+        [(weight(p, s, e, t), s - e) for e in range(min(t + 1, s) + 1)]
         for (p, s), t in zip(fac.factors, _class_exponents(fac, g))
     ]
-    count = prod(map(len, choices))
-    if count > DEFINITION_SCALE_LIMIT:
-        raise OracleScaleError(
-            f"the exact convolution at n = {fac.value} has {count} nonzero terms,"
-            f" above {DEFINITION_SCALE_LIMIT}"
-        )
-    return tuple(numtheory._lattice_terms(fac, choices))
+    if (count := prod(map(len, choices))) > DEFINITION_SCALE_LIMIT:
+        raise OracleScaleError(f"{count} terms at n = {fac.value}, above {DEFINITION_SCALE_LIMIT}")
+    return numtheory._lattice_terms(fac, choices)
+
+
+@lru_cache(maxsize=1 << 7)
+def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
+    """The int pairs (c_d(m), n/d) of :func:`_class_lattice`, bounded and
+    keyed on (n, g) alone: an entry serves every f."""
+    return tuple(_class_lattice(fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t)))
 
 
 def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
-    sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`."""
+    sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`; f
+    from :func:`_divisor_values` (a general f at every divisor of n) or, for
+    n above DEFINITION_SCALE_LIMIT divisors, as f(p^(s-e)) over the class."""
     fac = as_factorization(n)
-    values = _divisor_values(f, fac)
-    return sum(c * values[v] for c, v in _ramanujan_terms(fac, gcd(as_int(m, "m"), fac.value)))
+    g = gcd(as_int(m, "m"), fac.value)
+    terms = _ramanujan_terms(fac, g)
+    if f.kind is Kind.GENERAL or prod(s + 1 for _, s in fac.factors) <= DEFINITION_SCALE_LIMIT:
+        values = _divisor_values(f, fac)
+        return sum(c * values[v] for c, v in terms)
+    weights = _class_lattice(fac, g, lambda p, s, e, t: f.prime_power(p, s - e))
+    return sum(c * as_exact(w) for (c, _), (w, _) in zip(terms, weights))
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
@@ -275,15 +280,11 @@ def gcd_power_sum(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     return dft_closed_form_multiplicative(f, fac, fac.value)
 
 
-def exact_closed_form(
-    f: ArithmeticFunction, n: int | Factorization, m: int
-) -> Exact | None:
+def exact_closed_form(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact | None:
     """The transform from the closed form for f's kind: the per-prime product
     for a multiplicative f, and None for a general f (which only the
     convolution evaluates)."""
-    if f.kind is not Kind.GENERAL:
-        return dft_closed_form_multiplicative(f, n, m)
-    return None
+    return None if f.kind is Kind.GENERAL else dft_closed_form_multiplicative(f, n, m)
 
 
 def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:

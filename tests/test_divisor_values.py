@@ -1,23 +1,30 @@
 """f's values at the divisors of n come from one walk over the divisor lattice
-of n, ``functions._divisor_values``: no divisor is wrapped as a
+of n, ``functions._divisor_values``, or, in the convolution of a multiplicative
+f, from the walk over the class's own terms: no divisor is wrapped as a
 Factorization, and a general f must be defined at every divisor of n."""
+
+import math
 
 import numpy as np
 import pytest
 
 from gcdft import transform
-from gcdft.errors import UndefinedValueError
+from gcdft.cli import EXIT_OK, main
+from gcdft.errors import OracleScaleError, UndefinedValueError
 from gcdft.functions import (
     PHI,
+    SIGMA,
     ArithmeticFunction,
     dirichlet_convolve,
+    get_function,
     sum_function,
 )
-from gcdft.numtheory import Factorization, divisor_tuple, factorize
+from gcdft.numtheory import SMALL_PRIMES, Factorization, divisor_tuple, factorize
 from gcdft.ramanujan import FLOAT_TOLERANCE
 from gcdft.transform import (
     dft_brute_float,
     dft_brute_spectrum,
+    dft_closed_form_multiplicative,
     dft_dispatch,
     dft_exact_convolution,
     float_agrees,
@@ -93,3 +100,32 @@ class TestGeneralFunctionAtEveryDivisor:
             exact = sum(whole(np.gcd(k, 4).item()) * (-1j) ** (k * m) for k in range(1, 5))
             assert dft_exact_convolution(whole, 4, m) == exact.real and exact.imag == 0
             assert abs(spectrum[m % 4] - exact) < 1e-9
+
+
+class TestMultiplicativeConvolutionWalksItsClass:
+    """n = (2 * 3 * ... * 29)^3 has 4^10 divisors, above the limit, but at an
+    order coprime to n only 2^10 nonzero Ramanujan terms."""
+
+    N = Factorization(
+        math.prod(p**3 for p in SMALL_PRIMES[:10]), tuple((p, 3) for p in SMALL_PRIMES[:10])
+    )
+
+    def test_every_divisor_walk_raises(self):
+        with pytest.raises(OracleScaleError, match="1048576 divisors"):
+            sum_function(SIGMA, self.N)
+
+    @pytest.mark.parametrize("m", [1, 6, 8, 31 * 37])
+    def test_convolution_and_verified_dispatch_return(self, m):
+        fresh = ArithmeticFunction.multiplicative("fresh", lambda p, e: p**e + e)
+        for f in (SIGMA, fresh, get_function("id_-1")):
+            value = dft_closed_form_multiplicative(f, self.N, m)
+            assert dft_exact_convolution(f, self.N, m) == value, (f.name, m)
+            assert dft_dispatch(f, self.N, m, verify=True).value == value, (f.name, m)
+
+    def test_cli_dft_verify_exits_zero(self, capsys):
+        argv = ["dft", "--f", "sigma", "--n", str(self.N.value), "--m", "1", "--verify"]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.split("\n")[:2] == [
+            str(dft_dispatch(SIGMA, self.N, 1).value),
+            "paths agreeing: closed_form, convolution_exact",
+        ]

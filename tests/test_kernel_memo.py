@@ -17,6 +17,7 @@ from gcdft.functions import (
     evaluate,
     get_function,
     id_power,
+    sum_function,
 )
 from gcdft.numtheory import SMALL_PRIMES, Factorization, factorize, is_prime
 from gcdft.ramanujan import (
@@ -143,7 +144,7 @@ class TestMemoBounds:
         maxsize = _divisor_values.cache_info().maxsize
         assert maxsize is not None
         for n in range(1, 8 * maxsize + 1):
-            dft_exact_convolution(sigma, n, 1)
+            sum_function(sigma, n)
         assert 0 < _divisor_values.cache_info().currsize <= maxsize
         for n in (1, 2, 720, 8 * maxsize - 1, 8 * maxsize):
             values = _divisor_values(sigma, factorize(n))

@@ -1,10 +1,10 @@
 """Print, for no fault and for each of four faults in a rule the evaluation
 paths use, how many checks of each identity fail in one verify sweep:
 
-    PYTHONPATH=<tree>/src python3 tools/fault_matrix.py [--n-max N]
+    PYTHONPATH=<tree>/src python3 tools/fault_matrix.py
 
-The sweep is ``SweepConfig(n_max=N, functions=FUNCTIONS)`` with every order
-m (N = 24 by default). The faults:
+The sweep is ``SweepConfig(n_max=N_MAX, functions=FUNCTIONS)`` with every
+order m. The faults:
 
 * ``local-factor+1``: ``transform._local_factor`` returns one more;
 * ``prime-power-sum+1``: ``ramanujan._prime_power_sum(p, e, t)`` returns one
@@ -19,13 +19,13 @@ computed under one fault reaches another. A sweep that raises is shown with
 its error in place of the counts.
 """
 
-import argparse
 import sys
 
 from gcdft import numtheory, ramanujan, transform
 from gcdft.verify import SweepConfig, run_verification
 
 FUNCTIONS = ("sigma", "id", "J_3", "tau", "mu")
+N_MAX = 24
 
 
 def _class_exponents_plus_one(honest):
@@ -115,11 +115,5 @@ def render(n_max: int) -> str:
     return "\n".join(lines)
 
 
-def main() -> None:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--n-max", type=int, default=24)
-    print(render(parser.parse_args().n_max))
-
-
 if __name__ == "__main__":
-    main()
+    print(render(N_MAX))
