@@ -1,7 +1,8 @@
 """f's values at the divisors of n come from one walk over the divisor lattice
 of n, ``functions._divisor_values``, or, in the convolution of a multiplicative
-f, from the walk over the class's own terms: no divisor is wrapped as a
-Factorization, and a general f must be defined at every divisor of n."""
+f at an n of more than 10^6 divisors, from the walk over the class's own
+terms: no divisor is wrapped as a Factorization, and a general f must be
+defined at every divisor of n."""
 
 import math
 
