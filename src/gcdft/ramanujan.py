@@ -9,7 +9,8 @@ c_n(m) is multiplicative in n, and its value at a prime power,
 :func:`_prime_power_sum`, is the one exact rule of the package: von
 Sterneck's form is its product over the primes of n, and the exact
 convolution in :mod:`gcdft.transform` builds its terms from it. Kluyver's
-divisor sum and the floating definition are the rule's independent checks.
+divisor sum, a walk over the divisors of gcd(m, n) on n's divisor lattice, and
+the floating definition are the rule's independent checks.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import numtheory
 from .errors import OracleScaleError
-from .numtheory import DEFINITION_SCALE_LIMIT, _class_exponents, as_int, divisor_tuple, factorize
-from .numtheory import moebius
+from .numtheory import DEFINITION_SCALE_LIMIT, _class_exponents, as_int, factorize
 
 FLOAT_TOLERANCE = 1e-6
 
@@ -84,19 +85,20 @@ def ramanujan_von_sterneck(n: int, m: int) -> int:
 
 @lru_cache(maxsize=1 << 18)
 def _kluyver(n: int, g: int) -> int:
-    count = math.prod(s + 1 for _, s in factorize(g).factors)
-    if count > DEFINITION_SCALE_LIMIT:
-        raise OracleScaleError(
-            f"Kluyver's sum at n = {n} runs over {count} divisors of gcd(m, n),"
-            f" above {DEFINITION_SCALE_LIMIT}"
-        )
-    return sum(moebius(n // d) * d for d in divisor_tuple(g))
+    """Sum of mu(n/d) * d over d | g: weights p^e * mu(p^(s-e)) for e = 0..v_p(g),
+    read from g's own factorization, with mu(p^k) = 1, -1, then 0."""
+    fac, t = factorize(n), dict(factorize(g).factors)
+    choices = [
+        [(p**e * (1, -1, 0)[min(s - e, 2)], e) for e in range(t.get(p, 0) + 1)]
+        for p, s in fac.factors
+    ]
+    return sum(w for w, _ in numtheory._lattice_terms(fac, choices))
 
 
 def ramanujan_kluyver(n: int, m: int) -> int:
     """Exact evaluation via the divisor sum of mu(n/d) * d over d | gcd(m, n).
-    More than DEFINITION_SCALE_LIMIT divisors raise :class:`OracleScaleError`
-    before any is listed."""
+    A walk over more than DEFINITION_SCALE_LIMIT divisors raises
+    :class:`OracleScaleError` before any term is built."""
     n, m = as_int(n, "n"), as_int(m, "m")
     if n < 1:
         raise OracleScaleError("n must be >= 1")

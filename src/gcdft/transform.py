@@ -166,8 +166,6 @@ def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
         [(weight(p, s, e, t), s - e) for e in range(min(t + 1, s) + 1)]
         for (p, s), t in zip(fac.factors, _class_exponents(fac, g))
     ]
-    if (count := prod(map(len, choices))) > DEFINITION_SCALE_LIMIT:
-        raise OracleScaleError(f"{count} terms at n = {fac.value}, above {DEFINITION_SCALE_LIMIT}")
     return numtheory._lattice_terms(fac, choices)
 
 

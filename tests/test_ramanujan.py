@@ -3,12 +3,13 @@
 import cmath
 import math
 import random
+import sys
 
 import pytest
 
-from gcdft import ramanujan
+from gcdft import numtheory, ramanujan
 from gcdft.errors import OracleScaleError
-from gcdft.numtheory import moebius, totient
+from gcdft.numtheory import SMALL_PRIMES, moebius, totient
 from gcdft.ramanujan import (
     DEFINITION_SCALE_LIMIT,
     ramanujan_definition,
@@ -85,14 +86,31 @@ class TestKluyver:
         assert ramanujan_kluyver(9, 3) == -3
 
     def test_divisor_count_is_bounded_before_any_divisor_is_listed(self, monkeypatch):
-        def refuse(n):
-            raise AssertionError(f"listed the divisors of {n}")
-
-        monkeypatch.setattr(ramanujan, "DEFINITION_SCALE_LIMIT", 1 << 10)
-        monkeypatch.setattr(ramanujan, "divisor_tuple", refuse)
+        # the walk's own bound raises before it builds a term
+        monkeypatch.setattr(numtheory, "DEFINITION_SCALE_LIMIT", 1 << 10)
         n = math.prod([2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])  # 2^11 divisors
-        with pytest.raises(OracleScaleError, match=str(n)):
+        with pytest.raises(OracleScaleError, match=f"2048 divisors of n = {n} "):
             ramanujan_kluyver(n, 0)
+
+
+    @pytest.mark.parametrize("primes_of_m", [None, 8])
+    def test_factors_only_n_and_the_gcd(self, monkeypatch, primes_of_m):
+        """Over the 2^16 divisors of P16 at m = 0, and the 2^8 of P8 at m = P8,
+        Kluyver's sum factors n and gcd(m, n) and no divisor."""
+        n = math.prod(SMALL_PRIMES[:16])
+        m = 0 if primes_of_m is None else math.prod(SMALL_PRIMES[:primes_of_m])
+        ramanujan._kluyver.cache_clear()
+        numtheory.factorize.cache_clear()
+        calls = []
+        honest = numtheory.factorize
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "gcdft":
+                for attr, value in list(vars(module).items()):
+                    if value is honest:
+                        monkeypatch.setattr(module, attr, lambda k: calls.append(k) or honest(k))
+        value = ramanujan_kluyver(n, m)
+        assert calls == [n, math.gcd(m, n)]
+        assert value == ramanujan_von_sterneck(n, m)
 
 
 class TestAgreement:

@@ -120,7 +120,7 @@ class TestPatchedLimit:
     @pytest.fixture(autouse=True)
     def small_limit(self, monkeypatch):
         transform._ramanujan_terms.cache_clear()
-        monkeypatch.setattr(transform, "DEFINITION_SCALE_LIMIT", 1 << 10)
+        monkeypatch.setattr(numtheory, "DEFINITION_SCALE_LIMIT", 1 << 10)
         monkeypatch.setattr(tables, "DEFINITION_SCALE_LIMIT", 1 << 10)
         yield
         transform._ramanujan_terms.cache_clear()
