@@ -4,8 +4,8 @@ one walk over the divisor lattice of n, :func:`_divisor_values`.
 
 Values are exact: a plain ``int`` whenever a value is integral and a
 ``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
-that enters the library (prime-power rule results, table entries) in that
-form and rejects floats, so integer-valued functions run in ``int`` throughout.
+that enters the library (prime-power rule results, table entries) and every
+sum or product returned here in that form, and rejects floats.
 """
 
 from __future__ import annotations
@@ -147,13 +147,13 @@ def dirichlet_convolve(
     """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly; d
     mirrors n/d from the other end of :func:`_divisor_values`."""
     fac = as_factorization(n)
-    values = _divisor_values(g, fac).values()
-    return sum(a * b for a, b in zip(_divisor_values(f, fac).values(), reversed(values)))
+    pairs = zip(_divisor_values(f, fac).values(), reversed(_divisor_values(g, fac).values()))
+    return as_exact(sum(a * b for a, b in pairs))
 
 
 def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    return sum(_divisor_values(t, as_factorization(n)).values())
+    return as_exact(sum(_divisor_values(t, as_factorization(n)).values()))
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:
@@ -163,9 +163,8 @@ def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact
     """
     if not t.is_multiplicative:
         raise DomainError("product form requires a multiplicative function")
-    return math.prod(
-        sum(t.prime_power(p, e) for e in range(s + 1)) for p, s in as_factorization(n).factors
-    )
+    sums = (sum(t.prime_power(p, e) for e in range(s + 1)) for p, s in as_factorization(n).factors)
+    return as_exact(math.prod(sums))
 
 
 def sum_function_of(t: ArithmeticFunction) -> ArithmeticFunction:
@@ -187,9 +186,8 @@ def moebius_invert(f: ArithmeticFunction, n: int | Factorization) -> Exact:
     """
     if not f.is_multiplicative:
         raise DomainError("moebius_invert requires a multiplicative function")
-    return math.prod(
-        f.prime_power(p, s) - f.prime_power(p, s - 1) for p, s in as_factorization(n).factors
-    )
+    steps = (f.prime_power(p, s) - f.prime_power(p, s - 1) for p, s in as_factorization(n).factors)
+    return as_exact(math.prod(steps))
 
 
 # --- built-in catalog ------------------------------------------------------

@@ -24,10 +24,10 @@ g = n, where c_d = phi(d). f's values come from :func:`functions._divisor_values
 or, past 10^6 divisors, from the class lattice: no divisor is factored.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
-per-prime product for every multiplicative f, in plain ``int`` whenever f is
-integer-valued. Schramm's product and the geometric form are independent
-oracles for verify and the tests, never dispatch paths. All exact paths must
-agree; the dispatcher can cross-check them.
+per-prime product for every multiplicative f. Schramm's product and the
+geometric form are independent oracles for verify and the tests, never
+dispatch paths. All exact paths must agree, each in plain ``int`` whenever
+its value is integral; the dispatcher can cross-check them.
 """
 
 from __future__ import annotations
@@ -186,9 +186,9 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     terms = _ramanujan_terms(fac, g)
     if f.kind is Kind.GENERAL or prod(s + 1 for _, s in fac.factors) <= DEFINITION_SCALE_LIMIT:
         values = _divisor_values(f, fac)
-        return sum(c * values[v] for c, v in terms)
+        return as_exact(sum(c * values[v] for c, v in terms))
     weights = _class_lattice(fac, g, lambda p, s, e, t: f.prime_power(p, s - e))
-    return sum(c * as_exact(w) for (c, _), (w, _) in zip(terms, weights))
+    return as_exact(sum(c * w for (c, _), (w, _) in zip(terms, weights)))
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
@@ -235,7 +235,7 @@ def dft_closed_form_multiplicative(
         while g % p == 0:
             g, t = g // p, t + 1
         result *= _local_factor(f, p, s, t)
-    return result
+    return as_exact(result)
 
 
 def dft_closed_form_completely_mult(
@@ -347,4 +347,4 @@ def dft_dispatch(
                 )
             agreeing.add(PATH_BRUTE_FLOAT)
 
-    return DftReport(fac, m_reduced, f.name, as_exact(value), frozenset(agreeing))
+    return DftReport(fac, m_reduced, f.name, value, frozenset(agreeing))
