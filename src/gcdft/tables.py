@@ -1,13 +1,13 @@
 """Table construction and rendering for transform values over all orders.
 
-A table row maps an order index to gcd(index, n) and the exact transform
-value, plus a per-prime-factor display string. The transform depends on the
-order only through that gcd, so a :class:`Table` keeps one (gcd, value, form)
-cell per gcd class, one per divisor of n, read from one product over the
-prime powers of n, and, per row, its index and the position of its class. A
-class sieve places every order in its class with no gcd per row, and a
-:class:`TableRow` is built only when one is asked for. Rendering formats each
-class once and each row only its index.
+A table row maps an order index to gcd(index, n), the exact transform value
+and a form: the value's per-prime factors (totient forms for f = id), or the
+value itself for a general f, whose transform does not factor. The transform
+depends on the order only through that gcd, so a :class:`Table` keeps one
+(gcd, value, form) cell per gcd class, one per divisor of n, and, per row,
+its index and the position of its class. A class sieve places every order in
+its class with no gcd per row, and a :class:`TableRow` is built only when one
+is asked for. Rendering formats each class once and each row only its index.
 """
 
 from __future__ import annotations
@@ -112,13 +112,12 @@ def build_table(
     class when compressed (the divisor itself represents its class), as a
     :class:`Table` of one cell per class, at most DEFINITION_SCALE_LIMIT rows.
 
-    Each h_{p^t}(p^s), p^s || n and t <= s, is dispatched once, and
-    :func:`numtheory._lattice_terms` multiplies one per prime into each
-    class g and, for a multiplicative f, its value; a general f, whose
-    transform does not factor, is dispatched per class. The form joins the
-    same pieces: the values, or :func:`_gcd_piece` for f = id. A sieve sets
-    every multiple of each divisor d, ascending, to d's class, so the order
-    k ends in the class of gcd(k, n)."""
+    For a multiplicative f each h_{p^t}(p^s), p^s || n and t <= s, is
+    dispatched once; :func:`numtheory._lattice_terms` multiplies one per prime
+    into each class g and its value, and the form joins the same pieces (or
+    :func:`_gcd_piece` for f = id). A general f is dispatched once per class,
+    and its form is its value. A sieve sets every multiple of each divisor d,
+    ascending, to d's class, so the order k ends in the class of gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -129,19 +128,22 @@ def build_table(
             f"a {kind} table of n = {fac.value} has {rows} rows, above"
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
-    symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
-    choices, pieces = [], []
-    for i, (p, s) in enumerate(fac.factors):
-        prime_power = Factorization(p**s, ((p, s),))  # each prime checked once
-        local = list(enumerate(dft_dispatch(f, prime_power, p**t).value for t in range(s + 1)))
-        choices.append([(v, t) for t, v in local])
-        pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v) for t, v in local])
-    join = "".join if symbolic else "*".join
-    general = not f.is_multiplicative  # its transform does not factor
-    cells = sorted(  # by class: the classes g are distinct
-        (g, dft_dispatch(f, fac, g).value if general else as_exact(v), join(form) or "1")
-        for (v, g), form in zip(_lattice_terms(fac, choices), product(*pieces))
-    )
+    if not f.is_multiplicative:  # its transform does not factor
+        values = ((g, dft_dispatch(f, fac, g).value) for _, g in _lattice_terms(fac))
+        cells = sorted((g, v, format_exact(v)) for g, v in values)
+    else:
+        symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
+        choices, pieces = [], []
+        for i, (p, s) in enumerate(fac.factors):
+            prime_power = Factorization(p**s, ((p, s),))  # each prime checked once
+            local = list(enumerate(dft_dispatch(f, prime_power, p**t).value for t in range(s + 1)))
+            choices.append([(v, t) for t, v in local])
+            pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v) for t, v in local])
+        join = "".join if symbolic else "*".join
+        cells = sorted(  # by class: the classes g are distinct
+            (g, as_exact(v), join(form) or "1")
+            for (v, g), form in zip(_lattice_terms(fac, choices), product(*pieces))
+        )
     classes = [g for g, _, _ in cells]
     if compress:
         return Table(tuple(cells), tuple(classes), range(len(classes)))

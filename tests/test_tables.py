@@ -37,21 +37,24 @@ RATIONAL_MULTIPLICATIVE = ArithmeticFunction.multiplicative(
 
 def per_index_rows(f, n):
     """The full table evaluated order by order: one dispatch per row, plus
-    one per prime of n for the form of f other than id."""
+    one per prime of n for the form of a multiplicative f other than id; a
+    general f's form is its value."""
     fac = factorize(n)
     rows = []
     for index in range(1, n + 1):
+        value = dft_dispatch(f, fac, index).value
         if f is ID:
             exponents = tuple(
                 max(t for t in range(s + 1) if index % p**t == 0) for p, s in fac.factors
             )
             form = _symbolic_gcd_form(fac, exponents)
+        elif not f.is_multiplicative:
+            form = format_exact(value)
         else:
             form = "*".join(
                 format_exact(dft_dispatch(f, factorize(p**s), index).value)
                 for p, s in fac.factors
             ) or "1"
-        value = dft_dispatch(f, fac, index).value
         rows.append(TableRow(index, math.gcd(index, n), value, form))
     return rows
 
@@ -211,7 +214,7 @@ class TestGcdClassEvaluation:
 
     def test_one_dispatch_per_class_and_local_factor(self, monkeypatch):
         """A multiplicative f dispatches once per h_{p^t}(p^s), t <= s, and
-        a general f once per class on top."""
+        a general f once per class alone."""
         import gcdft.tables as tables
 
         calls = []
@@ -226,10 +229,19 @@ class TestGcdClassEvaluation:
                     len(divisor_tuple(n)) if compress else n
                 )
                 assert len(calls) == sum(s + 1 for _, s in factorize(n).factors)
-        calls.clear()
-        build_table(self.GENERAL, 720)
-        local_factors = sum(s + 1 for _, s in factorize(720).factors)
-        assert len(calls) == len(divisor_tuple(720)) + local_factors == 40
+        for compress in (False, True):
+            calls.clear()
+            build_table(self.GENERAL, 720, compress=compress)
+            assert len(calls) == len(divisor_tuple(720)) == 30
+            assert sorted(g for _, _, g in calls) == list(divisor_tuple(720))
+
+    def test_general_forms_parse_to_their_values(self):
+        """A general f's transform does not factor: each class form is the
+        value itself, as in the value column."""
+        for n in [*range(1, 131), 360, 720, 1001]:
+            for row in build_table(self.GENERAL, n, compress=True):
+                assert parse_exact(row.symbolic_form) == row.transform_value
+                assert row.symbolic_form == format_exact(row.transform_value)
 
     @pytest.mark.parametrize(
         "name",
