@@ -118,9 +118,9 @@ class ArithmeticFunction:
 
 
 def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
-    """f(n), the product of f's prime-power values for multiplicative kinds."""
+    """f(n) at an integer n: the product of f's prime-power values, or a general f's entry."""
     if f.kind is Kind.GENERAL:
-        value = int(n)
+        value = n.value if isinstance(n, Factorization) else as_int(n)
         if value not in f._table:
             raise UndefinedValueError(f"{f.name} has no rule for {value}")
         return f._table[value]

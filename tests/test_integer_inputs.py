@@ -1,10 +1,13 @@
-"""Factorization, primality and the Factorization constructor take ints
-only: a float, a bool or a string raises DomainError, so no float reaches an
-exact result."""
+"""Factorization, primality, the Factorization constructor and a general
+f's table take ints only: a float, a bool or a string raises DomainError, so
+no float reaches an exact result."""
+
+from fractions import Fraction
 
 import pytest
 
 from gcdft.errors import DomainError
+from gcdft.functions import ArithmeticFunction, evaluate
 from gcdft.numtheory import (
     Factorization,
     divisor_tuple,
@@ -40,3 +43,11 @@ def test_non_integers_are_domain_errors(call, args):
     assert is_prime(7) and not is_prime(True + 0)
     assert factorize.cache_info().maxsize is not None
     assert factorize.__wrapped__(12) == factorize(12)
+
+
+@pytest.mark.parametrize("n", [12.5, Fraction(25, 2), 12.0, True, "12"])
+def test_a_general_table_is_read_at_integers_only(n):
+    f = ArithmeticFunction.from_table("general", {1: 3, 12: 5})
+    with pytest.raises(DomainError, match="must be an integer"):
+        evaluate(f, n)
+    assert evaluate(f, 12) == f(12) == evaluate(f, factorize(12)) == 5
