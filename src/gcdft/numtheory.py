@@ -43,14 +43,19 @@ _MR_TIERS = (
 _MR_BOUNDS = tuple(bound for bound, _ in _MR_TIERS)
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_LIMIT = _MR_BOUNDS[-1]
-# From the limit up, every witness above plus this many seeded random ones:
-# an error probability below 4^-20.
-_MR_EXTRA_ROUNDS = 20
 
-# Polynomial steps Pollard rho may take on one cofactor, over all restarts:
-# 12 sqrt(p) for a prime factor p just below 2^40. Brent's rho, charged as
-# below, took at most 9.7 sqrt(p) steps on 20000 seeded 28-bit p.
+# Polynomial steps Pollard rho may take on one cofactor below 2^128, over all
+# restarts: 12 sqrt(p) for a prime factor p just below 2^40. Brent's rho,
+# charged as below, took at most 9.7 sqrt(p) steps on 20000 seeded 28-bit p.
+# A step on a larger cofactor costs _step_units of them, so the budget bounds
+# work, not steps.
 _RHO_BUDGET = 12 << 20
+
+# Pollard p-1's stage-1 bound. On the cofactors that reach rho in a seeded
+# point-workload list, p-1 then rho took less CPU time at 500 and 1000 than at
+# 300 or with rho alone; 500 and 1000 were within noise, and 500 takes fewer
+# multiplications (2992 against 3560) where p-1 fails.
+_PM1_B1 = 500
 
 
 def _small_primes(bound: int = _TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
@@ -75,6 +80,27 @@ _PRIMORIALS = tuple(
 )
 
 
+def _largest_power(p: int, bound: int) -> int:
+    """The largest power of p that is at most bound >= p."""
+    q = p
+    while q * p <= bound:
+        q *= p
+    return q
+
+
+# Pollard p-1: stage 1 raises 2 to the largest power <= B1 of each prime
+# <= B1; stage 2 steps from each prime of (B1, 10^4] to the next.
+_PM1_EXPONENT = math.prod(
+    _largest_power(p, _PM1_B1) for p in SMALL_PRIMES if p <= _PM1_B1
+)
+_PM1_STAGE2 = SMALL_PRIMES[bisect.bisect_right(SMALL_PRIMES, _PM1_B1) :]
+_PM1_GAPS = tuple(b - a for a, b in zip(_PM1_STAGE2, _PM1_STAGE2[1:]))
+_PM1_GAP_SIZES = tuple(sorted(set(_PM1_GAPS)))
+# One p-1 run, charged as rho steps: a multiplication mod n per bit of the
+# exponent and two per stage-2 prime.
+_PM1_STEPS = _PM1_EXPONENT.bit_length() + 2 * len(_PM1_STAGE2)
+
+
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two nonnegative integers; gcd(a, 0) = a."""
     a, b = as_int(a, "a"), as_int(b, "b")
@@ -87,15 +113,11 @@ def gcd(a: int, b: int) -> int:
 
 def _mr_bases(n: int) -> tuple[int, ...]:
     """The Miller-Rabin bases for n: the first t primes of the tier n falls
-    in, and from ``_MR_DETERMINISTIC_LIMIT`` up all of them plus seeded random
-    ones."""
+    in, and from ``_MR_DETERMINISTIC_LIMIT`` up all 13 of them."""
     tier = bisect.bisect_right(_MR_BOUNDS, n)
     if tier < len(_MR_TIERS):
         return _MR_WITNESSES[: _MR_TIERS[tier][1]]
-    rng = random.Random(n)
-    return _MR_WITNESSES + tuple(
-        rng.randrange(2, n - 1) for _ in range(_MR_EXTRA_ROUNDS)
-    )
+    return _MR_WITNESSES
 
 
 def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
@@ -116,6 +138,55 @@ def _strong_probable_prime(n: int, bases: tuple[int, ...]) -> bool:
     return True
 
 
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas test of odd n > 2 that is not a perfect square, with
+    Selfridge's method-A parameters: D the first of 5, -7, 9, -11, ... with
+    (D/n) = -1, P = 1 and Q = (1 - D) / 4 (Baillie and Wagstaff, Math. Comp.
+    1980). With n + 1 = d 2^r and d odd, n passes when U_d = 0 mod n or
+    V_(d 2^i) = 0 mod n for some 0 <= i < r."""
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0 and abs(D) != n:
+            return False
+        D = -D - 2 if D > 0 else 2 - D
+    Q = (1 - D) // 4
+    d = n + 1
+    r = (d & -d).bit_length() - 1
+    d >>= r
+    # U_k, V_k and Q^k mod n from k = 1, doubling k and adding 1 bit by bit
+    U, V, Qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V = U + V, D * U + V
+            U = (U + n if U & 1 else U) // 2 % n
+            V = (V + n if V & 1 else V) // 2 % n
+            Qk = Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(r - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
+
+
 def is_prime(n: int) -> bool:
     """Primality of n, exact below ~3.3e24.
 
@@ -123,9 +194,10 @@ def is_prime(n: int) -> bool:
     ``_MR_TIERS`` whose bound psi_t exceeds n: psi_t is the least strong
     pseudoprime to those t bases (2047 -> 1 base, 1373653 -> 2, ...,
     psi_12 = 318665857834031151167461 -> 12, psi_13 = 3317044064679887385961981
-    -> 13; Sorenson and Webster, Math. Comp. 2017). From psi_13 up the 13
-    bases get 20 seeded random ones on top, and a True means strong probable
-    prime (error below 4^-20).
+    -> 13; Sorenson and Webster, Math. Comp. 2017). From psi_13 up a perfect
+    square is composite, and otherwise n must pass the 13 bases and the strong
+    Lucas test: with base 2 among the 13, that is the Baillie-PSW test, to
+    which no pseudoprime is known, and a True means probable prime.
     """
     n = as_int(n)
     if n < 2:
@@ -135,7 +207,41 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % p == 0:
             return False
-    return _strong_probable_prime(n, _mr_bases(n))
+    if n < _MR_DETERMINISTIC_LIMIT:
+        return _strong_probable_prime(n, _mr_bases(n))
+    if math.isqrt(n) ** 2 == n:
+        return False
+    return _strong_probable_prime(n, _MR_WITNESSES) and _strong_lucas_probable_prime(n)
+
+
+def _step_units(n: int) -> int:
+    """The charge against ``_RHO_BUDGET`` of one multiplication mod n:
+    ceil(bits(n) / 128)^2, one below 2^128, as schoolbook multiplication and
+    division grow with the square of the size."""
+    return (-(-n.bit_length() // 128)) ** 2
+
+
+def _pollard_pm1(n: int) -> int | None:
+    """Pollard's p-1 with base 2: a nontrivial factor of composite odd n that
+    has a prime p whose p - 1 is B1-smooth but for one prime of (B1, 10^4],
+    else None. Stage 1 is x = 2^E with E the product of the largest powers
+    <= B1 of the primes <= B1; stage 2 multiplies x^q - 1 over the primes q of
+    (B1, 10^4], stepping by the precomputed x^(q' - q), and takes one gcd.
+    Skipped, with None, when its ``_PM1_STEPS`` do not fit in ``_RHO_BUDGET``
+    at the size of n."""
+    if _PM1_STEPS * _step_units(n) > _RHO_BUDGET:
+        return None
+    x = pow(2, _PM1_EXPONENT, n)
+    g = math.gcd(x - 1, n)
+    if g == 1:
+        steps = {gap: pow(x, gap, n) for gap in _PM1_GAP_SIZES}
+        y = pow(x, _PM1_STAGE2[0], n)
+        acc = y - 1
+        for step in map(steps.__getitem__, _PM1_GAPS):
+            y = y * step % n
+            acc = acc * (y - 1) % n
+        g = math.gcd(acc, n)
+    return g if 1 < g < n else None
 
 
 def _pollard_rho(n: int) -> int:
@@ -143,12 +249,14 @@ def _pollard_rho(n: int) -> int:
 
     Each polynomial step is charged to ``_RHO_BUDGET``, summed over restarts,
     before it is taken: the r steps that move x ahead in one go, the steps
-    compared against x batch by batch. :class:`FactorizationBudgetError` is
-    raised when the next charge does not fit."""
+    compared against x batch by batch. A step costs :func:`_step_units` of
+    n, one below 2^128, so the budget bounds the work and not only the steps.
+    :class:`FactorizationBudgetError` is raised when the next charge does not
+    fit."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
-    budget = _RHO_BUDGET
+    budget = _RHO_BUDGET // _step_units(n)  # in steps of this n's size
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -296,10 +404,12 @@ def factorize(n: int) -> Factorization:
     primes below q. A cofactor below 10007^2 left by trial division is prime,
     with no Miller-Rabin: its prime factors are at least 10007, or at least q
     with the cofactor below q^2. A larger one goes to :func:`is_prime`; if
-    composite it gets an exact perfect-power root, else Pollard rho, and each
-    part again goes to :func:`is_prime` unless below 10007^2. Pollard rho
-    raises :class:`FactorizationBudgetError` on a cofactor it cannot split
-    within ``_RHO_BUDGET`` steps. A float or a bool raises :class:`DomainError`.
+    composite it gets an exact perfect-power root, else Pollard p-1, and
+    Pollard rho where p-1 finds no factor; each part again goes to
+    :func:`is_prime` unless below 10007^2. Pollard rho raises
+    :class:`FactorizationBudgetError` on a cofactor it cannot split within
+    ``_RHO_BUDGET`` steps, charged by the cofactor's size. A float or a bool
+    raises :class:`DomainError`.
     """
     n = as_int(n)
     if n < 1:
@@ -333,7 +443,7 @@ def factorize(n: int) -> Factorization:
         if k > 1:
             pending.append((r, e * k))
             continue
-        d = _pollard_rho(c)
+        d = _pollard_pm1(c) or _pollard_rho(c)
         pending += [(d, e), (c // d, e)]
     return Factorization._proven(value, tuple(factors) + tuple(sorted(large.items())))
 

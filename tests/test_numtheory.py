@@ -10,7 +10,6 @@ from gcdft import numtheory
 from gcdft.errors import DomainError, FactorizationBudgetError
 from gcdft.numtheory import (
     _MR_DETERMINISTIC_LIMIT,
-    _MR_EXTRA_ROUNDS,
     _PRIMORIAL_Q,
     _TRIAL_PROVEN,
     SMALL_PRIMES,
@@ -18,6 +17,7 @@ from gcdft.numtheory import (
     _integer_root,
     _mr_bases,
     _perfect_power,
+    _strong_lucas_probable_prime,
     _strong_probable_prime,
     divisor_tuple,
     divisors,
@@ -256,6 +256,47 @@ class TestFactorize:
                 q += 2
             assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
 
+    def test_p_minus_1_splits_without_rho(self, monkeypatch):
+        # p - 1 = 2 * 233 * 271 * 293 * 353 * 439; q - 1 = 2 * r, r prime
+        p, q = 5_734_057_630_667, 10_787_873_545_859
+        rest = p - 1
+        for r in SMALL_PRIMES:
+            if r > numtheory._PM1_B1:
+                break
+            rest, _ = numtheory._divide_out(rest, r)
+        assert rest == 1 and is_prime((q - 1) // 2)
+        calls = []
+        monkeypatch.setattr(numtheory, "_pollard_rho", calls.append)
+        assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
+        assert calls == []
+
+    def test_rho_budget_bounds_work_not_steps(self, monkeypatch):
+        # with the budget charged by size, the error arrives no later at 160
+        # or 320 digits than at 40
+        monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 16)
+        rng = random.Random(320)
+
+        def prime(digits):
+            p = rng.randrange(10 ** (digits - 1), 10**digits) | 1
+            while not is_prime(p):
+                p += 2
+            return p
+
+        def seconds_to_error(n):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                with pytest.raises(FactorizationBudgetError, match="within 65536 steps"):
+                    factorize.__wrapped__(n)
+                best = min(best, time.perf_counter() - start)
+            return best
+
+        base, *larger = (
+            seconds_to_error(prime(digits // 2) * prime(digits // 2))
+            for digits in (40, 160, 320)
+        )
+        assert all(t < 1.5 * base for t in larger), (base, larger)
+
     def test_rho_budget_raises_a_domain_error(self, monkeypatch):
         monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 10)
         n = 1_073_741_827 * 2_147_483_659  # nextprime(2^30) * nextprime(2^31)
@@ -319,14 +360,24 @@ class TestWitnessTiers:
     @pytest.mark.parametrize("psi,t", PSI)
     def test_bases_sized_to_n(self, psi, t):
         assert _mr_bases(psi - 1) == FIRST_PRIMES[:t]
-        assert len(_mr_bases(psi)) > t
+        if psi < _MR_DETERMINISTIC_LIMIT:
+            assert len(_mr_bases(psi)) > t
+        else:
+            assert _mr_bases(psi) == FIRST_PRIMES
 
-    def test_above_the_limit_seeded_random_rounds_join(self):
-        n = _MR_DETERMINISTIC_LIMIT + 2
-        bases = _mr_bases(n)
-        assert bases[:13] == FIRST_PRIMES
-        assert len(bases) == 13 + _MR_EXTRA_ROUNDS
-        assert _mr_bases(n) == bases
+    def test_above_the_limit_the_lucas_test_joins_the_13_bases(self, monkeypatch):
+        lucas = []
+        monkeypatch.setattr(
+            numtheory, "_strong_lucas_probable_prime",
+            lambda n: lucas.append(n) or _strong_lucas_probable_prime(n),
+        )
+        below, above = PSI_12_FACTORS[1][0], 2**89 - 1  # both prime
+        assert _mr_bases(above) == FIRST_PRIMES
+        assert is_prime(below) and is_prime(above)
+        assert lucas == [above]
+        # psi_13 fools the 13 bases, so the Lucas test is what rejects it
+        assert not is_prime(_MR_DETERMINISTIC_LIMIT)
+        assert lucas == [above, _MR_DETERMINISTIC_LIMIT]
 
     def test_rho_sized_primes_take_four_bases(self):
         # the 20-28-bit primes Pollard rho splits off the point workload
@@ -355,6 +406,29 @@ class TestPrimality:
         assert is_prime(2**61 - 1)
         assert is_prime(1_000_003)
         assert not is_prime(2**67 - 1)
+
+    def test_above_psi_13_against_sympy(self):
+        # primes, semiprimes of two primes above 2^41, squares of primes and
+        # plain odd n, from psi_13 to 2^160
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(160)
+        cases = [_MR_DETERMINISTIC_LIMIT]
+        for _ in range(40):
+            cases.append(sympy.nextprime(rng.randrange(_MR_DETERMINISTIC_LIMIT, 2**160)))
+            p = sympy.nextprime(rng.randrange(2**41, 2**80))
+            q = sympy.nextprime(rng.randrange(max(2**41, _MR_DETERMINISTIC_LIMIT // p), 2**80))
+            cases += [p * q, p * p if p * p >= _MR_DETERMINISTIC_LIMIT else q * q]
+            cases.append(rng.randrange(_MR_DETERMINISTIC_LIMIT, 2**160) | 1)
+        for n in cases:
+            assert _MR_DETERMINISTIC_LIMIT <= n < 2**160
+            assert is_prime(n) == sympy.isprime(n), n
+
+    @pytest.mark.parametrize("n", [5459, 5777, 10877, 16109, 18971])
+    def test_base_2_catches_the_strong_lucas_pseudoprimes(self, n):
+        # the least strong Lucas pseudoprimes pass the Lucas half of
+        # Baillie-PSW and fail its base-2 round
+        assert _strong_lucas_probable_prime(n)
+        assert not _strong_probable_prime(n, (2,))
 
 
 class TestDivisors:
