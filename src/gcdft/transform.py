@@ -186,9 +186,11 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     terms = _ramanujan_terms(fac, g)
     if f.kind is Kind.GENERAL or prod(s + 1 for _, s in fac.factors) <= DEFINITION_SCALE_LIMIT:
         values = _divisor_values(f, fac)
-        return as_exact(sum(c * values[v] for c, v in terms))
-    weights = _class_lattice(fac, g, lambda p, s, e, t: f.prime_power(p, s - e))
-    return as_exact(sum(c * w for (c, _), (w, _) in zip(terms, weights)))
+        result = sum(c * values[v] for c, v in terms)
+    else:
+        weights = _class_lattice(fac, g, lambda p, s, e, t: f.prime_power(p, s - e))
+        result = sum(c * w for (c, _), (w, _) in zip(terms, weights))
+    return result if type(result) is int else as_exact(result)
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
@@ -235,7 +237,7 @@ def dft_closed_form_multiplicative(
         while g % p == 0:
             g, t = g // p, t + 1
         result *= _local_factor(f, p, s, t)
-    return as_exact(result)
+    return result if type(result) is int else as_exact(result)
 
 
 def dft_closed_form_completely_mult(
