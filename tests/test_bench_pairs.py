@@ -1,0 +1,68 @@
+"""``tools/bench_pairs.py``: a side's runs summarize to the schema of the
+committed ``BENCH_*.json`` files, and ``--compare`` reads every metric of a
+committed pair and counts the pairs won."""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOL = ROOT / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture(scope="module")
+def bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def result(rate, failed=0):
+    return {
+        "correct": True,
+        "attempted": 440,
+        "failed": failed,
+        "metrics": {
+            "values_per_s": {"value": rate, "unit": "1/s"},
+            "latency_p90_ms": {"value": 1000 / rate, "unit": "ms"},
+        },
+    }
+
+
+def test_summary_has_the_committed_schema(bench_pairs):
+    committed = json.loads((ROOT / "BENCH_b5c7664.json").read_text())["workloads"]["table"]
+    entry = bench_pairs.summarize([result(r) for r in (10, 40, 20, 30, 50)])
+    assert set(committed) == set(entry)
+    assert entry["runs"] == 5
+    assert entry["attempted_per_run"] == [440] and entry["failed_per_run"] == [0]
+    rate = entry["metrics"]["values_per_s"]
+    assert set(committed["metrics"]["values_per_s"]) <= set(rate)
+    assert (rate["median"], rate["q1"], rate["q3"], rate["iqr"]) == (30, 20, 40, 20)
+    assert rate["values"] == [10, 40, 20, 30, 50]
+
+
+def test_compare_counts_pairs_and_flags_bounds(bench_pairs):
+    def record(revision, other, rates):
+        return {"revision": revision, "paired_with": other,
+                "workloads": {"table": bench_pairs.summarize([result(r) for r in rates])}}
+
+    old = record("a" * 40, "b" * 40, [100, 101, 102, 103, 104, 105, 106, 107, 108, 109])
+    new = record("b" * 40, "a" * 40, [150, 151, 152, 153, 154, 155, 156, 157, 158, 99])
+    lines = bench_pairs.compare(old, new)
+    rate = next(line for line in lines if "values_per_s" in line)
+    assert "better in 9/10 pairs, a gain" in rate
+    assert "outside both quartile ranges" in rate
+    slow = bench_pairs.compare(new, old)
+    assert "WORSE than its bound 25%" in next(line for line in slow if "values_per_s" in line)
+
+
+def test_compare_reads_every_metric_of_a_committed_pair(bench_pairs):
+    old, new = (json.loads((ROOT / f"BENCH_{sha}.json").read_text())
+                for sha in ("37b3124", "b5c7664"))
+    lines = bench_pairs.compare(old, new)
+    assert lines[0] == "37b3124 -> b5c7664"
+    assert sum(line.startswith("  ") for line in lines) == 4 * 6
+    assert not any("WORSE" in line for line in lines)
