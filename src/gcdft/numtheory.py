@@ -48,7 +48,7 @@ _MR_DETERMINISTIC_LIMIT = _MR_BOUNDS[-1]
 # restarts: 12 sqrt(p) for a prime factor p just below 2^40. Brent's rho,
 # charged as below, took at most 9.7 sqrt(p) steps on 20000 seeded 28-bit p.
 # A step on a larger cofactor costs _step_units of them, so the budget bounds
-# work, not steps.
+# work, not steps. Pollard p-1 draws on the same budget before rho.
 _RHO_BUDGET = 12 << 20
 
 # Pollard p-1's stage-1 bound. On the cofactors that reach rho in a seeded
@@ -207,11 +207,11 @@ def is_prime(n: int) -> bool:
     for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31):
         if n % p == 0:
             return False
-    if n < _MR_DETERMINISTIC_LIMIT:
-        return _strong_probable_prime(n, _mr_bases(n))
-    if math.isqrt(n) ** 2 == n:
+    if not _strong_probable_prime(n, _mr_bases(n)):
         return False
-    return _strong_probable_prime(n, _MR_WITNESSES) and _strong_lucas_probable_prime(n)
+    return n < _MR_DETERMINISTIC_LIMIT or (
+        math.isqrt(n) ** 2 != n and _strong_lucas_probable_prime(n)
+    )
 
 
 def _step_units(n: int) -> int:
@@ -227,10 +227,7 @@ def _pollard_pm1(n: int) -> int | None:
     else None. Stage 1 is x = 2^E with E the product of the largest powers
     <= B1 of the primes <= B1; stage 2 multiplies x^q - 1 over the primes q of
     (B1, 10^4], stepping by the precomputed x^(q' - q), and takes one gcd.
-    Skipped, with None, when its ``_PM1_STEPS`` do not fit in ``_RHO_BUDGET``
-    at the size of n."""
-    if _PM1_STEPS * _step_units(n) > _RHO_BUDGET:
-        return None
+    It costs about ``_PM1_STEPS`` multiplications mod n."""
     x = pow(2, _PM1_EXPONENT, n)
     g = math.gcd(x - 1, n)
     if g == 1:
@@ -244,19 +241,32 @@ def _pollard_pm1(n: int) -> int | None:
     return g if 1 < g < n else None
 
 
-def _pollard_rho(n: int) -> int:
+def _split(n: int) -> int:
+    """A nontrivial factor of composite odd n that is not a perfect power:
+    Pollard p-1, then Pollard rho where p-1 finds none. Both draw on one
+    budget of ``_RHO_BUDGET`` units, a multiplication mod n costing
+    :func:`_step_units` of n; p-1 runs only where its ``_PM1_STEPS`` fit, and
+    rho gets what is left."""
+    budget = _RHO_BUDGET // _step_units(n)  # in multiplications mod n
+    if _PM1_STEPS <= budget:
+        budget -= _PM1_STEPS
+        if d := _pollard_pm1(n):
+            return d
+    return _pollard_rho(n, budget)
+
+
+def _pollard_rho(n: int, budget: int) -> int:
     """Brent-cycle Pollard rho; returns a nontrivial factor of composite odd n.
 
-    Each polynomial step is charged to ``_RHO_BUDGET``, summed over restarts,
-    before it is taken: the r steps that move x ahead in one go, the steps
-    compared against x batch by batch. A step costs :func:`_step_units` of
-    n, one below 2^128, so the budget bounds the work and not only the steps.
-    :class:`FactorizationBudgetError` is raised when the next charge does not
-    fit."""
+    Each polynomial step is charged to ``budget``, in steps of n's size and
+    summed over restarts, before it is taken: the r steps that move x ahead in
+    one go, the steps compared against x batch by batch. :func:`_split` sizes
+    the budget by :func:`_step_units` of n, so it bounds the work and not only
+    the steps. :class:`FactorizationBudgetError` is raised when the next charge
+    does not fit."""
     if n % 2 == 0:
         return 2
     rng = random.Random(n)
-    budget = _RHO_BUDGET // _step_units(n)  # in steps of this n's size
     while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
@@ -408,7 +418,8 @@ def factorize(n: int) -> Factorization:
     Pollard rho where p-1 finds no factor; each part again goes to
     :func:`is_prime` unless below 10007^2. Pollard rho raises
     :class:`FactorizationBudgetError` on a cofactor it cannot split within
-    ``_RHO_BUDGET`` steps, charged by the cofactor's size. A float or a bool
+    ``_RHO_BUDGET`` steps, shared with p-1 and charged by the cofactor's
+    size. A float or a bool
     raises :class:`DomainError`.
     """
     n = as_int(n)
@@ -443,7 +454,7 @@ def factorize(n: int) -> Factorization:
         if k > 1:
             pending.append((r, e * k))
             continue
-        d = _pollard_pm1(c) or _pollard_rho(c)
+        d = _split(c)
         pending += [(d, e), (c // d, e)]
     return Factorization._proven(value, tuple(factors) + tuple(sorted(large.items())))
 

@@ -270,10 +270,9 @@ class TestFactorize:
         assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
         assert calls == []
 
-    def test_rho_budget_bounds_work_not_steps(self, monkeypatch):
-        # with the budget charged by size, the error arrives no later at 160
-        # or 320 digits than at 40
-        monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 16)
+    @staticmethod
+    def balanced_semiprimes():
+        # seeded semiprimes of 40, 160 and 320 digits, two primes of half each
         rng = random.Random(320)
 
         def prime(digits):
@@ -282,19 +281,57 @@ class TestFactorize:
                 p += 2
             return p
 
+        return [prime(digits // 2) * prime(digits // 2) for digits in (40, 160, 320)]
+
+    def test_p_minus_1_and_rho_share_the_budget(self, monkeypatch):
+        # counted, not timed: p-1's steps and rho's budget together fit
+        # _RHO_BUDGET in units of the cofactor's size, and rho takes at most
+        # two multiplications mod n per step it is charged
+        monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 16)
+        mods = []
+
+        class CountingMod(int):
+            def __rmod__(self, other):
+                mods.append(1)
+                return int.__rmod__(self, other)
+
+        ran_pm1, budgets = [], []
+        real_pm1, real_rho = numtheory._pollard_pm1, numtheory._pollard_rho
+        monkeypatch.setattr(
+            numtheory, "_pollard_pm1", lambda n: ran_pm1.append(n) or real_pm1(n)
+        )
+        monkeypatch.setattr(
+            numtheory, "_pollard_rho",
+            lambda n, budget: budgets.append(budget) or real_rho(CountingMod(n), budget),
+        )
+        pm1_sizes = []
+        for n in self.balanced_semiprimes():
+            ran_pm1.clear(), budgets.clear(), mods.clear()
+            with pytest.raises(FactorizationBudgetError, match="within 65536 steps"):
+                factorize.__wrapped__(n)
+            units = numtheory._step_units(n)
+            pm1_steps = numtheory._PM1_STEPS if ran_pm1 else 0
+            assert (pm1_steps + budgets[0]) * units <= 1 << 16
+            assert 0 < len(mods) <= 2 * budgets[0]
+            pm1_sizes.append(bool(ran_pm1))
+        # p-1's 2992 steps fit at 40 digits (4 units a step), not at 160 or 320
+        assert pm1_sizes == [True, False, False]
+
+    def test_rho_budget_bounds_work_not_steps(self, monkeypatch):
+        # with the budget charged by size, the error arrives no later at 160
+        # or 320 digits than at 40
+        monkeypatch.setattr(numtheory, "_RHO_BUDGET", 1 << 16)
+
         def seconds_to_error(n):
             best = math.inf
-            for _ in range(3):
+            for _ in range(5):
                 start = time.perf_counter()
                 with pytest.raises(FactorizationBudgetError, match="within 65536 steps"):
                     factorize.__wrapped__(n)
                 best = min(best, time.perf_counter() - start)
             return best
 
-        base, *larger = (
-            seconds_to_error(prime(digits // 2) * prime(digits // 2))
-            for digits in (40, 160, 320)
-        )
+        base, *larger = map(seconds_to_error, self.balanced_semiprimes())
         assert all(t < 1.5 * base for t in larger), (base, larger)
 
     def test_rho_budget_raises_a_domain_error(self, monkeypatch):

@@ -1,17 +1,17 @@
 """Run alternating parent/change pairs of the benchmark and write one
 ``BENCH_<sha>.json`` per side; or compare two such files:
 
-    python3 tools/bench_pairs.py PARENT CHANGE --seed S [--pairs 10] [--workloads point,sweep]
+    python3 tools/bench_pairs.py PARENT CHANGE --seed S
     python3 tools/bench_pairs.py --compare BENCH_old.json BENCH_new.json
 
 Each side runs from a ``git archive`` of its revision, extracted to a
-temporary directory, so uncommitted edits never reach a run. For each
-workload, pair i runs ``python3 perfbench/run.py --workload W --seed S
---seconds T --trace 0`` on both sides, parent first in even pairs, with T the
-``run_seconds`` of BENCHMARK.json. Each metric is summarized by its median and
-quartiles over the runs of one side (``statistics.quantiles``, inclusive
-method) and keeps its run values in pair order, so that ``--compare`` can
-count the pairs each side won. Run from the root of a git checkout.
+temporary directory, so uncommitted edits never reach a run. For every
+workload, each of ten pairs i runs ``python3 perfbench/run.py --workload W
+--seed S --seconds T --trace 0`` on both sides, parent first in even pairs,
+with T the ``run_seconds`` of BENCHMARK.json. Each metric is summarized by
+its median and quartiles over the runs of one side (``statistics.quantiles``,
+inclusive method) and keeps its run values in pair order, so that
+``--compare`` can count the pairs each side won. Run from the root of a git checkout.
 """
 
 from __future__ import annotations
@@ -29,6 +29,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("point", "table", "sweep", "oracle")
+# alternating pairs per workload; a gain must win at least nine of ten
+PAIRS = 10
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 SECONDS = BENCHMARK["run_seconds"]
 # metric name -> (better, bound) from BENCHMARK.json's end-to-end list
@@ -44,7 +46,9 @@ def extract(revision: str, into: Path) -> Path:
     """The tree of ``revision``, from ``git archive``, under ``into``."""
     tree = into / revision[:12]
     with tarfile.open(fileobj=io.BytesIO(_git("archive", "--format=tar", revision))) as tar:
-        tar.extractall(tree, filter="data")
+        # the "data" filter exists from Python 3.10.12 and 3.11.4 on
+        safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
+        tar.extractall(tree, **safe)
     return tree
 
 
@@ -82,19 +86,19 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
-def run_pairs(parent: str, change: str, seed: int, pairs: int, workloads: list[str]) -> None:
+def run_pairs(parent: str, change: str, seed: int) -> None:
     sides = (parent, change)
-    results: dict[str, dict[str, list]] = {side: {w: [] for w in workloads} for side in sides}
+    results: dict[str, dict[str, list]] = {side: {w: [] for w in WORKLOADS} for side in sides}
     environment = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         trees = {side: extract(side, Path(scratch)) for side in sides}
-        for workload in workloads:
-            for i in range(pairs):
+        for workload in WORKLOADS:
+            for i in range(PAIRS):
                 for side in sides if i % 2 == 0 else sides[::-1]:
                     provenance, result = run_once(trees[side], workload, seed)
                     results[side][workload].append(result)
                     environment = {key: provenance[key] for key in ("python", "numpy", "nproc")}
-                print(f"{workload}: pair {i + 1}/{pairs} done", file=sys.stderr, flush=True)
+                print(f"{workload}: pair {i + 1}/{PAIRS} done", file=sys.stderr, flush=True)
     environment["machine"] = f"{platform.system()} {platform.machine()}"
     for side, other in zip(sides, sides[::-1]):
         record = {
@@ -102,13 +106,13 @@ def run_pairs(parent: str, change: str, seed: int, pairs: int, workloads: list[s
             "paired_with": other,
             "command": COMMAND.format(workload="W", seed=seed, seconds=SECONDS),
             "method": (
-                f"{pairs} alternating pairs per workload by tools/bench_pairs.py, this revision "
+                f"{PAIRS} alternating pairs per workload by tools/bench_pairs.py, this revision "
                 "and paired_with each run from a git archive of its revision, parent first in "
                 "even pairs; median and quartiles over the runs of each side "
                 "(statistics.quantiles, inclusive method); values in pair order"
             ),
             "environment": environment,
-            "workloads": {w: summarize(results[side][w]) for w in workloads},
+            "workloads": {w: summarize(results[side][w]) for w in WORKLOADS},
         }
         path = ROOT / f"BENCH_{side[:7]}.json"
         path.write_text(json.dumps(record, indent=1) + "\n")
@@ -157,19 +161,16 @@ def main() -> int:
                         help="two git revisions, or with --compare two BENCH files")
     parser.add_argument("--compare", action="store_true")
     parser.add_argument("--seed", type=int)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
     args = parser.parse_args()
     if args.compare:
         old, new = (json.loads(Path(p).read_text()) for p in args.revisions)
         print("\n".join(compare(old, new)))
         return 0
-    workloads = args.workloads.split(",")
-    if args.seed is None or args.pairs < 1 or not set(workloads) <= set(WORKLOADS):
-        parser.error(f"give --seed, --pairs >= 1 and workloads among {', '.join(WORKLOADS)}")
+    if args.seed is None:
+        parser.error("give --seed")
     revisions = [_git("rev-parse", "--verify", r + "^{commit}").decode().strip()
                  for r in args.revisions]
-    run_pairs(*revisions, args.seed, args.pairs, workloads)
+    run_pairs(*revisions, args.seed)
     return 0
 
 
