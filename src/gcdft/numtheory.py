@@ -51,11 +51,16 @@ _MR_DETERMINISTIC_LIMIT = _MR_BOUNDS[-1]
 # work, not steps. Pollard p-1 draws on the same budget before rho.
 _RHO_BUDGET = 12 << 20
 
-# Pollard p-1's stage-1 bound. On the cofactors that reach rho in a seeded
-# point-workload list, p-1 then rho took less CPU time at 500 and 1000 than at
-# 300 or with rho alone; 500 and 1000 were within noise, and 500 takes fewer
-# multiplications (2992 against 3560) where p-1 fails.
+# Pollard p-1's bounds. On the cofactors that reach rho in a seeded
+# point-workload list, p-1 then rho took less CPU time at B1 = 500 and 1000
+# than at 300 or with rho alone, and 500 takes fewer multiplications where p-1
+# fails; with B1 = 500, B2 = 2 * 10^4 was fastest or within noise of the
+# fastest of 10^4, 2 * 10^4, 3 * 10^4 and 5 * 10^4.
 _PM1_B1 = 500
+_PM1_B2 = 20_000
+# Stage 2's giant step: each prime of (B1, B2] is k w +- j for an odd j < w/2
+# coprime to w = 2 * 3 * 5 * 7.
+_PM1_W = 210
 
 
 def _small_primes(bound: int = _TRIAL_DIVISION_BOUND) -> tuple[int, ...]:
@@ -88,17 +93,38 @@ def _largest_power(p: int, bound: int) -> int:
     return q
 
 
-# Pollard p-1: stage 1 raises 2 to the largest power <= B1 of each prime
-# <= B1; stage 2 steps from each prime of (B1, 10^4] to the next.
-_PM1_EXPONENT = math.prod(
-    _largest_power(p, _PM1_B1) for p in SMALL_PRIMES if p <= _PM1_B1
+# Pollard p-1's stage 1 raises 2 to the largest power <= B1 of each prime
+# <= B1, first all at once, then one power at a time where that catches every
+# prime of n.
+_PM1_POWERS = tuple(_largest_power(p, _PM1_B1) for p in SMALL_PRIMES if p <= _PM1_B1)
+_PM1_EXPONENT = math.prod(_PM1_POWERS)
+
+
+def _pm1_plan() -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """Stage 2's blocks (k, js), k ascending: the odd j < w/2 coprime to w
+    for which k w + j or k w - j is a prime of (B1, B2]."""
+    primes = frozenset(p for p in _small_primes(_PM1_B2) if p > _PM1_B1)
+    baby = [j for j in range(1, _PM1_W // 2, 2) if math.gcd(j, _PM1_W) == 1]
+    plan = []
+    for k in range(1, _PM1_B2 // _PM1_W + 2):
+        js = tuple(j for j in baby if k * _PM1_W + j in primes or k * _PM1_W - j in primes)
+        if js:
+            plan.append((k, js))
+    return tuple(plan)
+
+
+_PM1_PLAN = _pm1_plan()
+# One p-1 run, charged as rho steps: a multiplication mod n per bit of each
+# exponent and per other product. One run takes the replay or stage 2, not
+# both, so this bounds it with room to spare.
+_PM1_STEPS = (
+    _PM1_EXPONENT.bit_length()  # stage 1
+    + sum(q.bit_length() for q in _PM1_POWERS)  # its replay
+    + 1  # the inverse of x, as one
+    + 1 + _PM1_W // 4 + 1  # V_2; V_3, V_5, ..., V_(w/2); V_w
+    + _PM1_PLAN[-1][0] - 1  # V_2w, V_3w, ... to the last block
+    + sum(len(js) for _, js in _PM1_PLAN)  # one per pair
 )
-_PM1_STAGE2 = SMALL_PRIMES[bisect.bisect_right(SMALL_PRIMES, _PM1_B1) :]
-_PM1_GAPS = tuple(b - a for a, b in zip(_PM1_STAGE2, _PM1_STAGE2[1:]))
-_PM1_GAP_SIZES = tuple(sorted(set(_PM1_GAPS)))
-# One p-1 run, charged as rho steps: a multiplication mod n per bit of the
-# exponent and two per stage-2 prime.
-_PM1_STEPS = _PM1_EXPONENT.bit_length() + 2 * len(_PM1_STAGE2)
 
 
 def gcd(a: int, b: int) -> int:
@@ -222,28 +248,59 @@ def _step_units(n: int) -> int:
 
 
 def _pollard_pm1(n: int) -> int | None:
-    """Pollard's p-1 with base 2: a nontrivial factor of composite odd n that
-    has a prime p whose p - 1 is B1-smooth but for one prime of (B1, 10^4],
-    else None. Stage 1 is x = 2^E with E the product of the largest powers
-    <= B1 of the primes <= B1; stage 2 multiplies x^q - 1 over the primes q of
-    (B1, 10^4], stepping by the precomputed x^(q' - q), and takes one gcd.
-    It costs about ``_PM1_STEPS`` multiplications mod n."""
+    """Pollard's p-1 with base 2: a nontrivial factor of composite odd n, or
+    None. It finds one where a prime p of n has p - 1 dividing E q, with E
+    the product of the largest powers <= B1 of the primes <= B1 and q = 1 or
+    a prime of (B1, B2], unless the one prime power or pair below that
+    catches p catches every prime of n. It takes at most ``_PM1_STEPS``
+    multiplications mod n.
+
+    Stage 1 is x = 2^E. Where gcd(x - 1, n) = n it has caught every prime of
+    n at once, and it is replayed one prime power at a time, with a gcd after
+    each. Stage 2 pairs the primes of (B1, B2] as k w +- j (Montgomery, Math.
+    Comp. 1987): with V_i = x^i + x^-i, V_kw - V_j = x^-kw (x^(kw+j) - 1)
+    (x^(kw-j) - 1), so one multiplication by it covers kw + j and kw - j. It
+    takes a gcd after each block of one k and rescans a block whose gcd is n
+    pair by pair."""
     x = pow(2, _PM1_EXPONENT, n)
     g = math.gcd(x - 1, n)
-    if g == 1:
-        steps = {gap: pow(x, gap, n) for gap in _PM1_GAP_SIZES}
-        y = pow(x, _PM1_STAGE2[0], n)
-        acc = y - 1
-        for step in map(steps.__getitem__, _PM1_GAPS):
-            y = y * step % n
-            acc = acc * (y - 1) % n
-        g = math.gcd(acc, n)
-    return g if 1 < g < n else None
+    if g == n:
+        y = 2
+        for q in _PM1_POWERS:
+            y = pow(y, q, n)
+            if (g := math.gcd(y - 1, n)) > 1:
+                break
+    if g > 1:
+        return g if g < n else None
+    # x is a power of 2 and n is odd, so x has an inverse mod n
+    v = before = x + pow(x, -1, n)  # V_1, and V_-1 = V_1
+    v2 = (v * v - 2) % n
+    baby = [0] * (_PM1_W // 2 + 1)
+    baby[1] = v
+    for j in range(3, _PM1_W // 2 + 1, 2):  # V_(j+2) = V_j V_2 - V_(j-2)
+        before, v = v, (v * v2 - before) % n
+        baby[j] = v
+    vw = (v * v - 2) % n  # V_w = V_(w/2)^2 - 2
+    before, giant, k = 2, vw, 1  # V_0, V_w
+    acc = 1
+    for block, js in _PM1_PLAN:
+        while k < block:  # V_((k+1)w) = V_kw V_w - V_((k-1)w)
+            before, giant, k = giant, (giant * vw - before) % n, k + 1
+        for j in js:
+            acc = acc * (giant - baby[j]) % n
+        if (g := math.gcd(acc, n)) > 1:
+            if g == n:
+                g = next((d for j in js if 1 < (d := math.gcd(giant - baby[j], n)) < n), n)
+            return g if g < n else None
+    return None
 
 
 def _split(n: int) -> int:
     """A nontrivial factor of composite odd n that is not a perfect power:
-    Pollard p-1, then Pollard rho where p-1 finds none. Both draw on one
+    Pollard p-1, then Pollard rho where p-1 finds none. p-1 fails where no
+    prime p of n has a p - 1 that :func:`_pollard_pm1` catches, or where the
+    one prime power of stage 1, or the one pair of stage 2, that catches p
+    catches every prime of n. Both draw on one
     budget of ``_RHO_BUDGET`` units, a multiplication mod n costing
     :func:`_step_units` of n; p-1 runs only where its ``_PM1_STEPS`` fit, and
     rho gets what is left."""
@@ -414,13 +471,13 @@ def factorize(n: int) -> Factorization:
     primes below q. A cofactor below 10007^2 left by trial division is prime,
     with no Miller-Rabin: its prime factors are at least 10007, or at least q
     with the cofactor below q^2. A larger one goes to :func:`is_prime`; if
-    composite it gets an exact perfect-power root, else Pollard p-1, and
-    Pollard rho where p-1 finds no factor; each part again goes to
-    :func:`is_prime` unless below 10007^2. Pollard rho raises
-    :class:`FactorizationBudgetError` on a cofactor it cannot split within
-    ``_RHO_BUDGET`` steps, shared with p-1 and charged by the cofactor's
-    size. A float or a bool
-    raises :class:`DomainError`.
+    composite it gets an exact perfect-power root, else Pollard p-1 (B1 =
+    500, a paired stage 2 to B2 = 2 * 10^4, and a replay or rescan where one
+    gcd catches every prime), and Pollard rho where p-1 finds no factor; each
+    part again goes to :func:`is_prime` unless below 10007^2. Pollard rho
+    raises :class:`FactorizationBudgetError` on a cofactor it cannot split
+    within ``_RHO_BUDGET`` steps, shared with p-1 and charged by the
+    cofactor's size. A float or a bool raises :class:`DomainError`.
     """
     n = as_int(n)
     if n < 1:

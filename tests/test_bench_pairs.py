@@ -1,6 +1,7 @@
 """``tools/bench_pairs.py``: a side's runs summarize to the schema of the
 committed ``BENCH_*.json`` files, and ``--compare`` reads every metric of a
-committed pair and counts the pairs won."""
+committed pair and counts the pairs won; a record that exists already stops
+the tool before any run."""
 
 import importlib.util
 import json
@@ -66,3 +67,16 @@ def test_compare_reads_every_metric_of_a_committed_pair(bench_pairs):
     assert lines[0] == "37b3124 -> b5c7664"
     assert sum(line.startswith("  ") for line in lines) == 4 * 6
     assert not any("WORSE" in line for line in lines)
+
+
+def test_an_existing_record_stops_the_runs_before_they_start(bench_pairs, tmp_path, monkeypatch):
+    (tmp_path / "BENCH_bbbbbbb.json").write_text("{}\n")
+    started = []
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "extract", lambda *args: started.append(args))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: started.append(args))
+    with pytest.raises(SystemExit, match="BENCH_bbbbbbb.json exists"):
+        bench_pairs.run_pairs("a" * 40, "b" * 40, 1)
+    assert started == []
+    assert (tmp_path / "BENCH_bbbbbbb.json").read_text() == "{}\n"
+    assert not (tmp_path / "BENCH_aaaaaaa.json").exists()

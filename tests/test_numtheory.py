@@ -53,6 +53,75 @@ def brute_moebius(n):
     return -1 if len(fac) % 2 else 1
 
 
+# Pollard p-1: primes whose p - 1 stage 1 or stage 2 catches, from seeded searches
+PM1_ODD_PRIMES = [r for r in SMALL_PRIMES[1:] if r <= numtheory._PM1_B1]
+
+
+def pm1_prime(rng, bits, r=1):
+    """A prime p of about ``bits`` bits with p - 1 = s r, s a divisor of
+    stage 1's exponent, and r dividing the order of 2 mod p."""
+    while True:
+        s = 2
+        while (s * r).bit_length() < bits:
+            s *= rng.choice(PM1_ODD_PRIMES)
+        p = s * r + 1
+        if (
+            numtheory._PM1_EXPONENT % s == 0
+            and is_prime(p)
+            and (r == 1 or pow(2, s, p) != 1)
+        ):
+            return p
+
+
+def largest_prime_of_the_order_of_2(p):
+    """For p - 1 dividing stage 1's exponent: the largest prime of the order
+    of 2 mod p, the prime power at which stage 1's replay catches p."""
+    order, largest = p - 1, 1
+    for r in SMALL_PRIMES:
+        while order % r == 0 and pow(2, order // r, p) == 1:
+            order //= r
+        if order % r == 0:
+            largest = r
+    return largest
+
+
+def safe_prime(rng, bits):
+    """A prime q = 2 r + 1 with r a prime above B2, which p-1 cannot catch."""
+    while True:
+        q = 2 * rng.randrange(2 ** (bits - 2), 2 ** (bits - 1)) + 1
+        if (q - 1) // 2 > numtheory._PM1_B2 and is_prime((q - 1) // 2) and is_prime(q):
+            return q
+
+
+def pm1_both_caught_in_stage_1(seed):
+    """p, q with p - 1 and q - 1 dividing stage 1's exponent, so that
+    gcd(2^E - 1, pq) = pq, whose orders of 2 have different largest primes,
+    so that the replay of stage 1 tells them apart."""
+    rng = random.Random(seed)
+    p = pm1_prime(rng, rng.randrange(20, 29))
+    while True:
+        q = pm1_prime(rng, rng.randrange(20, 29))
+        if largest_prime_of_the_order_of_2(q) != largest_prime_of_the_order_of_2(p):
+            return p, q
+
+
+def pm1_both_caught_in_one_block(seed):
+    """p, q whose p - 1 = s r and q - 1 = s' r', s and s' dividing stage 1's
+    exponent, r and r' primes of one stage-2 block k w +- j in different
+    pairs. A pair k w +- j has no prime factor below 11, so with 11 r and
+    11 r' above every pair, no other pair catches p or q."""
+    rng = random.Random(seed)
+    w = numtheory._PM1_W
+    least = (numtheory._PM1_B2 + w) // 11
+    while True:
+        k, js = rng.choice(numtheory._PM1_PLAN)
+        j, j2 = rng.sample(js, 2)
+        r = next((c for c in (k * w - j, k * w + j) if is_prime(c)), 0)
+        r2 = next((c for c in (k * w + j2, k * w - j2) if is_prime(c)), 0)
+        if min(r, r2) > least:
+            return pm1_prime(rng, 26, r), pm1_prime(rng, 26, r2)
+
+
 class TestGcd:
     def test_elementary(self):
         assert gcd(12, 18) == 6
@@ -269,6 +338,63 @@ class TestFactorize:
         monkeypatch.setattr(numtheory, "_pollard_rho", calls.append)
         assert factorize.__wrapped__(p * q).factors == ((p, 1), (q, 1))
         assert calls == []
+
+    def rho_calls(self, monkeypatch):
+        calls, real = [], numtheory._pollard_rho
+        monkeypatch.setattr(
+            numtheory, "_pollard_rho", lambda n, budget: calls.append(n) or real(n, budget)
+        )
+        return calls
+
+    def test_p_minus_1_replays_stage_1_where_it_catches_both_primes(self, monkeypatch):
+        calls = self.rho_calls(monkeypatch)
+        for seed in range(3):
+            p, q = pm1_both_caught_in_stage_1(seed)
+            assert math.gcd(pow(2, numtheory._PM1_EXPONENT, p * q) - 1, p * q) == p * q
+            assert factorize.__wrapped__(p * q).factors == tuple((r, 1) for r in sorted((p, q)))
+        assert calls == []
+
+    def test_p_minus_1_rescans_a_stage_2_block_that_catches_both_primes(self, monkeypatch):
+        calls = self.rho_calls(monkeypatch)
+        for seed in range(3):
+            p, q = pm1_both_caught_in_one_block(seed)
+            assert factorize.__wrapped__(p * q).factors == tuple((r, 1) for r in sorted((p, q)))
+        assert calls == []
+
+    def test_p_minus_1_steps_bound_its_multiplications_on_every_path(self, monkeypatch):
+        # counted, not timed: a multiplication mod n is a % by n (an int
+        # subclass counts them) or a bit of the exponent of a pow
+        count = []
+
+        class CountingMod(int):
+            def __rmod__(self, other):
+                count.append(1)
+                return int.__rmod__(self, other)
+
+        def counting_pow(base, exponent, modulus):
+            count.append(exponent.bit_length())
+            return pow(base, exponent, modulus)
+
+        monkeypatch.setattr(numtheory, "pow", counting_pow, raising=False)
+        rng = random.Random(1987)
+        replay, rescan = pm1_both_caught_in_stage_1(0), pm1_both_caught_in_one_block(0)
+        stage_1 = (pm1_prime(rng, 24), safe_prime(rng, 24))
+        failure = (safe_prime(rng, 24), safe_prime(rng, 26))
+        steps = {}
+        for path, (p, q) in dict(
+            stage_1=stage_1, replay=replay, rescan=rescan, failure=failure
+        ).items():
+            count.clear()
+            d = numtheory._pollard_pm1(CountingMod(p * q))
+            assert (d in (p, q)) == (path != "failure"), path
+            steps[path] = sum(count)
+        replay_bits = sum(q.bit_length() for q in numtheory._PM1_POWERS)
+        assert steps["stage_1"] == numtheory._PM1_EXPONENT.bit_length()
+        assert steps["stage_1"] < steps["replay"] <= steps["stage_1"] + replay_bits
+        assert steps["rescan"] < steps["failure"]
+        # the failure path runs all of stage 2; one run takes it or the replay
+        assert steps["failure"] == numtheory._PM1_STEPS - replay_bits
+        assert max(steps.values()) <= numtheory._PM1_STEPS
 
     @staticmethod
     def balanced_semiprimes():
@@ -603,3 +729,28 @@ def test_factorize_seeded_sizes_against_sympy():
         n = rng.randrange(1, 10 ** rng.randrange(1, 19))
         fac = factorize.__wrapped__(n)
         assert dict(fac.factors) == dict(sympy.factorint(n))
+
+
+def test_factorize_point_shaped_mix_against_sympy():
+    # the classes of n that reach Pollard p-1 and rho in the point workload,
+    # and products of two primes that p-1 catches both of
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(48)
+
+    def prime(bits):
+        return sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits))
+
+    def smooth(limit):
+        n = 1
+        while (r := rng.choice(SMALL_PRIMES[:168])) * n <= limit:
+            n *= r
+        return n
+
+    for _ in range(50):
+        for n in (
+            prime(rng.randrange(20, 29)) * prime(rng.randrange(20, 29)),
+            rng.randrange(2, 10**18),
+            smooth(10**6) * prime(rng.randrange(60, 101)),
+            pm1_prime(rng, rng.randrange(20, 29)) * pm1_prime(rng, rng.randrange(20, 29)),
+        ):
+            assert dict(factorize.__wrapped__(n).factors) == sympy.factorint(n), n

@@ -11,7 +11,9 @@ workload, each of ten pairs i runs ``python3 perfbench/run.py --workload W
 with T the ``run_seconds`` of BENCHMARK.json. Each metric is summarized by
 its median and quartiles over the runs of one side (``statistics.quantiles``,
 inclusive method) and keeps its run values in pair order, so that
-``--compare`` can count the pairs each side won. Run from the root of a git checkout.
+``--compare`` can count the pairs each side won. A ``BENCH_<sha>.json`` that
+already exists stops the tool before any run, so a record is never
+overwritten. Run from the root of a git checkout.
 """
 
 from __future__ import annotations
@@ -88,6 +90,10 @@ def summarize(results: list[dict]) -> dict:
 
 def run_pairs(parent: str, change: str, seed: int) -> None:
     sides = (parent, change)
+    paths = {side: ROOT / f"BENCH_{side[:7]}.json" for side in sides}
+    for path in paths.values():
+        if path.exists():
+            raise SystemExit(f"error: {path.name} exists; move it away before a new set of pairs")
     results: dict[str, dict[str, list]] = {side: {w: [] for w in WORKLOADS} for side in sides}
     environment = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
@@ -114,7 +120,7 @@ def run_pairs(parent: str, change: str, seed: int) -> None:
             "environment": environment,
             "workloads": {w: summarize(results[side][w]) for w in WORKLOADS},
         }
-        path = ROOT / f"BENCH_{side[:7]}.json"
+        path = paths[side]
         path.write_text(json.dumps(record, indent=1) + "\n")
         print(f"wrote {path.name}", file=sys.stderr)
 
