@@ -77,7 +77,7 @@ def largest_prime_of_the_order_of_2(p):
     """For p - 1 dividing stage 1's exponent: the largest prime of the order
     of 2 mod p, the prime power at which stage 1's replay catches p."""
     order, largest = p - 1, 1
-    for r in SMALL_PRIMES:
+    for r in (2, *PM1_ODD_PRIMES):
         while order % r == 0 and pow(2, order // r, p) == 1:
             order //= r
         if order % r == 0:
@@ -742,7 +742,7 @@ def test_factorize_point_shaped_mix_against_sympy():
 
     def smooth(limit):
         n = 1
-        while (r := rng.choice(SMALL_PRIMES[:168])) * n <= limit:
+        while (r := rng.choice(SMALL_PRIMES[:168])) * n <= limit:  # r < 1000
             n *= r
         return n
 
