@@ -24,7 +24,7 @@ from .ramanujan import (
 )
 from .tables import build_table, format_exact, render_blocks
 from .transform import dft_dispatch, float_agrees
-from .verify import FAULTS, SweepConfig, render_report, run_verification
+from .verify import SweepConfig, render_report, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -97,8 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tolerance", type=float, default=FLOAT_TOLERANCE)
     p.add_argument("--seed", type=int, default=0,
                    help="seed for the sampled m policy")
-    p.add_argument("--inject-fault", choices=sorted(FAULTS), default=None,
-                   help=argparse.SUPPRESS)
     _add_format(p)
 
     p = sub.add_parser("bench", help="closed form vs brute force timings")
@@ -160,7 +158,6 @@ def _cmd_verify(args) -> int:
         functions=tuple(name.strip() for name in args.functions.split(",") if name.strip()),
         tolerance_float=args.tolerance,
         seed=args.seed,
-        fault=args.inject_fault,
     )
     report = run_verification(config)
     _print(render_report(report, config, args.format))

@@ -321,8 +321,6 @@ def _pollard_rho(n: int, budget: int) -> int:
     the budget by :func:`_step_units` of n, so it bounds the work and not only
     the steps. :class:`FactorizationBudgetError` is raised when the next charge
     does not fit."""
-    if n % 2 == 0:
-        return 2
     rng = random.Random(n)
     while True:
         y = rng.randrange(1, n)

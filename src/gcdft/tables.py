@@ -22,11 +22,11 @@ from math import prod
 from operator import eq
 from typing import NamedTuple
 
+from . import transform
 from .errors import DomainError
 from .functions import ArithmeticFunction, as_exact, get_function
 from .numtheory import Factorization, _lattice_terms, as_factorization
 from .ramanujan import DEFINITION_SCALE_LIMIT
-from .transform import dft_dispatch
 
 _PRIME_LETTERS = "pqwxyz"
 
@@ -112,12 +112,13 @@ def build_table(
     class when compressed (the divisor itself represents its class), as a
     :class:`Table` of one cell per class, at most DEFINITION_SCALE_LIMIT rows.
 
-    For a multiplicative f each h_{p^t}(p^s), p^s || n and t <= s, is
-    dispatched once; :func:`numtheory._lattice_terms` multiplies one per prime
-    into each class g and its value, and the form joins the same pieces (or
-    :func:`_gcd_piece` for f = id). A general f is dispatched once per class,
-    and its form is its value. A sieve sets every multiple of each divisor d,
-    ascending, to d's class, so the order k ends in the class of gcd(k, n)."""
+    For a multiplicative f each h_{p^t}(p^s), p^s || n and t <= s, is read
+    once from the per-prime kernel :func:`transform._local_factor`;
+    :func:`numtheory._lattice_terms` multiplies one per prime into each class
+    g and its value, and the form joins the same pieces (or :func:`_gcd_piece`
+    for f = id). A general f's class g is one exact convolution, and its form
+    is its value. A sieve sets every multiple of each divisor d, ascending,
+    to d's class, so the order k ends in the class of gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -129,14 +130,13 @@ def build_table(
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
     if not f.is_multiplicative:  # its transform does not factor
-        values = ((g, dft_dispatch(f, fac, g).value) for _, g in _lattice_terms(fac))
+        values = ((g, transform.dft_exact_convolution(f, fac, g)) for _, g in _lattice_terms(fac))
         cells = sorted((g, v, format_exact(v)) for g, v in values)
     else:
         symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
         choices, pieces = [], []
         for i, (p, s) in enumerate(fac.factors):
-            prime_power = Factorization(p**s, ((p, s),))  # each prime checked once
-            local = list(enumerate(dft_dispatch(f, prime_power, p**t).value for t in range(s + 1)))
+            local = [(t, transform._local_factor(f, p, s, t)) for t in range(s + 1)]
             choices.append([(v, t) for t, v in local])
             pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v) for t, v in local])
         join = "".join if symbolic else "*".join

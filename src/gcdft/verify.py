@@ -4,8 +4,8 @@ evaluation paths over configurable (f, n, m) grids.
 Each check yields ``(identity, None)`` on a pass, or ``(identity, failure)``,
 both built by :func:`_verdict`, instead of raising, so a sweep reports the
 full damage; the CLI maps a nonempty failure list to exit code 2.
-A named fault can be injected into one path to prove the harness actually
-bites.
+``tools/fault_matrix.py`` faults each rule behind the paths in turn and
+shows which identities catch it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .errors import DomainError, InconsistencyError
 from .functions import ArithmeticFunction, Exact, Kind, get_function
@@ -42,12 +42,7 @@ M_POLICIES = ("all", "divisors", "sample")
 
 GCD_DEPENDENCE_SPAN = 3  # orders 1..3n per n in the gcd-dependence check
 MULTIPLICATIVITY_EXTRA_ORDERS = 3  # seeded orders per pair beyond the divisors
-
-# named perturbations for harness sensitivity tests; each flips one path
-FAULTS: dict[str, Callable[[Exact, str], Exact]] = {
-    "negate-closed-form": lambda v, path: -v if path == "closed" else v,
-    "offset-convolution": lambda v, path: v + 1 if path == "convolution" else v,
-}
+RAMANUJAN_FLOAT_LIMIT = 500  # the largest n whose float definition is checked
 
 
 @dataclass(frozen=True)
@@ -58,7 +53,6 @@ class SweepConfig:
     functions: tuple[str, ...] = ("id",)
     tolerance_float: float = FLOAT_TOLERANCE
     seed: int = 0
-    fault: str | None = None
 
     def __post_init__(self):
         if self.n_max < 1:
@@ -69,8 +63,6 @@ class SweepConfig:
             raise DomainError(f"m_policy must be one of {M_POLICIES}")
         if self.m_policy == "sample" and self.sample_count < 1:
             raise DomainError("sample count must be >= 1")
-        if self.fault is not None and self.fault not in FAULTS:
-            raise DomainError(f"unknown fault {self.fault!r}; choose from {sorted(FAULTS)}")
 
 
 @dataclass(frozen=True)
@@ -134,12 +126,6 @@ def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]
     return sorted(rng.sample(range(1, n + 1), picks))
 
 
-def _perturb(value: Exact, path: str, fault: str | None) -> Exact:
-    if fault is None:
-        return value
-    return FAULTS[fault](value, path)
-
-
 def check_path_equivalence(
     f: ArithmeticFunction,
     n_values: Iterable[int],
@@ -147,7 +133,6 @@ def check_path_equivalence(
     sample_count: int = 20,
     tolerance: float = FLOAT_TOLERANCE,
     seed: int = 0,
-    fault: str | None = None,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Convolution vs closed form (exact) and vs the FFT spectrum (float,
     within :func:`float_bound` of the exact value). An
@@ -161,10 +146,9 @@ def check_path_equivalence(
             spectrum = exc
         bound = float_bound(f, n, tolerance)
         for m in orders_for(n, policy, sample_count, rng):
-            convolution = _perturb(dft_exact_convolution(f, n, m), "convolution", fault)
+            convolution = dft_exact_convolution(f, n, m)
             closed = exact_closed_form(f, n, m)
             if closed is not None:
-                closed = _perturb(closed, "closed", fault)
                 yield _verdict("path-equivalence-exact", f.name, n, m, convolution, closed)
             target = closed if closed is not None else convolution
             if isinstance(spectrum, InconsistencyError):
@@ -265,17 +249,16 @@ def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, 
 
 def check_ramanujan_agreement(
     n_values: Iterable[int],
-    float_limit: int = 500,
     tolerance: float = FLOAT_TOLERANCE,
 ) -> Iterator[tuple[str, Failure | None]]:
     """The two exact Ramanujan evaluators agree everywhere; the floating
-    definition agrees (rounded) up to the float_limit."""
+    definition agrees (rounded) up to n = RAMANUJAN_FLOAT_LIMIT."""
     for n in n_values:
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
             yield _verdict("ramanujan-exact-agreement", "-", n, m, exact, other)
-            if n <= float_limit:
+            if n <= RAMANUJAN_FLOAT_LIMIT:
                 approx = ramanujan_definition(n, m)
                 ok = float_agrees(approx, exact, tolerance)
                 yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx, ok)
@@ -288,9 +271,7 @@ def run_verification(config: SweepConfig) -> SweepReport:
     grid = dict(policy=config.m_policy, sample_count=config.sample_count, seed=config.seed)
     checks = [check_ramanujan_agreement(n_values, tolerance=config.tolerance_float)]
     for f in map(get_function, config.functions):
-        checks.append(check_path_equivalence(
-            f, n_values, tolerance=config.tolerance_float, fault=config.fault, **grid
-        ))
+        checks.append(check_path_equivalence(f, n_values, tolerance=config.tolerance_float, **grid))
         if f.is_multiplicative:
             checks += [
                 check_closed_form_pair(f, n_values, **grid),

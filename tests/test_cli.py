@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from gcdft import verify
 from gcdft.cli import (
     EXIT_INCONSISTENCY,
     EXIT_OK,
@@ -130,11 +131,10 @@ class TestVerify:
         )
         assert out == out2
 
-    def test_injected_fault_exits_two(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "verify", "--n-max", "15", "--functions", "id",
-            "--inject-fault", "negate-closed-form",
-        )
+    def test_injected_fault_exits_two(self, capsys, monkeypatch):
+        honest = verify.exact_closed_form
+        monkeypatch.setattr(verify, "exact_closed_form", lambda f, n, m: -honest(f, n, m))
+        code, out, _ = run_cli(capsys, "verify", "--n-max", "15", "--functions", "id")
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out
 

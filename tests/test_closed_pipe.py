@@ -10,12 +10,21 @@ from gcdft.cli import EXIT_OK, EXIT_VERIFICATION
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+# `gcdft` with the closed form negated wherever the verify sweep reads it
+NEGATED_CLOSED_FORM = """
+import sys
+from gcdft import cli, verify
+honest = verify.exact_closed_form
+verify.exact_closed_form = lambda f, n, m: -honest(f, n, m)
+sys.exit(cli.main(sys.argv[1:]))
+"""
 
-def gcdft(*argv):
+
+def gcdft(*argv, launcher=("-m", "gcdft")):
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = dict(os.environ, PYTHONPATH=path)
     return subprocess.Popen(
-        [sys.executable, "-m", "gcdft", *argv],
+        [sys.executable, *launcher, *argv],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
     )
 
@@ -31,7 +40,7 @@ def test_reader_closes_after_one_line():
 
 def test_verdict_survives_a_closed_pipe():
     proc = gcdft("verify", "--n-max", "12", "--functions", "sigma",
-                 "--inject-fault", "negate-closed-form")
+                 launcher=("-c", NEGATED_CLOSED_FORM))
     proc.stdout.close()  # closed before the report is written
     assert proc.wait(timeout=60) == EXIT_VERIFICATION
     assert proc.stderr.read() == b""

@@ -1,12 +1,13 @@
 """``tools/fault_matrix.py``: the clean sweep passes, and a fault in each rule
-the evaluation paths use fails at least two exact identity families."""
+and each exact path the evaluation uses fails at least two exact identity
+families."""
 
 import importlib.util
 import pathlib
 
 import pytest
 
-from gcdft import numtheory, ramanujan, transform
+from gcdft import numtheory, ramanujan, transform, verify
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fault_matrix.py"
 
@@ -33,11 +34,23 @@ def rules():
         numtheory._class_exponents,
         transform._class_exponents,
         numtheory._lattice_terms,
+        transform.exact_closed_form,
+        verify.exact_closed_form,
+        transform.dft_exact_convolution,
+        verify.dft_exact_convolution,
     )
 
 
 @pytest.mark.parametrize(
-    "fault", ["local-factor+1", "prime-power-sum+1", "class-exponents+1", "lattice-drops-last"]
+    "fault",
+    [
+        "local-factor+1",
+        "prime-power-sum+1",
+        "class-exponents+1",
+        "lattice-drops-last",
+        "negate-closed-form",
+        "offset-convolution",
+    ],
 )
 def test_each_rule_fault_fails_two_exact_families(fault_matrix, fault):
     honest = rules()

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcdft import ramanujan
+from gcdft import ramanujan, verify
 from gcdft.errors import UndefinedValueError
 from gcdft.functions import (
     SIGMA,
@@ -123,12 +123,13 @@ def per_order_agreement(n_values, float_limit, tolerance=FLOAT_TOLERANCE):
 class TestRamanujanAgreement:
     def test_residues_once_per_n_match_per_order_calls(self, monkeypatch):
         n_values = range(1, 40)
-        assert list(check_ramanujan_agreement(n_values, float_limit=30)) == list(
+        monkeypatch.setattr(verify, "RAMANUJAN_FLOAT_LIMIT", 30)
+        assert list(check_ramanujan_agreement(n_values)) == list(
             per_order_agreement(n_values, float_limit=30)
         )
         honest = ramanujan._von_sterneck
         monkeypatch.setattr(ramanujan, "_von_sterneck", lambda n, g: honest(n, g) + 1)
-        got = list(check_ramanujan_agreement(n_values, float_limit=30))
+        got = list(check_ramanujan_agreement(n_values))
         assert got == list(per_order_agreement(n_values, float_limit=30))
         assert {identity for identity, failure in got if failure} == {
             "ramanujan-exact-agreement",

@@ -213,27 +213,35 @@ class TestGcdClassEvaluation:
             )
 
     def test_one_dispatch_per_class_and_local_factor(self, monkeypatch):
-        """A multiplicative f dispatches once per h_{p^t}(p^s), t <= s, and
-        a general f once per class alone."""
-        import gcdft.tables as tables
+        """A multiplicative f reads the per-prime kernel once per
+        h_{p^t}(p^s), t <= s, and a general f runs one convolution per class
+        alone."""
+        from gcdft import transform
 
-        calls = []
-        honest = tables.dft_dispatch
+        kernel, convolutions = [], []
+        honest_kernel = transform._local_factor
+        honest_convolution = transform.dft_exact_convolution
         monkeypatch.setattr(
-            tables, "dft_dispatch", lambda *a, **k: calls.append(a) or honest(*a, **k)
+            transform, "_local_factor", lambda *a: kernel.append(a) or honest_kernel(*a)
+        )
+        monkeypatch.setattr(
+            transform,
+            "dft_exact_convolution",
+            lambda *a: convolutions.append(a) or honest_convolution(*a),
         )
         for f, n in [(SIGMA, 720), (ID, 720), (RATIONAL_MULTIPLICATIVE, 720), (SIGMA, 720720)]:
             for compress in (False, True):
-                calls.clear()
+                kernel.clear()
                 assert len(build_table(f, n, compress=compress)) == (
                     len(divisor_tuple(n)) if compress else n
                 )
-                assert len(calls) == sum(s + 1 for _, s in factorize(n).factors)
+                assert len(kernel) == sum(s + 1 for _, s in factorize(n).factors)
+        assert convolutions == []
         for compress in (False, True):
-            calls.clear()
+            convolutions.clear()
             build_table(self.GENERAL, 720, compress=compress)
-            assert len(calls) == len(divisor_tuple(720)) == 30
-            assert sorted(g for _, _, g in calls) == list(divisor_tuple(720))
+            assert len(convolutions) == len(divisor_tuple(720)) == 30
+            assert sorted(g for _, _, g in convolutions) == list(divisor_tuple(720))
 
     def test_general_forms_parse_to_their_values(self):
         """A general f's transform does not factor: each class form is the

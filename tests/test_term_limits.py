@@ -84,7 +84,8 @@ class TestRealLimit:
             raise AssertionError("the divisors must not be listed")
 
         monkeypatch.setattr(tables, "_lattice_terms", refuse)
-        monkeypatch.setattr(tables, "dft_dispatch", refuse)
+        monkeypatch.setattr(transform, "_local_factor", refuse)
+        monkeypatch.setattr(transform, "dft_exact_convolution", refuse)
         with pytest.raises(DomainError, match="compressed"):
             build_table(ID, self.N, compress=True)
 

@@ -1,5 +1,5 @@
-"""The sweep harness: clean runs report zero failures, injected faults are
-caught, and reports render in every format."""
+"""The sweep harness: clean runs report zero failures, faults patched into a
+path are caught, and reports render in every format."""
 
 import json
 import math
@@ -28,6 +28,18 @@ from gcdft.verify import (
 )
 
 
+def negate_closed_form(monkeypatch):
+    """Negate the closed form wherever the sweep reads it."""
+    honest = verify.exact_closed_form
+    monkeypatch.setattr(verify, "exact_closed_form", lambda f, n, m: -honest(f, n, m))
+
+
+def offset_local_factor(monkeypatch):
+    """Add one to every per-prime factor of the closed form."""
+    honest = transform._local_factor
+    monkeypatch.setattr(transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1)
+
+
 class TestConfig:
     def test_rejects_bad_policy(self):
         with pytest.raises(DomainError):
@@ -38,10 +50,6 @@ class TestConfig:
             SweepConfig(n_max=0)
         with pytest.raises(DomainError):
             SweepConfig(n_max=5, m_policy="sample", sample_count=0)
-
-    def test_rejects_unknown_fault(self):
-        with pytest.raises(DomainError):
-            SweepConfig(n_max=5, fault="saw-through-table-leg")
 
 
 class TestOrderPolicies:
@@ -131,16 +139,21 @@ class TestCleanSweeps:
 
 
 class TestFaultInjection:
-    def test_negated_closed_form_is_caught(self):
-        config = SweepConfig(n_max=20, functions=("id",), fault="negate-closed-form")
+    def test_negated_closed_form_is_caught(self, monkeypatch):
+        negate_closed_form(monkeypatch)
+        config = SweepConfig(n_max=20, functions=("id",))
         report = run_verification(config)
         assert not report.passed
         assert len(report.failures) >= 1
         first = report.failures[0]
         assert first.identity in ("path-equivalence-exact", "path-equivalence-float")
 
-    def test_offset_convolution_is_caught(self):
-        config = SweepConfig(n_max=20, functions=("phi",), fault="offset-convolution")
+    def test_offset_convolution_is_caught(self, monkeypatch):
+        honest = verify.dft_exact_convolution
+        monkeypatch.setattr(
+            verify, "dft_exact_convolution", lambda f, n, m: honest(f, n, m) + 1
+        )
+        config = SweepConfig(n_max=20, functions=("phi",))
         report = run_verification(config)
         assert not report.passed
 
@@ -159,51 +172,45 @@ class TestFaultInjection:
         assert all(f.identity == "gcd-dependence" for f in failures)
 
     @pytest.mark.parametrize(
-        "offset_kernel, check, expected",
+        "fault, check, expected",
         [
             (
-                False,
-                lambda: check_path_equivalence(ID, range(1, 5), fault="negate-closed-form"),
+                negate_closed_form,
+                lambda: check_path_equivalence(ID, range(1, 5)),
                 [
                     Failure("path-equivalence-exact", "id", 1, 1, "1", "-1"),
                     Failure("path-equivalence-float", "id", 1, 1, "-1", "(1+0j)"),
                 ],
             ),
             (
-                False,
-                lambda: check_path_equivalence(
-                    get_function("id_-1"), [2], fault="negate-closed-form"
-                ),
+                negate_closed_form,
+                lambda: check_path_equivalence(get_function("id_-1"), [2]),
                 [
                     Failure("path-equivalence-exact", "id_-1", 2, 1, "-1/2", "1/2"),
                     Failure("path-equivalence-float", "id_-1", 2, 1, "1/2", "(-0.5+0j)"),
                 ],
             ),
             (
-                True,
+                offset_local_factor,
                 lambda: check_gcd_dependence(get_function("sigma"), range(1, 5)),
                 [Failure("gcd-dependence", "sigma", 2, 1, "2", "3")],
             ),
             (
-                True,
+                offset_local_factor,
                 lambda: check_closed_form_pair(get_function("id_2"), range(1, 5)),
                 [Failure("geometric-form-vs-multiplicative-form", "id_2", 2, 1, "4", "3")],
             ),
             (
-                True,
+                offset_local_factor,
                 lambda: check_closed_form_pair(ID, range(1, 5)),
                 [Failure("gcd-form-vs-multiplicative-form", "id", 2, 1, "2", "1")],
             ),
         ],
         ids=["negated-id", "negated-rational", "gcd-dependence", "geometric-pair", "gcd-pair"],
     )
-    def test_first_failure_records(self, monkeypatch, offset_kernel, check, expected):
+    def test_first_failure_records(self, monkeypatch, fault, check, expected):
         # expected values print by str, float oracle values by repr(complex)
-        if offset_kernel:
-            honest = transform._local_factor
-            monkeypatch.setattr(
-                transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1
-            )
+        fault(monkeypatch)
         failures = [failure for _, failure in check() if failure is not None]
         assert failures[: len(expected)] == expected
 
@@ -238,12 +245,11 @@ class TestFaultInjection:
         ):
             assert line in captured.out
 
-    def test_fault_in_check_generator(self):
+    def test_fault_in_check_generator(self, monkeypatch):
+        negate_closed_form(monkeypatch)
         failures = [
             failure
-            for _, failure in check_path_equivalence(
-                ID, range(1, 15), fault="negate-closed-form"
-            )
+            for _, failure in check_path_equivalence(ID, range(1, 15))
             if failure is not None
         ]
         assert failures
@@ -253,12 +259,13 @@ class TestFaultInjection:
 
 class TestFloatBound:
     @pytest.mark.parametrize("name, n", [("id_3", 2520), ("J_3", 5040)])
-    def test_large_values_pass_the_fft_check(self, name, n):
+    def test_large_values_pass_the_fft_check(self, monkeypatch, name, n):
         # values reach ~10^10, where the FFT is off by ~2e-6 in absolute terms
         f = get_function(name)
         outcomes = list(check_path_equivalence(f, [n], policy="divisors"))
         assert [x for _, x in outcomes if x is not None] == []
-        faulted = check_path_equivalence(f, [n], policy="divisors", fault="negate-closed-form")
+        negate_closed_form(monkeypatch)
+        faulted = check_path_equivalence(f, [n], policy="divisors")
         assert {x.identity for _, x in faulted if x is not None} == {
             "path-equivalence-exact",
             "path-equivalence-float",
@@ -311,8 +318,9 @@ class TestReportRendering:
         assert lines[0] == "identity,checks,failures"
         assert len(lines) == len(report.by_identity) + 1
 
-    def test_failure_text_shows_counterexample(self):
-        config = SweepConfig(n_max=15, functions=("id",), fault="negate-closed-form")
+    def test_failure_text_shows_counterexample(self, monkeypatch):
+        negate_closed_form(monkeypatch)
+        config = SweepConfig(n_max=15, functions=("id",))
         report = run_verification(config)
         text = render_report(report, config, "text")
         assert "first counterexample" in text

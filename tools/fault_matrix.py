@@ -1,5 +1,5 @@
-"""Print, for no fault and for each of four faults in a rule the evaluation
-paths use, how many checks of each identity fail in one verify sweep:
+"""Print, for no fault and for each of six faults in a rule or a path of the
+evaluation, how many checks of each identity fail in one verify sweep:
 
     PYTHONPATH=<tree>/src python3 tools/fault_matrix.py
 
@@ -11,12 +11,16 @@ order m. The faults:
   more at p = 3, e = t + 1;
 * ``class-exponents+1``: ``numtheory._class_exponents`` gives t + 1 for the
   prime 2 when t < s;
-* ``lattice-drops-last``: ``numtheory._lattice_terms`` drops its last term.
+* ``lattice-drops-last``: ``numtheory._lattice_terms`` drops its last term;
+* ``negate-closed-form``: ``transform.exact_closed_form`` returns its value
+  negated, and still None for a general f;
+* ``offset-convolution``: ``transform.dft_exact_convolution`` returns one
+  more.
 
-Each fault replaces the rule at every gcdft module that holds it, and every
-gcdft ``lru_cache`` is emptied before and after each sweep, so no value
-computed under one fault reaches another. A sweep that raises is shown with
-its error in place of the counts.
+This is gcdft's only fault table. Each fault replaces the rule at every
+gcdft module that holds it, and every gcdft ``lru_cache`` is emptied before
+and after each sweep, so no value computed under one fault reaches another.
+A sweep that raises is shown with its error in place of the counts.
 """
 
 import sys
@@ -38,6 +42,14 @@ def _class_exponents_plus_one(honest):
     return faulted
 
 
+def _negated(honest):
+    def faulted(f, n, m):
+        value = honest(f, n, m)
+        return None if value is None else -value
+
+    return faulted
+
+
 # name -> (module, rule, the faulted rule built from the honest one)
 FAULTS = {
     "local-factor+1": (
@@ -53,6 +65,10 @@ FAULTS = {
         numtheory,
         "_lattice_terms",
         lambda honest: lambda fac, choices=None: honest(fac, choices)[:-1],
+    ),
+    "negate-closed-form": (transform, "exact_closed_form", _negated),
+    "offset-convolution": (
+        transform, "dft_exact_convolution", lambda honest: lambda f, n, m: honest(f, n, m) + 1
     ),
 }
 
