@@ -150,9 +150,7 @@ class TestFaultInjection:
 
     def test_offset_convolution_is_caught(self, monkeypatch):
         honest = verify.dft_exact_convolution
-        monkeypatch.setattr(
-            verify, "dft_exact_convolution", lambda f, n, m: honest(f, n, m) + 1
-        )
+        monkeypatch.setattr(verify, "dft_exact_convolution", lambda f, n, m: honest(f, n, m) + 1)
         config = SweepConfig(n_max=20, functions=("phi",))
         report = run_verification(config)
         assert not report.passed
