@@ -10,7 +10,8 @@ class UndefinedValueError(LookupError):
 
 
 class OracleScaleError(ValueError):
-    """A brute-force oracle was asked to sum more terms than it is rated for."""
+    """A brute-force oracle was asked to sum more terms, or a value to print
+    more digits, than it is rated for."""
 
 
 class InconsistencyError(ArithmeticError):

@@ -14,16 +14,17 @@ from __future__ import annotations
 
 import io
 import json
+import sys
 from collections.abc import Iterator, Sequence
 from csv import reader as csv_reader
 from fractions import Fraction
 from itertools import product
-from math import prod
+from math import log10, prod
 from operator import eq
 from typing import NamedTuple
 
 from . import transform
-from .errors import DomainError
+from .errors import DomainError, OracleScaleError
 from .functions import ArithmeticFunction, as_exact, get_function
 from .numtheory import Factorization, _lattice_terms, as_factorization
 from .ramanujan import DEFINITION_SCALE_LIMIT
@@ -69,12 +70,23 @@ class Table(Sequence):
 
 
 def format_exact(value: int | Fraction) -> str:
-    """Decimal string for integers, "num/den" for proper rationals."""
-    if type(value) is int:
-        return str(value)
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return f"{value.numerator}/{value.denominator}"
-    return str(int(value))
+    """Decimal string for integers, "num/den" for proper rationals. A value
+    past the interpreter's int-to-str digit limit raises
+    :class:`OracleScaleError`, naming its digit count."""
+    try:
+        if type(value) is int:
+            return str(value)
+        if isinstance(value, Fraction) and value.denominator != 1:
+            return f"{value.numerator}/{value.denominator}"
+        return str(int(value))
+    except ValueError:  # only the digit limit: value is an exact rational
+        size = max(abs(value.numerator), value.denominator)
+        digits = int(size.bit_length() * log10(2))  # the count, or one short of it
+        digits += size >= 10**digits
+        raise OracleScaleError(
+            f"the value has {digits} decimal digits; Python prints at most "
+            f"{sys.get_int_max_str_digits()}"
+        ) from None
 
 
 def parse_exact(text: str) -> int | Fraction:

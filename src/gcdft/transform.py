@@ -3,9 +3,11 @@
 The transform sum_{k=1..n} f(gcd(k, n)) * exp(-2*pi*i*k*m/n) is computed three
 independent ways:
 
-* a brute-force floating sum (the oracle, O(n) per call): each divisor d of n,
-  largest last, writes f(d) to the multiples of d, and each twiddle is the
-  product of two split tables of about sqrt(n) entries,
+* a brute-force floating sum (the oracle, O(n) per call), folded over k and
+  n - k: as gcd(k, n) = gcd(n - k, n), the terms pair into a real cosine sum
+  over k <= n/2, so the value's imaginary part is 0 by construction. Each
+  divisor d <= n/2 of n, largest last, writes f(d) to the multiples of d, and
+  each twiddle is the product of two split tables of about sqrt(n/2) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
   terms: the divisor lattice of n from :mod:`gcdft.numtheory`, weighted per
   prime by the prime-power rule of :mod:`gcdft.ramanujan` as int pairs
@@ -102,40 +104,59 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     return divs, index
 
 
-def _gcd_sequence(f: ArithmeticFunction, n: int) -> np.ndarray:
-    """The floats f(gcd(k, n)), k = 1..n: each divisor d, ascending, writes f(d)
-    to the multiples of d, so k ends on gcd(k, n). Oracle use only (n <= 10^6)."""
+def _float_value(f: ArithmeticFunction, values: dict[int, Exact], d: int, n: int) -> float:
+    """f(d) from ``values`` as a float, for the float oracles at n."""
+    try:
+        return float(values[d])
+    except OverflowError:
+        raise OracleScaleError(
+            f"{f.name}({d}) is beyond float range: no float oracle at n = {n}"
+        ) from None
+
+
+def _gcd_sequence(f: ArithmeticFunction, n: int, count: int | None = None) -> np.ndarray:
+    """The floats f(gcd(k, n)), k = 1..count (all of 1..n by default): each
+    divisor d <= count, ascending, writes f(d) to its multiples, so k ends on
+    gcd(k, n). Oracle use only (n <= 10^6)."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
             f"brute-force oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
         )
-    a = np.empty(n)
+    count = n if count is None else count
+    a = np.empty(count)
     fac = factorize(n)
     values = _divisor_values(f, fac)
     for d in _ascending_divisors(fac):
-        try:
-            a[d - 1 :: d] = float(values[d])
-        except OverflowError:
-            raise OracleScaleError(
-                f"{f.name}({d}) is beyond float range: no float oracle at n = {n}"
-            ) from None
+        if d > count:
+            break
+        a[d - 1 :: d] = _float_value(f, values, d, n)
     return a
 
 
 def dft_brute_float(f: ArithmeticFunction, n: int, m: int) -> complex:
-    """Direct floating sum over k = 1..n of f(gcd(k, n)) e(-km/n).
+    """Direct floating sum over k = 1..n of f(gcd(k, n)) e(-km/n), term by
+    term, folded: gcd(k, n) = gcd(n - k, n), so the terms k and n - k pair
+    into a cosine (Schramm 2008) and
+    h = f(n) + [n even] f(n/2) (-1)^m + 2 sum_{1<=k<n/2} f(gcd(k, n)) cos(2 pi km/n).
+    The sequence is read for k <= n/2 only, k = n/2 with weight 1/2, and the
+    value is real: its imaginary part is 0.0 by construction.
 
-    Writing k = q*B + j + 1 with B = isqrt(n) + 1 splits every twiddle into
-    e(-(qBm mod n)/n) * e(-((j+1)m mod n)/n): two tables of about sqrt(n)
+    Writing k = q*B + j + 1 with B = isqrt(n//2) + 1 splits every twiddle into
+    e(-(qBm mod n)/n) * e(-((j+1)m mod n)/n): two tables of about sqrt(n/2)
     entries whose phases are reduced mod n in exact integer arithmetic, so
     the phase error stays ~1e-15 without a full-length exp. The sum over j is
     then a matrix-vector product over rows of B terms, and the sum over q a
-    dot product. Oracle use only (n <= 10^6)."""
-    a = _gcd_sequence(f, n)
-    block = isqrt(n) + 1
-    rows, tail = divmod(n, block)
+    dot product, whose real part is the cosine sum. Oracle use only
+    (n <= 10^6)."""
+    half = n // 2
+    a = _gcd_sequence(f, n, half)
+    top = _float_value(f, _divisor_values(f, factorize(n)), n, n)
+    if n % 2 == 0:
+        a[-1] *= 0.5  # k = n/2 is its own partner n - k
+    block = isqrt(half) + 1
+    rows, tail = divmod(half, block)
     m %= n
     turn = -2j * np.pi / n
     fine = np.exp(turn * (np.arange(1, block + 1, dtype=np.int64) * m % n))
@@ -145,7 +166,8 @@ def dft_brute_float(f: ArithmeticFunction, n: int, m: int) -> complex:
     row_sums = np.empty((rows + 1, 2))
     row_sums[:rows] = a[: rows * block].reshape(rows, block) @ fine_columns
     row_sums[rows] = a[rows * block :] @ fine_columns[:tail]
-    return complex(row_sums.view(np.complex128).ravel() @ coarse)
+    folded = row_sums.view(np.complex128).ravel() @ coarse
+    return complex(top + 2.0 * folded.real)
 
 
 def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
@@ -306,7 +328,9 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
 
 def float_agrees(approx: complex, exact: Exact, bound: float) -> bool:
     """Whether a float oracle's value lies within ``bound`` of the real exact
-    value, in both its real and its imaginary part."""
+    value, in both its real and its imaginary part. The brute sum is real by
+    construction, so the imaginary test bites on the FFT spectrum and the
+    Ramanujan float definition."""
     return abs(approx.real - float(exact)) < bound and abs(approx.imag) < bound
 
 

@@ -293,6 +293,27 @@ class TestInconsistencyExit:
         assert "inconsistency" in err
 
 
+class TestPrintLimit:
+    """A value past Python's 4300-digit int-to-str limit is a typed error:
+    exit 1 with one ``error:`` line naming the digit count."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dft", "--f", "id_2000", "--n", "5040", "--m", "1"],
+            ["table", "--f", "id_100000", "--n", "5040", "--compress"],
+        ],
+        ids=["dft", "table"],
+    )
+    def test_exits_usage_with_one_error_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "decimal digits" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

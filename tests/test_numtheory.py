@@ -440,7 +440,7 @@ class TestFactorize:
             assert (pm1_steps + budgets[0]) * units <= 1 << 16
             assert 0 < len(mods) <= 2 * budgets[0]
             pm1_sizes.append(bool(ran_pm1))
-        # p-1's 2992 steps fit at 40 digits (4 units a step), not at 160 or 320
+        # p-1's 3274 steps fit at 40 digits (4 units a step), not at 160 or 320
         assert pm1_sizes == [True, False, False]
 
     def test_rho_budget_bounds_work_not_steps(self, monkeypatch):

@@ -1,12 +1,14 @@
-"""Print four sha256 lines over a fixed grid of gcdft answers, so that two
+"""Print five sha256 lines over a fixed grid of gcdft answers, so that two
 source trees can be checked to give the same values, value types and output:
 
     PYTHONPATH=<tree>/src python3 tools/digest.py
 
-The grid: ``dft_dispatch(..., verify=True)`` (value, value type, paths and
-reduced order), ``dft_exact_convolution`` on an int n and on a
-``Factorization`` and the ``repr`` of ``dft_brute_float``, for 13 functions,
-n < 90 and m in [-n, 2n], with the ``repr`` of ``float_bound`` at each n; the
+The first four lines hash exact answers only, and the fifth the float
+oracles, so a change to how an oracle rounds moves the fifth line alone.
+
+The grid of the first line: ``dft_dispatch(..., verify=True)`` (value, value
+type, paths and reduced order) and ``dft_exact_convolution`` on an int n and
+on a ``Factorization``, for 13 functions, n < 90 and m in [-n, 2n]; the
 von Sterneck and Kluyver Ramanujan sums over the same (n, m); the csv table,
 full and compressed, of the int n and compressed of a ``Factorization``, for
 n <= 130; and the verify report in every format for
@@ -27,7 +29,9 @@ rational multiplicative f. The fourth hashes each row of the table grid as
 (index, gcd, value, value type, form), since a csv render hides whether a
 value is an int or a Fraction; it covers the rational multiplicative f too,
 and the compressed tables at n = 360, 720, 1001 and 720720, where a general f
-defined on their divisors stands in for ``RATIONAL``.
+defined on their divisors stands in for ``RATIONAL``. The fifth hashes the
+``repr`` of ``float_bound`` at each n < 90 and of ``dft_brute_float`` at each
+(n, m) of the first line's grid, for the same 13 functions.
 """
 
 import hashlib
@@ -102,13 +106,11 @@ def records():
     for f in [get_function(name) for name in NAMES] + [RATIONAL]:
         for n in range(1, 90):
             fac = Factorization(n, factorize(n).factors)
-            yield repr(float_bound(f, n, FLOAT_TOLERANCE))
             for m in range(-n, 2 * n + 1):
                 r = dft_dispatch(f, n, m, verify=True)
                 yield f.name, n, m, r.value, sorted(r.paths_agreeing), r.m_reduced
                 for value in (r.value, dft_exact_convolution(f, n, m), dft_exact_convolution(f, fac, m)):
                     yield value, type(value).__name__
-                yield repr(dft_brute_float(f, n, m))
         for table in table_grid(f):
             yield render_table(table, "csv")
     for n_max in (1, 7, 19):
@@ -168,8 +170,22 @@ def typed_table_records():
                 yield index, g, value, type(value).__name__, form
 
 
+def float_records():
+    for f in [get_function(name) for name in NAMES] + [RATIONAL]:
+        for n in range(1, 90):
+            yield repr(float_bound(f, n, FLOAT_TOLERANCE))
+            for m in range(-n, 2 * n + 1):
+                yield repr(dft_brute_float(f, n, m))
+
+
 def main() -> None:
-    streams = records(), table_records(), multiplicative_records(), typed_table_records()
+    streams = (
+        records(),
+        table_records(),
+        multiplicative_records(),
+        typed_table_records(),
+        float_records(),
+    )
     for stream in streams:
         digest = hashlib.sha256()
         for record in stream:
