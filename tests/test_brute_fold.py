@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from gcdft import transform
-from gcdft.errors import InconsistencyError
+from gcdft.errors import InconsistencyError, OracleScaleError
 from gcdft.functions import ArithmeticFunction, catalog_names, get_function
 from gcdft.ramanujan import FLOAT_TOLERANCE
 from gcdft.transform import dft_brute_float, dft_dispatch, float_bound
@@ -34,6 +34,12 @@ class TestFold:
                 value = dft_brute_float(f, n, int(m))
                 assert value.imag == 0.0
                 assert abs(value - reference[m]) < tolerance, (f.name, n, m)
+
+    def test_f_of_n_beyond_float_range_names_n(self):
+        # f(7) is read apart from the folded sequence, which stops at k = 3
+        f = ArithmeticFunction.from_table("huge-at-n", {1: 1, 7: 10**400})
+        with pytest.raises(OracleScaleError, match=r"huge-at-n\(7\) .* n = 7"):
+            dft_brute_float(f, 7, 1)
 
     def test_catches_a_fault_shared_by_both_exact_paths(self, monkeypatch):
         rng = random.Random(24)
