@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .errors import DomainError
 from .functions import ArithmeticFunction, Exact
@@ -102,21 +102,7 @@ def render_bench(results: list[BenchResult], fmt: str = "csv") -> str:
                 f"{'ok' if r.spot_check else 'FAILED'}"
             )
         return "\n".join(lines)
-    if fmt == "json":
-        return json.dumps(
-            [
-                {
-                    "n": r.n,
-                    "f": r.f_name,
-                    "repetitions": r.repetitions,
-                    "brute_median_s": r.brute_median_s,
-                    "closed_median_s": r.closed_median_s,
-                    "speedup": r.speedup,
-                    "value": format_exact(r.value),
-                    "spot_check": r.spot_check,
-                }
-                for r in results
-            ],
-            indent=2,
-        )
+    if fmt == "json":  # a record per result, its fields named as in BENCH_FIELDS
+        records = [dict(zip(BENCH_FIELDS, astuple(r)), value=format_exact(r.value)) for r in results]
+        return json.dumps(records, indent=2)
     raise DomainError(f"unknown bench format {fmt!r}")

@@ -436,6 +436,9 @@ class Factorization:
         object.__setattr__(fac, "factors", factors)
         return fac
 
+    def __hash__(self) -> int:
+        return hash(self.value)  # the value fixes the factors
+
     @property
     def primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors)

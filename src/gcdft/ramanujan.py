@@ -10,7 +10,8 @@ c_n(m) is multiplicative in n, and its value at a prime power,
 Sterneck's form is its product over the primes of n, and the exact
 convolution in :mod:`gcdft.transform` builds its terms from it. Kluyver's
 divisor sum, a walk over the divisors of gcd(m, n) on n's divisor lattice, and
-the floating definition are the rule's independent checks.
+the floating definition are the rule's independent checks; the definition
+reads its terms from a table of the n-th roots of unity at the exact phases.
 """
 
 from __future__ import annotations
@@ -45,17 +46,26 @@ def _coprime_indices(n: int) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=1)
+def _unit_roots(n: int) -> np.ndarray:
+    """e(j/n) for j = 0..n-1, read-only and held for the last n."""
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    roots.flags.writeable = False
+    return roots
+
+
 def ramanujan_definition(n: int, m: int) -> complex:
     """Floating-point sum over the k coprime to n; oracle use only (n <= 10^6).
 
     The imaginary part of the result should vanish and the real part should
-    sit within FLOAT_TOLERANCE of an integer.
+    sit within FLOAT_TOLERANCE of an integer. Each term is the float that
+    ``np.exp(2j * np.pi * phase / n)`` gives, read from :func:`_unit_roots`.
     """
     # k*m is reduced mod n in exact integer arithmetic before the angle is
     # formed, keeping the phase error at the 1e-15 level even for huge m.
     n, m = as_int(n, "n"), as_int(m, "m")
     phase = (_coprime_indices(n) * (m % n)) % n
-    return complex(np.exp(2j * np.pi * phase / n).sum())
+    return complex(_unit_roots(n)[phase].sum())
 
 
 def _prime_power_sum(p: int, e: int, t: int) -> int:

@@ -29,7 +29,9 @@ or, past 10^6 divisors, from the class lattice: no divisor is factored.
 per-prime product for every multiplicative f. Schramm's product and the
 geometric form are independent oracles for verify and the tests, never
 dispatch paths. All exact paths must agree, each in plain ``int`` whenever
-its value is integral; the dispatcher can cross-check them.
+its value is integral; the dispatcher can cross-check them. They convert n
+and m only when these are not yet a ``Factorization`` and an ``int``, as a
+verify sweep calls them hundreds of thousands of times at small n.
 """
 
 from __future__ import annotations
@@ -51,6 +53,9 @@ from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, _prime_power_sum
 PATH_BRUTE_FLOAT = "brute_float"
 PATH_CONVOLUTION = "convolution_exact"
 PATH_CLOSED_FORM = "closed_form"
+
+# Kind.GENERAL bound once: an enum member lookup costs ~0.1 us on CPython 3.11
+_GENERAL = Kind.GENERAL
 
 # A float oracle's rounding error (brute sum or FFT) grows with the l1 norm of
 # the summed sequence f(gcd(k, n)), so its check is relative to that norm.
@@ -177,7 +182,8 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
     Independent of the exact paths; used for bulk float cross-checks.
     """
     # entry 0 of the FFT input is k = 0, i.e. gcd(0, n) = n, the last entry
-    return np.fft.fft(np.roll(_gcd_sequence(f, n), 1))
+    a = _gcd_sequence(f, n)
+    return np.fft.fft(np.concatenate((a[-1:], a[:-1])))
 
 
 def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
@@ -203,10 +209,11 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`; f
     from :func:`_divisor_values` (a general f at every divisor of n) or, for
     n above DEFINITION_SCALE_LIMIT divisors, as f(p^(s-e)) over the class."""
-    fac = as_factorization(n)
-    g = gcd(as_int(m, "m"), fac.value)
+    fac = n if isinstance(n, Factorization) else numtheory.factorize(n)
+    g = gcd(m if type(m) is int else as_int(m, "m"), fac.value)
     terms = _ramanujan_terms(fac, g)
-    if f.kind is Kind.GENERAL or prod(s + 1 for _, s in fac.factors) <= DEFINITION_SCALE_LIMIT:
+    few = fac.value <= DEFINITION_SCALE_LIMIT  # then d(n) <= n is too: no count needed
+    if f.kind is _GENERAL or few or prod(s + 1 for _, s in fac.factors) <= DEFINITION_SCALE_LIMIT:
         values = _divisor_values(f, fac)
         result = sum(c * values[v] for c, v in terms)
     else:
@@ -249,10 +256,10 @@ def dft_closed_form_multiplicative(
 ) -> Exact:
     """Exact transform of a multiplicative f as the product of
     :func:`_local_factor` over the prime powers of n."""
-    if not f.is_multiplicative:
+    if f.kind is _GENERAL:
         raise DomainError("closed form requires a multiplicative function")
-    fac = as_factorization(n)
-    g = gcd(as_int(m, "m"), fac.value)
+    fac = n if isinstance(n, Factorization) else numtheory.factorize(n)
+    g = gcd(m if type(m) is int else as_int(m, "m"), fac.value)
     result = 1
     for p, s in fac.factors:
         t = 0  # v_p(g), the class of p, as in _class_exponents
@@ -286,8 +293,9 @@ def dft_closed_form_completely_mult(
         if t >= 1:
             denominator = f.prime_power(p, t) - p * f.prime_power(p, t - 1)
             if denominator != 0:
-                ratio = Fraction(f.prime_power(p, t) - p**t, denominator)
-                term += (p - 1) * f.prime_power(p, s - 1) * ratio
+                ratio = (p - 1) * f.prime_power(p, s - 1) * (f.prime_power(p, t) - p**t)
+                whole, rest = divmod(ratio, denominator)
+                term += Fraction(ratio, denominator) if rest else whole  # Fraction only if not whole
             elif f.prime_power(p, 1) == p:
                 term += (p - 1) * t * p ** (s - 1)
             elif t == s:
@@ -306,7 +314,7 @@ def exact_closed_form(f: ArithmeticFunction, n: int | Factorization, m: int) -> 
     """The transform from the closed form for f's kind: the per-prime product
     for a multiplicative f, and None for a general f (which only the
     convolution evaluates)."""
-    return None if f.kind is Kind.GENERAL else dft_closed_form_multiplicative(f, n, m)
+    return None if f.kind is _GENERAL else dft_closed_form_multiplicative(f, n, m)
 
 
 def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:

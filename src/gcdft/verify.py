@@ -15,6 +15,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
@@ -265,7 +266,8 @@ def check_ramanujan_agreement(
 
 
 def run_verification(config: SweepConfig) -> SweepReport:
-    """Run every identity sweep implied by the config and collect failures."""
+    """Run every identity sweep implied by the config and collect failures,
+    tallied as :meth:`SweepReport.record` would, without a call per check."""
     report = SweepReport()
     n_values = range(1, config.n_max + 1)
     grid = dict(policy=config.m_policy, sample_count=config.sample_count, seed=config.seed)
@@ -280,8 +282,14 @@ def run_verification(config: SweepConfig) -> SweepReport:
             ]
     checks.append(check_coprime_order_totient(n_values))
 
+    checked, failed = Counter(), Counter()
     for identity, failure in itertools.chain(*checks):
-        report.record(identity, failure)
+        checked[identity] += 1
+        if failure is not None:
+            failed[identity] += 1
+            report.failures.append(failure)
+    report.by_identity = {identity: [count, failed[identity]] for identity, count in checked.items()}
+    report.checks = checked.total()
     return report
 
 

@@ -80,3 +80,28 @@ def test_an_existing_record_stops_the_runs_before_they_start(bench_pairs, tmp_pa
     assert started == []
     assert (tmp_path / "BENCH_bbbbbbb.json").read_text() == "{}\n"
     assert not (tmp_path / "BENCH_aaaaaaa.json").exists()
+
+
+def test_help_exits_zero(bench_pairs, monkeypatch, capsys):
+    monkeypatch.setattr("sys.argv", ["bench_pairs.py", "--help"])
+    with pytest.raises(SystemExit) as done:
+        bench_pairs.main()
+    assert done.value.code == 0
+    assert "parent" in capsys.readouterr().out
+
+
+def test_compare_shows_the_runs_of_a_metric_within_spread(bench_pairs):
+    def record(revision, other, rates):
+        return {"revision": revision, "paired_with": other,
+                "workloads": {"oracle": bench_pairs.summarize([result(r) for r in rates])}}
+
+    # a bimodal side: its median moves although most pairs are even
+    old = record("a" * 40, "b" * 40, [100, 130, 100, 130, 100, 130, 100, 130, 100, 130])
+    new = record("b" * 40, "a" * 40, [100, 130, 130, 130, 100, 130, 130, 130, 100, 130])
+    rate = next(line for line in bench_pairs.compare(old, new) if "values_per_s" in line)
+    assert "within spread" in rate
+    assert rate.endswith("; runs 100 130 100 130 100 130 100 130 100 130"
+                         " -> 100 130 130 130 100 130 130 130 100 130")
+    gain = record("b" * 40, "a" * 40, [150] * 10)
+    rate = next(line for line in bench_pairs.compare(old, gain) if "values_per_s" in line)
+    assert "outside both quartile ranges" in rate and "runs" not in rate

@@ -128,7 +128,9 @@ def run_pairs(parent: str, change: str, seed: int) -> None:
 def compare(old: dict, new: dict) -> list[str]:
     """Each median's move from ``old`` to ``new`` against both sides'
     quartiles; for an end-to-end metric, its bound, and the pairs won when
-    both files hold run values from the same pairs."""
+    both files hold run values from the same pairs. An end-to-end metric
+    within spread also shows both sides' run values in pair order, so a
+    bimodal metric shows its two modes."""
     paired = new.get("paired_with") == old.get("revision")
     lines = [f"{old['revision'][:7]} -> {new['revision'][:7]}"
              + ("" if paired else " (not paired with each other)")]
@@ -157,25 +159,28 @@ def compare(old: dict, new: dict) -> list[str]:
                     line += f", better in {wins}/{len(b['values'])} pairs"
                     if sign * move > 0 and gap and wins >= 0.9 * len(b["values"]):
                         line += ", a gain"
+                if not apart and "values" in a and "values" in b:
+                    line += "; runs " + " ".join(f"{v:.4g}" for v in a["values"]) + " -> "
+                    line += " ".join(f"{v:.4g}" for v in b["values"])
             lines.append(line)
     return lines
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("revisions", nargs=2, metavar=("PARENT", "CHANGE"),
-                        help="two git revisions, or with --compare two BENCH files")
+    parser.add_argument("parent", help="the parent revision, or with --compare its BENCH file")
+    parser.add_argument("change", help="the changed revision, or with --compare its BENCH file")
     parser.add_argument("--compare", action="store_true")
     parser.add_argument("--seed", type=int)
     args = parser.parse_args()
     if args.compare:
-        old, new = (json.loads(Path(p).read_text()) for p in args.revisions)
+        old, new = (json.loads(Path(p).read_text()) for p in (args.parent, args.change))
         print("\n".join(compare(old, new)))
         return 0
     if args.seed is None:
         parser.error("give --seed")
     revisions = [_git("rev-parse", "--verify", r + "^{commit}").decode().strip()
-                 for r in args.revisions]
+                 for r in (args.parent, args.change)]
     run_pairs(*revisions, args.seed)
     return 0
 
