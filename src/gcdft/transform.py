@@ -29,9 +29,9 @@ or, past 10^6 divisors, from the class lattice: no divisor is factored.
 per-prime product for every multiplicative f. Schramm's product and the
 geometric form are independent oracles for verify and the tests, never
 dispatch paths. All exact paths must agree, each in plain ``int`` whenever
-its value is integral; the dispatcher can cross-check them. They convert n
-and m only when these are not yet a ``Factorization`` and an ``int``, as a
-verify sweep calls them hundreds of thousands of times at small n.
+its value is integral; the dispatcher can cross-check them. The convolution
+and the per-prime product take a ``Factorization`` n and an ``int`` m as
+they are, with no conversion: a verify sweep calls each 10^5 times or more.
 """
 
 from __future__ import annotations
