@@ -157,14 +157,13 @@ def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:
-    """Sum function of a multiplicative t via the per-prime geometric-style
-    product prod_i [1 + t(p_i) + ... + t(p_i^(s_i))]; must agree with
-    :func:`sum_function` whenever t is multiplicative.
+    """Sum function of a multiplicative t as the per-prime product
+    prod_i [1 + t(p_i) + ... + t(p_i^(s_i))], i.e. :func:`sum_function_of`
+    at n; must agree with :func:`sum_function` whenever t is multiplicative.
     """
     if not t.is_multiplicative:
         raise DomainError("product form requires a multiplicative function")
-    sums = (sum(t.prime_power(p, e) for e in range(s + 1)) for p, s in as_factorization(n).factors)
-    return as_exact(math.prod(sums))
+    return evaluate(sum_function_of(t), n)
 
 
 def sum_function_of(t: ArithmeticFunction) -> ArithmeticFunction:

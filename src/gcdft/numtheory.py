@@ -591,12 +591,8 @@ def moebius(n: int | Factorization) -> int:
 
 
 def totient(n: int | Factorization) -> int:
-    """Euler totient via the prime-power product; totient(1) = 1."""
-    fac = as_factorization(n)
-    result = 1
-    for p, s in fac.factors:
-        result *= p**s - p ** (s - 1)
-    return result
+    """Euler totient, the Jordan totient J_1; totient(1) = 1."""
+    return jordan(1, n)
 
 
 def jordan(k: int, n: int | Factorization) -> int:

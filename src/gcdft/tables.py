@@ -110,13 +110,6 @@ def _gcd_piece(i: int, s: int, t: int) -> str:
     return f"{t + 1}{base}" if t else base
 
 
-def _symbolic_gcd_form(fac: Factorization, exponents: tuple[int, ...]) -> str:
-    """The form of f = id at the gcd class ``exponents``, its :func:`_gcd_piece`
-    per prime joined: "(2p-1)(q-1)" for n = pq at an order divisible by p only."""
-    pieces = (_gcd_piece(i, s, t) for i, ((_, s), t) in enumerate(zip(fac.factors, exponents)))
-    return "".join(pieces) or "1"
-
-
 def build_table(
     f: ArithmeticFunction, n: int | Factorization, *, compress: bool = False
 ) -> Table:

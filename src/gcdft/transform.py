@@ -14,7 +14,8 @@ independent ways:
   (c_d(m), n/d), cached per class (n, gcd(m, n)) and shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
-  f = id, and a fully closed geometric form for completely multiplicative f.
+  f = id, and a fully closed geometric form for completely multiplicative f,
+  which reads f(p) once per prime and no other value of f.
 
 The transform depends on m only through its gcd class g = gcd(m, n), and the
 factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
@@ -22,8 +23,9 @@ negative included, needs no reduction first. The per-prime product reads each
 t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
 read the class through :func:`numtheory._class_exponents`. The float oracles
 and their l1 bound read the divisors of n from the terms of the full class
-g = n, where c_d = phi(d). f's values come from :func:`functions._divisor_values`
-or, past 10^6 divisors, from the class lattice: no divisor is factored.
+g = n, where c_d = phi(d). f's values come from :func:`functions._divisor_values`;
+past 10^6 divisors, where that walk raises, a multiplicative f's convolution
+sums one class-lattice walk of c_{p^e}(m) * f(p^(s-e)). No divisor is factored.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
 per-prime product for every multiplicative f. Schramm's product and the
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
 
 import numpy as np
 
@@ -71,6 +73,15 @@ class DftReport:
     f_name: str
     value: Exact
     paths_agreeing: frozenset[str]
+
+    def __repr__(self) -> str:
+        # a frozenset's repr lists strings in hash order, which changes with
+        # the process's hash seed: the paths are listed sorted instead
+        paths = ", ".join(map(repr, sorted(self.paths_agreeing)))
+        return (
+            f"DftReport(n={self.n!r}, m_reduced={self.m_reduced!r}, f_name={self.f_name!r}, "
+            f"value={self.value!r}, paths_agreeing=frozenset({{{paths}}}))"
+        )
 
 
 def reduce_order(m: int, n: int) -> int:
@@ -188,8 +199,8 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
 
 def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
     """(weight(p, s, e, t), n/d) over the d | n with c_d(m) != 0 at the orders
-    of class g, in one order for every weight: for t = v_p(g), c_{p^e}(m) = 0
-    unless e <= t + 1 (:func:`ramanujan._prime_power_sum`); n/d has p^(s-e)."""
+    of class g: for t = v_p(g), c_{p^e}(m) = 0 unless e <= t + 1
+    (:func:`ramanujan._prime_power_sum`); n/d has p^(s-e)."""
     choices = [
         [(weight(p, s, e, t), s - e) for e in range(min(t + 1, s) + 1)]
         for (p, s), t in zip(fac.factors, _class_exponents(fac, g))
@@ -206,19 +217,23 @@ def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
 
 def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
-    sum, sum over d | n of f(n/d) * c_d(m), on :func:`_ramanujan_terms`; f
-    from :func:`_divisor_values` (a general f at every divisor of n) or, for
-    n above DEFINITION_SCALE_LIMIT divisors, as f(p^(s-e)) over the class."""
+    sum, sum over d | n of f(n/d) * c_d(m): f from :func:`_divisor_values`
+    on :func:`_ramanujan_terms`. Where that walk over every divisor of n
+    raises, a multiplicative f sums one :func:`_class_lattice` walk of the
+    products c_{p^e}(m) * f(p^(s-e)) instead."""
     fac = n if isinstance(n, Factorization) else numtheory.factorize(n)
     g = gcd(m if type(m) is int else as_int(m, "m"), fac.value)
-    terms = _ramanujan_terms(fac, g)
-    few = fac.value <= DEFINITION_SCALE_LIMIT  # then d(n) <= n is too: no count needed
-    if f.kind is _GENERAL or few or prod(s + 1 for _, s in fac.factors) <= DEFINITION_SCALE_LIMIT:
+    try:
         values = _divisor_values(f, fac)
-        result = sum(c * values[v] for c, v in terms)
+    except OracleScaleError:
+        if f.kind is _GENERAL:
+            raise
+        terms = _class_lattice(
+            fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t) * f.prime_power(p, s - e)
+        )
+        result = sum(w for w, _ in terms)
     else:
-        weights = _class_lattice(fac, g, lambda p, s, e, t: f.prime_power(p, s - e))
-        result = sum(c * w for (c, _), (w, _) in zip(terms, weights))
+        result = sum(c * values[v] for c, v in _ramanujan_terms(fac, g))
     return result if type(result) is int else as_exact(result)
 
 
@@ -272,34 +287,28 @@ def dft_closed_form_multiplicative(
 def dft_closed_form_completely_mult(
     f: ArithmeticFunction, n: int | Factorization, m: int
 ) -> Exact:
-    """Exact transform of a completely multiplicative f with the per-prime sum
-    collapsed into a geometric ratio:
-    (p-1) * f(p^(s-1)) * (f(p^t) - p^t) / (f(p^t) - p*f(p^(t-1))).
-
-    The denominator f(p)^(t-1) * (f(p) - p) vanishes when f(p) = p, where the
-    sum (p-1) * sum_{b=1..t} p^(b-1) f(p^(s-b)) is (p-1) * t * p^(s-1), and
-    when f(p) = 0 and t >= 2, where only f(1) survives, giving
-    (p-1) * p^(s-1) if t = s and 0 otherwise. So mixed cases such as f = id
-    still evaluate, without the per-prime kernel; must always agree with
+    """Exact transform of a completely multiplicative f, with a = f(p) read
+    once per prime and the per-prime sum collapsed into a geometric ratio:
+    a^s - [t < s] a^(s-t-1) p^t, plus, for t >= 1,
+    (p-1) * a^(s-t) * (a^t - p^t) / (a - p), an int where it divides, or
+    (p-1) * t * p^(s-1) when a = p. As 0^0 = 1, f(p) = 0 needs no branch of
+    its own. An oracle only: must always agree with
     :func:`dft_closed_form_multiplicative`."""
     if f.kind is not Kind.COMPLETELY_MULTIPLICATIVE:
         raise DomainError("geometric closed form requires a completely multiplicative function")
     fac = as_factorization(n)
     result = 1
     for (p, s), t in zip(fac.factors, _class_exponents(fac, m)):
-        term = f.prime_power(p, s)
+        a = f.prime_power(p, 1)
+        term = a**s
         if t < s:
-            term -= f.prime_power(p, s - t - 1) * p**t
-        if t >= 1:
-            denominator = f.prime_power(p, t) - p * f.prime_power(p, t - 1)
-            if denominator != 0:
-                ratio = (p - 1) * f.prime_power(p, s - 1) * (f.prime_power(p, t) - p**t)
-                whole, rest = divmod(ratio, denominator)
-                term += Fraction(ratio, denominator) if rest else whole  # Fraction only if not whole
-            elif f.prime_power(p, 1) == p:
-                term += (p - 1) * t * p ** (s - 1)
-            elif t == s:
-                term += (p - 1) * p ** (s - 1)
+            term -= a ** (s - t - 1) * p**t
+        if t >= 1 and a == p:
+            term += (p - 1) * t * p ** (s - 1)
+        elif t >= 1:
+            ratio = (p - 1) * a ** (s - t) * (a**t - p**t)
+            whole, rest = divmod(ratio, a - p)
+            term += Fraction(ratio, a - p) if rest else whole  # Fraction only if not whole
         result *= term
     return as_exact(result)
 

@@ -1,7 +1,8 @@
 """``tools/bench_pairs.py``: a side's runs summarize to the schema of the
 committed ``BENCH_*.json`` files, and ``--compare`` reads every metric of a
 committed pair and counts the pairs won; a record that exists already stops
-the tool before any run."""
+the tool before any run; each record keeps its tree's digest lines, and
+``--compare`` says whether their exact answers agree."""
 
 import importlib.util
 import json
@@ -105,3 +106,23 @@ def test_compare_shows_the_runs_of_a_metric_within_spread(bench_pairs):
     gain = record("b" * 40, "a" * 40, [150] * 10)
     rate = next(line for line in bench_pairs.compare(old, gain) if "values_per_s" in line)
     assert "outside both quartile ranges" in rate and "runs" not in rate
+
+
+def test_each_record_keeps_its_digest_and_compare_reads_it(bench_pairs, tmp_path, monkeypatch):
+    parent, change = "a" * 40, "b" * 40
+    digests = {parent: ["p1", "p2", "p3", "p4", "p5"], change: ["p1", "p2", "p3", "p4", "c5"]}
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "extract", lambda revision, into: revision)
+    monkeypatch.setattr(bench_pairs, "run_digest", lambda tree: digests[tree])
+    provenance = {"python": "3", "numpy": "2", "nproc": 2}
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: (provenance, result(100)))
+    bench_pairs.run_pairs(parent, change, 1)
+    old, new = (json.loads((tmp_path / f"BENCH_{side[:7]}.json").read_text())
+                for side in (parent, change))
+    assert (old["digest"], new["digest"]) == (digests[parent], digests[change])
+    # the fifth line hashes float oracles, so only lines 1-4 must agree
+    assert bench_pairs.compare(old, new)[1] == "answers: digest lines 1-4 agree"
+    new["digest"][0] = "c1"
+    assert bench_pairs.compare(old, new)[1] == "answers: digest lines 1-4 DIFFER"
+    del old["digest"]
+    assert not any(line.startswith("answers") for line in bench_pairs.compare(old, new))

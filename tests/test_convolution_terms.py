@@ -3,11 +3,15 @@ alike: only the nonzero Ramanujan terms, built from the primes of n, so only
 n itself is ever factored, and every value equals the plain divisor sum of
 f(n/d) * c_d(m) with Kluyver's c_d(m)."""
 
+import math
 from fractions import Fraction
 
-from gcdft import numtheory, ramanujan
+import pytest
+
+from gcdft import numtheory, ramanujan, transform
+from gcdft.errors import OracleScaleError
 from gcdft.functions import ArithmeticFunction, catalog_names, get_function
-from gcdft.numtheory import Factorization, divisor_tuple, factorize
+from gcdft.numtheory import SMALL_PRIMES, Factorization, divisor_tuple, factorize
 from gcdft.ramanujan import ramanujan_kluyver
 from gcdft.transform import dft_exact_convolution
 
@@ -55,3 +59,17 @@ class TestOnePath:
                 assert dft_exact_convolution(f, given[n], m) == reference, (f.name, n, m)
                 checks += 1
         assert checks == 95_160
+
+
+def test_a_general_f_past_the_limit_raises_before_any_term_is_built(monkeypatch):
+    # the product of the first 20 primes has 2^20 divisors, above the limit
+    primes = SMALL_PRIMES[:20]
+    n = Factorization(math.prod(primes), tuple((p, 1) for p in primes))
+    general = ArithmeticFunction.from_table("general", {1: 1})
+
+    def refuse(*args):
+        raise AssertionError("the Ramanujan terms must not be built")
+
+    monkeypatch.setattr(transform, "_ramanujan_terms", refuse)
+    with pytest.raises(OracleScaleError):
+        dft_exact_convolution(general, n, 1)

@@ -19,7 +19,7 @@ from gcdft.functions import (
 from gcdft.numtheory import divisor_tuple, factorize, totient
 from gcdft.tables import (
     TableRow,
-    _symbolic_gcd_form,
+    _gcd_piece,
     build_table,
     format_exact,
     parse_exact,
@@ -44,10 +44,13 @@ def per_index_rows(f, n):
     for index in range(1, n + 1):
         value = dft_dispatch(f, fac, index).value
         if f is ID:
-            exponents = tuple(
+            exponents = (
                 max(t for t in range(s + 1) if index % p**t == 0) for p, s in fac.factors
             )
-            form = _symbolic_gcd_form(fac, exponents)
+            pieces = (
+                _gcd_piece(i, s, t) for i, ((_, s), t) in enumerate(zip(fac.factors, exponents))
+            )
+            form = "".join(pieces) or "1"
         elif not f.is_multiplicative:
             form = format_exact(value)
         else:

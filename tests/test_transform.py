@@ -3,7 +3,11 @@ against each other."""
 
 import cmath
 import math
+import os
+import pathlib
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 
@@ -320,6 +324,29 @@ class TestClosedFormCompletelyMult:
         with pytest.raises(DomainError):
             dft_closed_form_completely_mult(PHI, 4, 2)
 
+    def test_reads_the_rule_once_per_prime(self):
+        calls = []
+        f = ArithmeticFunction.completely_multiplicative("count", lambda p: calls.append(p) or p * p)
+        assert dft_closed_form_completely_mult(f, 720, 12) == dft_closed_form_multiplicative(
+            id_power(2), 720, 12
+        )
+        assert calls == [2, 3, 5]
+
+    def test_rational_values_with_degenerate_primes(self):
+        # f(2) = p and f(3) = 0 take the degenerate sums, the other primes
+        # Fraction ratios; value and type must be the per-prime product's
+        f = ArithmeticFunction.completely_multiplicative(
+            "rational-degenerate",
+            lambda p: 2 if p == 2 else 0 if p == 3 else Fraction(1, p),
+            integer_valued=False,
+        )
+        for n in range(1, 201):
+            fac = factorize(n)
+            for m in range(-n, 2 * n + 1):
+                value = dft_closed_form_completely_mult(f, fac, m)
+                expected = dft_closed_form_multiplicative(f, fac, m)
+                assert (value, type(value)) == (expected, type(expected)), (n, m)
+
     def test_degenerate_primes_use_closed_sums_not_the_kernel(self, monkeypatch):
         # f(p) = p and f(p) = 0 (t >= 2) zero the geometric denominator; the
         # oracle must still be independent of the per-prime kernel it checks
@@ -432,6 +459,24 @@ class TestDispatch:
 
     def test_trivial(self):
         assert dft_dispatch(ID, 1, 1).value == 1
+
+    def test_repr_is_the_same_under_every_hash_seed(self):
+        code = (
+            "from gcdft.functions import get_function\n"
+            "from gcdft.transform import dft_dispatch\n"
+            "print(repr(dft_dispatch(get_function('sigma'), 360, 7, verify=True)))"
+        )
+        src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reprs = {
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
+                capture_output=True, text=True, check=True,
+            ).stdout
+            for seed in range(8)
+        }
+        assert reprs == {repr(dft_dispatch(SIGMA, 360, 7, verify=True)) + "\n"}
 
     def test_multiplicative_catalog_entry(self):
         report = dft_dispatch(PHI, 10, 3, verify=True)

@@ -14,6 +14,11 @@ inclusive method) and keeps its run values in pair order, so that
 ``--compare`` can count the pairs each side won. A ``BENCH_<sha>.json`` that
 already exists stops the tool before any run, so a record is never
 overwritten. Run from the root of a git checkout.
+
+Before the runs, this checkout's ``tools/digest.py`` hashes the answers of
+each tree's ``src`` under ``PYTHONHASHSEED=0``, and each file keeps its five
+lines under ``digest``. Where both files hold them, ``--compare`` says
+whether lines 1-4, the exact answers, agree.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import platform
 import statistics
 import subprocess
@@ -65,6 +71,17 @@ def run_once(tree: Path, workload: str, seed: int) -> tuple[dict, dict]:
     return json.loads(provenance), json.loads(result)
 
 
+def run_digest(tree: Path) -> list[str]:
+    """The five lines of this checkout's tools/digest.py on ``tree``'s src."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    command = [sys.executable, str(ROOT / "tools" / "digest.py")]
+    done = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise SystemExit(f"error: tools/digest.py on {tree} exited "
+                         f"{done.returncode}: {done.stderr.strip()[-2000:]}")
+    return done.stdout.split()
+
+
 def summarize(results: list[dict]) -> dict:
     """One workload's entry of a BENCH file from the results of its runs."""
     metrics = {}
@@ -98,6 +115,7 @@ def run_pairs(parent: str, change: str, seed: int) -> None:
     environment = {}
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as scratch:
         trees = {side: extract(side, Path(scratch)) for side in sides}
+        digests = {side: run_digest(trees[side]) for side in sides}
         for workload in WORKLOADS:
             for i in range(PAIRS):
                 for side in sides if i % 2 == 0 else sides[::-1]:
@@ -118,6 +136,7 @@ def run_pairs(parent: str, change: str, seed: int) -> None:
                 "(statistics.quantiles, inclusive method); values in pair order"
             ),
             "environment": environment,
+            "digest": digests[side],
             "workloads": {w: summarize(results[side][w]) for w in WORKLOADS},
         }
         path = paths[side]
@@ -130,10 +149,14 @@ def compare(old: dict, new: dict) -> list[str]:
     quartiles; for an end-to-end metric, its bound, and the pairs won when
     both files hold run values from the same pairs. An end-to-end metric
     within spread also shows both sides' run values in pair order, so a
-    bimodal metric shows its two modes."""
+    bimodal metric shows its two modes. Where both files hold digest lines,
+    one line says whether their exact answers (lines 1-4) agree."""
     paired = new.get("paired_with") == old.get("revision")
     lines = [f"{old['revision'][:7]} -> {new['revision'][:7]}"
              + ("" if paired else " (not paired with each other)")]
+    if "digest" in old and "digest" in new:
+        agree = old["digest"][:4] == new["digest"][:4]
+        lines.append("answers: digest lines 1-4 " + ("agree" if agree else "DIFFER"))
     for workload, entry in new["workloads"].items():
         if workload not in old["workloads"]:
             continue
