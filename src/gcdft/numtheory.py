@@ -596,7 +596,7 @@ def totient(n: int | Factorization) -> int:
 
 
 def jordan(k: int, n: int | Factorization) -> int:
-    """Jordan totient J_k(n) = prod(p^(k*s) - p^(k*(s-1))); jordan(1, n) == totient(n)."""
+    """Jordan totient J_k(n) = prod(p^(k*s) - p^(k*(s-1)))."""
     k = as_int(k, "k")
     if k < 1:
         raise DomainError("jordan requires k >= 1")

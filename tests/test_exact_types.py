@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from gcdft import transform
+from gcdft.errors import OracleScaleError
 from gcdft.functions import (
     MU,
     ArithmeticFunction,
@@ -45,8 +46,12 @@ class TestIntegralValuesAreInts:
                 assert_exact_type(dirichlet_convolve(f, g, n), ("dirichlet_convolve", g.name, n))
 
     def test_convolution_over_the_class_lattice(self, f, monkeypatch):
-        # every n is past the limit, so the convolution walks the class's own terms
-        monkeypatch.setattr(transform, "DEFINITION_SCALE_LIMIT", 0)
+        # the walk over every divisor refuses at every n, as it does past the
+        # limit, so the convolution walks the class's own terms
+        def refuse(*args):
+            raise OracleScaleError("the walk over every divisor is refused")
+
+        monkeypatch.setattr(transform, "_divisor_values", refuse)
         for n in range(1, 121):
             for m in range(1, n + 1):
                 value = dft_exact_convolution(f, n, m)

@@ -310,7 +310,8 @@ class TestClosedFormCompletelyMult:
                 ) == dft_closed_form_multiplicative(f, n, m)
 
     def test_zero_valued_prime_degenerate(self):
-        # f(p) = 0 also zeroes the geometric denominator at min >= 2
+        # f(p) = 0 goes through the general ratio, whose a^(s-t-1) and
+        # a^(s-t) read 0^0 = 1 at t = s - 1 and t = s
         f = ArithmeticFunction.completely_multiplicative(
             "vanishing", lambda p: 0 if p == 2 else p
         )
@@ -348,8 +349,9 @@ class TestClosedFormCompletelyMult:
                 assert (value, type(value)) == (expected, type(expected)), (n, m)
 
     def test_degenerate_primes_use_closed_sums_not_the_kernel(self, monkeypatch):
-        # f(p) = p and f(p) = 0 (t >= 2) zero the geometric denominator; the
-        # oracle must still be independent of the per-prime kernel it checks
+        # only f(p) = p zeroes the geometric denominator a - p, and f(p) = 0
+        # relies on 0^0 = 1 in the general ratio; either way the oracle must
+        # stay independent of the per-prime kernel it checks
         functions = [
             ID,
             ArithmeticFunction.completely_multiplicative(
@@ -468,14 +470,18 @@ class TestDispatch:
         )
         src = str(pathlib.Path(__file__).resolve().parents[1] / "src")
         path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        reprs = {
-            subprocess.run(
+        # the eight interpreters start side by side; most of each one's time
+        # is importing numpy
+        runs = [
+            subprocess.Popen(
                 [sys.executable, "-c", code],
                 env=dict(os.environ, PYTHONPATH=path, PYTHONHASHSEED=str(seed)),
-                capture_output=True, text=True, check=True,
-            ).stdout
+                stdout=subprocess.PIPE, text=True,
+            )
             for seed in range(8)
-        }
+        ]
+        reprs = {run.communicate()[0] for run in runs}
+        assert [run.returncode for run in runs] == [0] * 8
         assert reprs == {repr(dft_dispatch(SIGMA, 360, 7, verify=True)) + "\n"}
 
     def test_multiplicative_catalog_entry(self):
