@@ -24,7 +24,7 @@ from .ramanujan import (
 )
 from .tables import build_table, format_exact, render_blocks
 from .transform import dft_dispatch, float_agrees
-from .verify import SweepConfig, render_report, run_verification
+from .verify import M_POLICIES, SweepConfig, render_report, run_verification
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -90,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity sweeps across (f, n, m) grids")
     p.add_argument("--n-max", type=int, default=100)
-    p.add_argument("--m-policy", choices=("all", "divisors", "sample"), default="all")
+    p.add_argument("--m-policy", choices=M_POLICIES, default="all")
     p.add_argument("--sample-count", type=int, default=20)
     p.add_argument("--functions", default="id",
                    help="comma-separated catalog names (default id)")

@@ -205,10 +205,11 @@ LIOUVILLE = ArithmeticFunction.completely_multiplicative("lambda", lambda p: -1)
 def id_power(k: int) -> ArithmeticFunction:
     """id_k(n) = n^k; completely multiplicative. Negative k yields rationals."""
     k = as_int(k, "k")
+    # the catalog's objects, which a tool that replaces ONE or ID leaves in place
     if k == 0:
-        return ONE
+        return _CATALOG["1"]
     if k == 1:
-        return ID
+        return _CATALOG["id"]
     return ArithmeticFunction.completely_multiplicative(
         f"id_{k}",
         lambda p: p**k if k > 0 else Fraction(1, p**-k),
@@ -222,7 +223,7 @@ def jordan_function(k: int) -> ArithmeticFunction:
     if k < 1:
         raise DomainError("jordan_function requires k >= 1")
     if k == 1:
-        return PHI
+        return _CATALOG["phi"]
     return ArithmeticFunction.multiplicative(
         f"J_{k}", lambda p, e: p ** (k * e) - p ** (k * (e - 1))
     )

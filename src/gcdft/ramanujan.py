@@ -11,7 +11,8 @@ Sterneck's form is its product over the primes of n, and the exact
 convolution in :mod:`gcdft.transform` builds its terms from it. Kluyver's
 divisor sum, a walk over the divisors of gcd(m, n) on n's divisor lattice, and
 the floating definition are the rule's independent checks; the definition
-reads its terms from a table of the n-th roots of unity at the exact phases.
+reads its terms from one table, held for the last n, of the k coprime to n
+and the n-th roots of unity, indexed at the exact phases.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ FLOAT_TOLERANCE = 1e-6
 
 
 @lru_cache(maxsize=1)
-def _coprime_indices(n: int) -> np.ndarray:
-    """The k in 1..n <= 10^6 coprime to n: every multiple of a prime of n
-    cleared. Read-only and held for the last n, which a sweep asks for at every m."""
+def _definition_table(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The k in 1..n <= 10^6 coprime to n, every multiple of a prime of n
+    cleared, and e(j/n) for j = 0..n-1: read-only and held for the last n,
+    which a sweep asks for at every m."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
@@ -42,16 +44,9 @@ def _coprime_indices(n: int) -> np.ndarray:
     for p, _ in factorize(n).factors:
         coprime[p - 1 :: p] = False
     k = np.flatnonzero(coprime) + 1
-    k.flags.writeable = False
-    return k
-
-
-@lru_cache(maxsize=1)
-def _unit_roots(n: int) -> np.ndarray:
-    """e(j/n) for j = 0..n-1, read-only and held for the last n."""
     roots = np.exp(2j * np.pi * np.arange(n) / n)
-    roots.flags.writeable = False
-    return roots
+    k.flags.writeable = roots.flags.writeable = False
+    return k, roots
 
 
 def ramanujan_definition(n: int, m: int) -> complex:
@@ -59,13 +54,14 @@ def ramanujan_definition(n: int, m: int) -> complex:
 
     The imaginary part of the result should vanish and the real part should
     sit within FLOAT_TOLERANCE of an integer. Each term is the float that
-    ``np.exp(2j * np.pi * phase / n)`` gives, read from :func:`_unit_roots`.
+    ``np.exp(2j * np.pi * phase / n)`` gives, read from the roots of unity
+    of :func:`_definition_table` at the phases of its k.
     """
     # k*m is reduced mod n in exact integer arithmetic before the angle is
     # formed, keeping the phase error at the 1e-15 level even for huge m.
     n, m = as_int(n, "n"), as_int(m, "m")
-    phase = (_coprime_indices(n) * (m % n)) % n
-    return complex(_unit_roots(n)[phase].sum())
+    k, roots = _definition_table(n)
+    return complex(roots[(k * (m % n)) % n].sum())
 
 
 def _prime_power_sum(p: int, e: int, t: int) -> int:

@@ -121,9 +121,10 @@ def build_table(
     once from the per-prime kernel :func:`transform._local_factor`;
     :func:`numtheory._lattice_terms` multiplies one per prime into each class
     g and its value, and the form joins the same pieces (or :func:`_gcd_piece`
-    for f = id). A general f's class g is one exact convolution, and its form
-    is its value. A sieve sets every multiple of each divisor d, ascending,
-    to d's class, so the order k ends in the class of gcd(k, n)."""
+    for f = id). A general f's classes are :func:`transform._class_values`,
+    one exact convolution each, and a form is its value. A sieve sets every
+    multiple of each divisor d, ascending, to d's class, so the order k ends
+    in the class of gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -135,8 +136,7 @@ def build_table(
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
     if not f.is_multiplicative:  # its transform does not factor
-        values = ((g, transform.dft_exact_convolution(f, fac, g)) for _, g in _lattice_terms(fac))
-        cells = sorted((g, v, format_exact(v)) for g, v in values)
+        cells = [(g, v, format_exact(v)) for g, v in transform._class_values(f, fac).items()]
     else:
         symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
         choices, pieces = [], []

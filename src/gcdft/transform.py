@@ -49,7 +49,7 @@ from . import numtheory
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, _divisor_values, as_exact
 from .numtheory import Factorization, _class_exponents, as_factorization, as_int
-from .numtheory import divisor_tuple, factorize
+from .numtheory import divisor_tuple, divisors, factorize
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, _prime_power_sum
 
 PATH_BRUTE_FLOAT = "brute_float"
@@ -235,6 +235,12 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     else:
         result = sum(c * values[v] for c, v in _ramanujan_terms(fac, g))
     return result if type(result) is int else as_exact(result)
+
+
+def _class_values(f: ArithmeticFunction, n: int | Factorization) -> dict[int, Exact]:
+    """The exact convolution at every gcd class g | n, keyed on g, ascending:
+    an int n lists its cached divisors, a ``Factorization`` its own."""
+    return {g: dft_exact_convolution(f, n, g) for g in divisors(n)}
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:

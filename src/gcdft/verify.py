@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .errors import DomainError, InconsistencyError
-from .functions import ArithmeticFunction, Exact, Kind, get_function
+from .functions import ArithmeticFunction, Kind, get_function
 from .numtheory import divisors, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
@@ -29,6 +29,7 @@ from .ramanujan import (
     ramanujan_von_sterneck,
 )
 from .transform import (
+    _class_values,
     dft_brute_spectrum,
     dft_closed_form_completely_mult,
     dft_closed_form_gcd,
@@ -105,11 +106,6 @@ def _verdict(identity: str, f_name: str, n: int, m: int, expected, got, ok=None)
         return identity, None
     shown = repr(complex(got)) if isinstance(got, complex) else str(got)
     return identity, Failure(identity, f_name, n, m, str(expected), shown)
-
-
-def _class_table(f: ArithmeticFunction, n: int) -> dict[int, Exact]:
-    """The exact convolution at every gcd class g | n, keyed on g."""
-    return {g: dft_exact_convolution(f, n, g) for g in divisors(n)}
 
 
 def _missing(error: KeyError) -> str:
@@ -196,7 +192,7 @@ def check_gcd_dependence(
     g = gcd(m, n), computed once per divisor g of n; a class missing from
     the class table fails the check."""
     for n in n_values:
-        by_class = _class_table(f, n)
+        by_class = _class_values(f, n)
         for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
             left = exact_closed_form(f, n, m)
             try:
@@ -219,7 +215,7 @@ def check_multiplicativity(
     check.
     """
     rng = random.Random(seed)
-    by_class = {u: _class_table(f, u) for u in range(1, pair_max + 1)}
+    by_class = {u: _class_values(f, u) for u in range(1, pair_max + 1)}
     for u in range(1, pair_max + 1):
         for v in range(u + 1, pair_max + 1):
             if math.gcd(u, v) != 1:

@@ -30,21 +30,21 @@ from gcdft.verify import (
 class TestUnitRoots:
     def test_definition_is_the_exp_of_each_phase(self):
         for n in range(1, 300):
-            k = ramanujan._coprime_indices(n)
+            k, _ = ramanujan._definition_table(n)
             for m in range(-n, 2 * n + 1):
                 plain = complex(np.exp(2j * np.pi * ((k * (m % n)) % n) / n).sum())
                 assert ramanujan_definition(n, m) == plain, (n, m)
 
     def test_table_is_read_only_and_held_for_one_n(self):
-        roots = ramanujan._unit_roots(12)
+        _, roots = ramanujan._definition_table(12)
         assert roots.shape == (12,) and not roots.flags.writeable
         assert roots[0] == 1 and roots[3] == np.exp(2j * np.pi * 3 / 12)
         with pytest.raises(ValueError):
             roots[0] = 0
-        assert ramanujan._unit_roots(12) is roots
+        assert ramanujan._definition_table(12)[1] is roots
         ramanujan_definition(10, 3)
-        assert ramanujan._unit_roots.cache_info().currsize == 1
-        assert ramanujan._unit_roots(10).shape == (10,)
+        assert ramanujan._definition_table.cache_info().currsize == 1
+        assert ramanujan._definition_table(10)[1].shape == (10,)
 
 
 class TestFactorizationHash:

@@ -53,11 +53,11 @@ class TestDefinition:
             ramanujan_definition(0, 1)
 
     def test_residues_are_read_only_and_held_for_one_n(self):
-        k = ramanujan._coprime_indices(12)
+        k, _ = ramanujan._definition_table(12)
         assert k.tolist() == [1, 5, 7, 11] and not k.flags.writeable
-        assert ramanujan._coprime_indices(12) is k
-        ramanujan._coprime_indices(10)
-        assert ramanujan._coprime_indices.cache_info().currsize == 1
+        assert ramanujan._definition_table(12)[0] is k
+        ramanujan._definition_table(10)
+        assert ramanujan._definition_table.cache_info().currsize == 1
 
 
 class TestVonSterneck:

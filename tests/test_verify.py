@@ -157,10 +157,7 @@ class TestFaultInjection:
 
     def test_gcd_dependence_catches_an_offset_local_factor(self, monkeypatch):
         # the closed form at m against the convolution at gcd(m, n)
-        honest = transform._local_factor
-        monkeypatch.setattr(
-            transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1
-        )
+        offset_local_factor(monkeypatch)
         failures = [
             failure
             for _, failure in check_gcd_dependence(get_function("sigma"), range(1, 30))
@@ -368,12 +365,6 @@ class TestClosedFormPairWork:
         assert len(pairs) == len(calls) == sum(range(1, 30))
 
 
-@pytest.fixture
-def offset_kernel(monkeypatch):
-    honest = transform._local_factor
-    monkeypatch.setattr(transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1)
-
-
 class TestNoIdentityChecksTheKernelAgainstItself:
     EXACT_IDENTITIES = (
         "path-equivalence-exact",
@@ -384,7 +375,8 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         "geometric-form-vs-multiplicative-form",
     )
 
-    def test_offset_kernel_fails_every_exact_identity(self, offset_kernel):
+    def test_offset_kernel_fails_every_exact_identity(self, monkeypatch):
+        offset_local_factor(monkeypatch)
         report = run_verification(SweepConfig(n_max=12, functions=("sigma", "id_2", "id")))
         failed = {identity for identity, (_, failures) in report.by_identity.items() if failures}
         assert set(self.EXACT_IDENTITIES) <= failed
@@ -399,7 +391,8 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         assert checks and all(failure is None for _, failure in checks)
         assert len(calls) == len(checks)
 
-    def test_first_multiplicativity_record(self, offset_kernel):
+    def test_first_multiplicativity_record(self, monkeypatch):
+        offset_local_factor(monkeypatch)
         sigma = get_function("sigma")
         failures = [f for _, f in check_multiplicativity(sigma, 12) if f is not None]
         # u = 1, v = 2, m = 1: the convolutions give 1 * 2, the offset closed form 3
@@ -407,7 +400,8 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         assert failures[0] == Failure("multiplicativity", "sigma", 2, 1, str(split), "3")
         assert split == 2
 
-    def test_coprime_order_totient_reads_the_dispatched_closed_form(self, offset_kernel):
+    def test_coprime_order_totient_reads_the_dispatched_closed_form(self, monkeypatch):
+        offset_local_factor(monkeypatch)
         failures = [f for _, f in check_coprime_order_totient(range(1, 6)) if f is not None]
         # n = 1 has no prime, so no kernel: the first failure is phi(2) = 1
         assert failures[0] == Failure("coprime-order-totient", "id", 2, 1, "1", "2")
