@@ -5,9 +5,11 @@ and a form: the value's per-prime factors (totient forms for f = id), or the
 value itself for a general f, whose transform does not factor. The transform
 depends on the order only through that gcd, so a :class:`Table` keeps one
 (gcd, value, form) cell per gcd class, one per divisor of n, and, per row,
-its index and the position of its class. A class sieve places every order in
-its class with no gcd per row, and a :class:`TableRow` is built only when one
-is asked for. Rendering formats each class once and each row only its index.
+its index and the position of its class, one byte per row for a full table.
+A class sieve places every order in its class with no gcd per row, and a
+:class:`TableRow` is built only when one is asked for. Rendering formats each
+class once, and a row joins its index string to its class's text, the index
+strings of a table's first block read from one shared list.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 import io
 import json
 import sys
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from csv import reader as csv_reader
 from fractions import Fraction
 from itertools import product
@@ -42,8 +44,10 @@ class TableRow(NamedTuple):
 class Table(Sequence):
     """The rows of a table, held as its gcd classes: ``cells`` has one
     (gcd, value, form) per class, ``indices`` the row indices and
-    ``positions`` the position in ``cells`` of each row's class. A row is
-    built only when asked for; a table equals any sequence of equal rows."""
+    ``positions`` the position in ``cells`` of each row's class: a ``range``
+    of indices and ``bytes`` of positions for a full table, the divisors and
+    a ``range`` for a compressed one. A row is built only when asked for; a
+    table equals any sequence of equal rows."""
 
     __slots__ = ("cells", "indices", "positions")
     __hash__ = None
@@ -122,9 +126,9 @@ def build_table(
     :func:`numtheory._lattice_terms` multiplies one per prime into each class
     g and its value, and the form joins the same pieces (or :func:`_gcd_piece`
     for f = id). A general f's classes are :func:`transform._class_values`,
-    one exact convolution each, and a form is its value. A sieve sets every
-    multiple of each divisor d, ascending, to d's class, so the order k ends
-    in the class of gcd(k, n)."""
+    one exact convolution each, and a form is its value. A sieve sets the
+    byte of every multiple of each divisor d, ascending, to d's class, so the
+    order k ends in the class of gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -153,15 +157,21 @@ def build_table(
     if compress:
         return Table(tuple(cells), tuple(classes), range(len(classes)))
     value = fac.value
-    positions = [0] * value
+    # A position fits in a byte: n <= 10^6 has at most 240 divisors (d(n) =
+    # 240 at 720720, 831600, 942480, 982800 and 997920), and bytes([j])
+    # raises past 255.
+    positions = bytearray(value)
     for j, d in enumerate(classes):
-        positions[d - 1 :: d] = [j] * (value // d)
-    return Table(tuple(cells), range(1, value + 1), tuple(positions))
+        positions[d - 1 :: d] = bytes([j]) * (value // d)
+    return Table(tuple(cells), range(1, value + 1), bytes(positions))
 
 
 TABLE_FIELDS = ("index", "gcd", "value", "form")
 # Rows per rendered block: a block's lines are held at once, the table's are not.
 _BLOCK_ROWS = 1 << 14
+# str(i) at position i, shared by every render: grown on demand up to the
+# largest index rendered, and never past _BLOCK_ROWS.
+_INDEX_TEXT: list[str] = []
 
 
 def render_table(rows: Sequence[TableRow], fmt: str = "text") -> str:
@@ -170,14 +180,26 @@ def render_table(rows: Sequence[TableRow], fmt: str = "text") -> str:
     return "\n".join(render_blocks(rows, fmt))
 
 
+def _index_keys(block: Sequence[int]) -> Iterable:
+    """What a block's rows format as their indices: the strings of the shared
+    list when the block is an ascending range within 0.._BLOCK_ROWS, as a
+    full table's first block is, else the indices themselves."""
+    # an ascending range lies between its ends: no negative index reaches the list
+    if type(block) is range and 0 <= block[0] <= block[-1] <= _BLOCK_ROWS:
+        _INDEX_TEXT.extend(map(str, range(len(_INDEX_TEXT), block[-1] + 1)))
+        return map(_INDEX_TEXT.__getitem__, block)
+    return block
+
+
 def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
     """The render of :func:`render_table` in blocks of whole lines, each of at
     most _BLOCK_ROWS rows (the first one holds the header), so a large table
     can be written block by block. Rendered from (row indices, class position
     per row, cells per class): a :class:`Table` hands these over; other rows
     are grouped once by equal (gcd, value, form), so equal int and Fraction
-    values format alike. Each class is formatted once and each row only its
-    index, and no row object is built."""
+    values format alike. Each class is formatted once into the tail of its
+    lines, and a row is its index string and its class's tail; no row object
+    is built."""
     if fmt not in ("text", "csv", "json"):
         raise DomainError(f"unknown table format {fmt!r}")
     if isinstance(rows, Table):
@@ -189,21 +211,25 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
     shown = [(str(g), format_exact(value), form) for g, value, form in cells]
     count = len(indices)
     if fmt == "text":
-        width = max(len(TABLE_FIELDS[0]), max(map(len, map(str, indices)), default=0))
+        ends = ()  # the longest decimal is the smallest or the largest index's
+        if count:  # a range lies between its ends
+            span = (indices[0], indices[-1]) if type(indices) is range else indices
+            ends = (min(span), max(span))
+        width = max([len(TABLE_FIELDS[0]), *map(len, map(str, ends))])
         columns = list(zip(*shown)) if count else [()] * 3
         widths = [width] + [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS[1:], columns)]
-        tails = ["  ".join(map(str.ljust, c, widths[1:])) for c in shown]
+        tails = ["  " + "  ".join(map(str.ljust, c, widths[1:])) for c in shown]
         head = "  ".join(map(str.ljust, TABLE_FIELDS, widths))
 
-        def body(block, places, last):
-            return [f"{str(i).ljust(width)}  {tails[p]}" for i, p in zip(block, places)]
+        def body(keys, places, last):
+            return [f"{str(i).ljust(width)}{tails[p]}" for i, p in zip(keys, places)]
 
     elif fmt == "csv":
-        tails = [",".join(c) for c in shown]
+        tails = ["," + ",".join(c) for c in shown]
         head = ",".join(TABLE_FIELDS)
 
-        def body(block, places, last):
-            return [f"{i},{tails[p]}" for i, p in zip(block, places)]
+        def body(keys, places, last):
+            return [f"{i}{tails[p]}" for i, p in zip(keys, places)]
 
     else:  # the text of json.dumps(records, indent=2), a record per row
         tails = [
@@ -212,15 +238,16 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
             for g, v, form in shown
         ]
         head = "[" if count else "[]"
+        opening = '  {\n    "index": '
 
-        def body(block, places, last):
-            records = [f'  {{\n    "index": {i}{tails[p]}' for i, p in zip(block, places)]
-            return [",\n".join(records) + ("\n]" if last else ",")]
+        def body(keys, places, last):
+            records = [f"{i}{tails[p]}" for i, p in zip(keys, places)]
+            return [opening + f",\n{opening}".join(records) + ("\n]" if last else ",")]
 
     lines = [head]
     for k in range(0, count, _BLOCK_ROWS):
         end = k + _BLOCK_ROWS
-        lines += body(indices[k:end], positions[k:end], end >= count)
+        lines += body(_index_keys(indices[k:end]), positions[k:end], end >= count)
         yield "\n".join(lines)
         lines = []
     if not count:  # the header alone
