@@ -8,8 +8,9 @@ depends on the order only through that gcd, so a :class:`Table` keeps one
 its index and the position of its class, one byte per row for a full table.
 A class sieve places every order in its class with no gcd per row, and a
 :class:`TableRow` is built only when one is asked for. Rendering formats each
-class once, and a row joins its index string to its class's text, the index
-strings of a table's first block read from one shared list.
+class once, and a block of rows is one join of its index strings with its
+rows' class texts, each ending in the row separator; a table's first block
+slices its index strings from one shared list.
 """
 
 from __future__ import annotations
@@ -17,10 +18,10 @@ from __future__ import annotations
 import io
 import json
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from csv import reader as csv_reader
 from fractions import Fraction
-from itertools import product
+from itertools import product, repeat
 from math import log10, prod
 from operator import eq
 from typing import NamedTuple
@@ -180,15 +181,16 @@ def render_table(rows: Sequence[TableRow], fmt: str = "text") -> str:
     return "\n".join(render_blocks(rows, fmt))
 
 
-def _index_keys(block: Sequence[int]) -> Iterable:
-    """What a block's rows format as their indices: the strings of the shared
-    list when the block is an ascending range within 0.._BLOCK_ROWS, as a
-    full table's first block is, else the indices themselves."""
+def _index_keys(block: Sequence[int]) -> list[str]:
+    """The index strings of a block's rows: a slice of the shared list when
+    the block is an ascending range within 0.._BLOCK_ROWS, as a full table's
+    first block is, else one formatted per index."""
     # an ascending range lies between its ends: no negative index reaches the list
     if type(block) is range and 0 <= block[0] <= block[-1] <= _BLOCK_ROWS:
         _INDEX_TEXT.extend(map(str, range(len(_INDEX_TEXT), block[-1] + 1)))
-        return map(_INDEX_TEXT.__getitem__, block)
-    return block
+        # a one-row range may run down; its step's sign then picks nothing else
+        return _INDEX_TEXT[block[0] : block[-1] + 1 : abs(block.step)]
+    return [f"{i}" for i in block]
 
 
 def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
@@ -198,8 +200,9 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
     per row, cells per class): a :class:`Table` hands these over; other rows
     are grouped once by equal (gcd, value, form), so equal int and Fraction
     values format alike. Each class is formatted once into the tail of its
-    lines, and a row is its index string and its class's tail; no row object
-    is built."""
+    lines, once more with the separator that ends a row and opens the next,
+    and a block is one join of its index strings interleaved with its rows'
+    class tails; no row object or row string is built."""
     if fmt not in ("text", "csv", "json"):
         raise DomainError(f"unknown table format {fmt!r}")
     if isinstance(rows, Table):
@@ -210,6 +213,8 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
         indices, cells = [r.index for r in rows], list(classes)
     shown = [(str(g), format_exact(value), form) for g, value, form in cells]
     count = len(indices)
+    # lead opens a block's first row, closes[last block] ends its last row
+    lead, closes = "", ("", "")
     if fmt == "text":
         ends = ()  # the longest decimal is the smallest or the largest index's
         if count:  # a range lies between its ends
@@ -220,17 +225,9 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
         widths = [width] + [max([len(h), *map(len, c)]) for h, c in zip(TABLE_FIELDS[1:], columns)]
         tails = ["  " + "  ".join(map(str.ljust, c, widths[1:])) for c in shown]
         head = "  ".join(map(str.ljust, TABLE_FIELDS, widths))
-
-        def body(keys, places, last):
-            return [f"{str(i).ljust(width)}{tails[p]}" for i, p in zip(keys, places)]
-
     elif fmt == "csv":
         tails = ["," + ",".join(c) for c in shown]
         head = ",".join(TABLE_FIELDS)
-
-        def body(keys, places, last):
-            return [f"{i}{tails[p]}" for i, p in zip(keys, places)]
-
     else:  # the text of json.dumps(records, indent=2), a record per row
         tails = [
             f',\n    "gcd": {g},\n    "value": {json.dumps(v)},\n    "form": {json.dumps(form)}'
@@ -238,18 +235,19 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
             for g, v, form in shown
         ]
         head = "[" if count else "[]"
-        opening = '  {\n    "index": '
-
-        def body(keys, places, last):
-            records = [f"{i}{tails[p]}" for i, p in zip(keys, places)]
-            return [opening + f",\n{opening}".join(records) + ("\n]" if last else ",")]
-
-    lines = [head]
+        lead, closes = '  {\n    "index": ', (",", "\n]")
+    ended = [f"{t}{closes[0]}\n{lead}" for t in tails]
+    opening = f"{head}\n{lead}"
     for k in range(0, count, _BLOCK_ROWS):
         end = k + _BLOCK_ROWS
-        lines += body(_index_keys(indices[k:end]), positions[k:end], end >= count)
-        yield "\n".join(lines)
-        lines = []
+        keys, places = _index_keys(indices[k:end]), positions[k:end]
+        parts = [""] * (2 * len(places))
+        parts[0::2] = map(str.ljust, keys, repeat(width)) if fmt == "text" else keys
+        parts[1::2] = map(ended.__getitem__, places)
+        parts[0] = opening + parts[0]
+        parts[-1] = tails[places[-1]] + closes[end >= count]
+        yield "".join(parts)
+        opening = lead
     if not count:  # the header alone
         yield head
 
