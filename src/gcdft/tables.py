@@ -8,9 +8,8 @@ depends on the order only through that gcd, so a :class:`Table` keeps one
 its index and the position of its class, one byte per row for a full table.
 A class sieve places every order in its class with no gcd per row, and a
 :class:`TableRow` is built only when one is asked for. Rendering formats each
-class once, and a block of rows is one join of its index strings with its
-rows' class texts, each ending in the row separator; a table's first block
-slices its index strings from one shared list.
+class once, and a block is one join of its index strings and class texts
+ending in the row separator, a first block's strings sliced from a shared list.
 """
 
 from __future__ import annotations
@@ -188,7 +187,7 @@ def _index_keys(block: Sequence[int]) -> list[str]:
     # an ascending range lies between its ends: no negative index reaches the list
     if type(block) is range and 0 <= block[0] <= block[-1] <= _BLOCK_ROWS:
         _INDEX_TEXT.extend(map(str, range(len(_INDEX_TEXT), block[-1] + 1)))
-        # a one-row range may run down; its step's sign then picks nothing else
+        # a one-row range may run down: slice it upwards all the same
         return _INDEX_TEXT[block[0] : block[-1] + 1 : abs(block.step)]
     return [f"{i}" for i in block]
 
@@ -199,10 +198,9 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
     can be written block by block. Rendered from (row indices, class position
     per row, cells per class): a :class:`Table` hands these over; other rows
     are grouped once by equal (gcd, value, form), so equal int and Fraction
-    values format alike. Each class is formatted once into the tail of its
-    lines, once more with the separator that ends a row and opens the next,
-    and a block is one join of its index strings interleaved with its rows'
-    class tails; no row object or row string is built."""
+    values format alike. Each class's tail is formatted once, alone and ended
+    by the row separator, and a block is one join of its index strings and
+    its rows' tails; no row object or row string is built."""
     if fmt not in ("text", "csv", "json"):
         raise DomainError(f"unknown table format {fmt!r}")
     if isinstance(rows, Table):
@@ -213,7 +211,7 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
         indices, cells = [r.index for r in rows], list(classes)
     shown = [(str(g), format_exact(value), form) for g, value, form in cells]
     count = len(indices)
-    # lead opens a block's first row, closes[last block] ends its last row
+    # a row ends in closes[0], "\n" and lead; a block's last in closes[last block]
     lead, closes = "", ("", "")
     if fmt == "text":
         ends = ()  # the longest decimal is the smallest or the largest index's
@@ -240,13 +238,17 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
     opening = f"{head}\n{lead}"
     for k in range(0, count, _BLOCK_ROWS):
         end = k + _BLOCK_ROWS
-        keys, places = _index_keys(indices[k:end]), positions[k:end]
+        places = positions[k:end]
         parts = [""] * (2 * len(places))
-        parts[0::2] = map(str.ljust, keys, repeat(width)) if fmt == "text" else keys
+        parts[0::2] = _index_keys(indices[k:end])
+        if fmt == "text":
+            parts[0::2] = map(str.ljust, parts[0::2], repeat(width))
         parts[1::2] = map(ended.__getitem__, places)
         parts[0] = opening + parts[0]
         parts[-1] = tails[places[-1]] + closes[end >= count]
-        yield "".join(parts)
+        # the rows' strings are freed before the caller writes the block
+        text, parts = "".join(parts), None
+        yield text
         opening = lead
     if not count:  # the header alone
         yield head
