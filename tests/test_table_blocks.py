@@ -11,14 +11,8 @@ import pytest
 from gcdft import tables
 from gcdft.functions import SIGMA
 from gcdft.tables import Table, build_table, render_blocks, render_table
+from test_table_index_text import fresh  # noqa: F401  (a fixture)
 from test_table_sequence import FORMATS, per_row_render
-
-
-@pytest.fixture
-def fresh(monkeypatch):
-    """An empty shared list of index strings, restored afterwards."""
-    monkeypatch.setattr(tables, "_INDEX_TEXT", [])
-    return tables._INDEX_TEXT
 
 
 def test_three_real_blocks_across_a_digit_boundary():

@@ -1,8 +1,8 @@
-"""A rendered row is its index string and its class's text. A block whose
-indices are a range within one block's length, as a full table's first block
-is, reads its index strings from one shared list, grown on demand and never
-past that length; every other row formats its index. A full table keeps one
-byte per row for its class."""
+"""A rendered row is its index string followed by its class's text. A block
+whose indices are a range within one block's length, as a full table's first
+block is, takes its index strings as one slice of a shared list, grown on
+demand and never past that length; every other block formats its indices.
+A full table keeps one byte per row for its class."""
 
 import math
 from fractions import Fraction
