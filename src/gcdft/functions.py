@@ -1,6 +1,6 @@
 """Arithmetic functions as prime-power rules, with Dirichlet convolution,
 sum functions and Moebius inversion, which read f at every divisor of n from
-one walk over the divisor lattice of n, :func:`_divisor_values`.
+one walk over the divisor lattice of n, :func:`_divisor_values`, by position.
 
 Values are exact: a plain ``int`` whenever a value is integral and a
 ``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
@@ -129,31 +129,31 @@ def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
 
 
 @lru_cache(maxsize=1 << 8)
-def _divisor_values(f: ArithmeticFunction, fac: Factorization) -> dict[int, Exact]:
-    """{n/d: f(n/d)} for every d | n, the exponent of each p^s || n in n/d
-    running from s down to 0 as in the convolution's terms: lattice weights
-    of ``f.prime_power`` for a multiplicative f, else its table entries.
-    Bounded, keyed on f by identity, and shared by every caller: never changed."""
+def _divisor_values(f: ArithmeticFunction, fac: Factorization) -> tuple[Exact, ...]:
+    """f(n/d) at the lattice position of each d | n, and so f(d) at the
+    mirrored one: each p^s || n chooses its exponent in n/d from s down to 0,
+    weighted by ``f.prime_power`` for a multiplicative f, else read from its
+    table. Bounded, keyed on f by identity, and shared by every caller."""
     if f.kind is Kind.GENERAL:
-        choices = [[(1, e) for e in range(s, -1, -1)] for _, s in fac.factors]
-        return {v: evaluate(f, v) for _, v in numtheory._lattice_terms(fac, choices)}
+        choices = [[(p**e, e) for e in range(s, -1, -1)] for p, s in fac.factors]
+        return tuple(evaluate(f, v) for v, _ in numtheory._lattice_terms(fac, choices))
     choices = [[(f.prime_power(p, e), e) for e in range(s, -1, -1)] for p, s in fac.factors]
-    return {v: as_exact(w) for w, v in numtheory._lattice_terms(fac, choices)}
+    return tuple(as_exact(w) for w, _ in numtheory._lattice_terms(fac, choices))
 
 
 def dirichlet_convolve(
     f: ArithmeticFunction, g: ArithmeticFunction, n: int | Factorization
 ) -> Exact:
-    """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly; d
-    mirrors n/d from the other end of :func:`_divisor_values`."""
+    """(f * g)(n) = sum over divisors d of n of f(n/d) * g(d), exactly; g(d)
+    is read from the far end of :func:`_divisor_values`."""
     fac = as_factorization(n)
-    pairs = zip(_divisor_values(f, fac).values(), reversed(_divisor_values(g, fac).values()))
+    pairs = zip(_divisor_values(f, fac), reversed(_divisor_values(g, fac)))
     return as_exact(sum(a * b for a, b in pairs))
 
 
 def sum_function(t: ArithmeticFunction, n: int | Factorization) -> Exact:
     """The sum function (1 * t)(n), i.e. the divisor sum of t."""
-    return as_exact(sum(_divisor_values(t, as_factorization(n)).values()))
+    return as_exact(sum(_divisor_values(t, as_factorization(n))))
 
 
 def sum_function_product(t: ArithmeticFunction, n: int | Factorization) -> Exact:

@@ -1,5 +1,5 @@
 """Exact integer primitives: gcd, primality, factorization, the divisor
-lattice of plain (weight, divisor) int pairs and the classical multiplicative
+lattice of plain (weight, position) int pairs and the classical multiplicative
 functions built on prime-power factorizations. Everything here works on
 arbitrary-precision Python ints; no operation may overflow or round.
 """
@@ -550,36 +550,36 @@ def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
 
 def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int]]:
     """The product over the p^s || n of one (weight, exponent) choice per
-    prime: each term is its weights' product and the divisor prod p^e, in
-    product order (the last prime varies fastest). By default each prime
-    chooses every e = 0..s with weight 1: the divisors of n, with d and n/d
-    mirrored from the two ends. A walk of more than DEFINITION_SCALE_LIMIT
-    terms raises :class:`OracleScaleError` before any is built."""
+    prime: each term is its weights' product and the position of prod p^e,
+    sum e * stride by Horner's rule, in product order (the last prime
+    fastest). By default each prime chooses (p^e, e), e = 0..s: the divisors
+    of n at positions 0..d(n) - 1, d and n/d mirrored. A walk of more than
+    DEFINITION_SCALE_LIMIT terms raises :class:`OracleScaleError` first."""
     if choices is None:
-        choices = [[(1, e) for e in range(s + 1)] for _, s in fac.factors]
+        choices = [[(p**e, e) for e in range(s + 1)] for p, s in fac.factors]
     if (count := math.prod(map(len, choices))) > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
             f"a walk over {count} divisors of n = {fac.value} is above {DEFINITION_SCALE_LIMIT}"
         )
-    terms = [(1, 1)]  # (weight, divisor) over the primes so far
-    for (p, _), local in zip(fac.factors, choices):
-        powers = [(r, p**e) for r, e in local]
-        terms = [(w * r, d * q) for w, d in terms for r, q in powers]
+    terms = [(1, 0)]  # (weight, position) over the primes so far
+    for (_, s), local in zip(fac.factors, choices):
+        terms = [(w * r, i * (s + 1) + e) for w, i in terms for r, e in local]
     return terms
 
 
 @lru_cache(maxsize=1 << 18)
 def divisor_tuple(n: int) -> tuple[int, ...]:
-    """All positive divisors of n, ascending, as a shared immutable tuple."""
-    return tuple(sorted(d for _, d in _lattice_terms(factorize(n))))
+    """The divisors of n at their positions in :func:`_lattice_terms`, every
+    divisor of d before d, as a shared immutable tuple; :func:`divisors` sorts."""
+    return tuple(d for d, _ in _lattice_terms(factorize(n)))
 
 
 def divisors(n: int | Factorization) -> list[int]:
     """All positive divisors of n in ascending order. A Factorization is not
     factored again: its divisors come from its primes."""
     if isinstance(n, Factorization):
-        return sorted(d for _, d in _lattice_terms(n))
-    return list(divisor_tuple(as_int(n)))
+        return sorted(d for d, _ in _lattice_terms(n))
+    return sorted(divisor_tuple(as_int(n)))
 
 
 def moebius(n: int | Factorization) -> int:

@@ -22,13 +22,13 @@ from csv import reader as csv_reader
 from fractions import Fraction
 from itertools import product, repeat
 from math import log10, prod
-from operator import eq
+from operator import eq, itemgetter
 from typing import NamedTuple
 
 from . import transform
 from .errors import DomainError, OracleScaleError
 from .functions import ArithmeticFunction, as_exact, get_function
-from .numtheory import Factorization, _lattice_terms, as_factorization
+from .numtheory import Factorization, as_factorization
 from .ramanujan import DEFINITION_SCALE_LIMIT
 
 _PRIME_LETTERS = "pqwxyz"
@@ -122,11 +122,11 @@ def build_table(
     :class:`Table` of one cell per class, at most DEFINITION_SCALE_LIMIT rows.
 
     For a multiplicative f each h_{p^t}(p^s), p^s || n and t <= s, is read
-    once from the per-prime kernel :func:`transform._local_factor`;
-    :func:`numtheory._lattice_terms` multiplies one per prime into each class
-    g and its value, and the form joins the same pieces (or :func:`_gcd_piece`
-    for f = id). A general f's classes are :func:`transform._class_values`,
-    one exact convolution each, and a form is its value. A sieve sets the
+    once from the per-prime kernel :func:`transform._local_factor`, and each
+    class's g, value and form are products over the per-prime lists of p^t,
+    of those values and of their pieces (:func:`_gcd_piece` for f = id). A
+    general f's classes are :func:`transform._class_values`, one exact
+    convolution each, and a form is its value. A sieve sets the
     byte of every multiple of each divisor d, ascending, to d's class, so the
     order k ends in the class of gcd(k, n)."""
     fac = as_factorization(n)
@@ -143,15 +143,16 @@ def build_table(
         cells = [(g, v, format_exact(v)) for g, v in transform._class_values(f, fac).items()]
     else:
         symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
-        choices, pieces = [], []
+        powers, local, pieces = [], [], []
         for i, (p, s) in enumerate(fac.factors):
-            local = [(t, transform._local_factor(f, p, s, t)) for t in range(s + 1)]
-            choices.append([(v, t) for t, v in local])
-            pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v) for t, v in local])
+            powers.append([p**t for t in range(s + 1)])
+            local.append([transform._local_factor(f, p, s, t) for t in range(s + 1)])
+            pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v)
+                           for t, v in enumerate(local[-1])])
         join = "".join if symbolic else "*".join
         cells = sorted(  # by class: the classes g are distinct
-            (g, as_exact(v), join(form) or "1")
-            for (v, g), form in zip(_lattice_terms(fac, choices), product(*pieces))
+            (prod(g), as_exact(prod(v)), join(form) or "1")
+            for g, v, form in zip(product(*powers), product(*local), product(*pieces))
         )
     classes = [g for g, _, _ in cells]
     if compress:
@@ -255,18 +256,20 @@ def render_blocks(rows: Sequence[TableRow], fmt: str = "text") -> Iterator[str]:
 
 
 def parse_table(text: str, fmt: str) -> list[TableRow]:
-    """Inverse of :func:`render_table` for the csv and json formats."""
-    if fmt == "csv":
-        records = list(csv_reader(io.StringIO(text)))
-        if records and records[0] == list(TABLE_FIELDS):
+    """Inverse of :func:`render_table` for the csv and json formats. Malformed
+    text raises :class:`DomainError`, naming the record (or text) it failed on."""
+    if fmt not in ("csv", "json"):
+        raise DomainError(f"cannot parse table format {fmt!r}")
+    rows, record = [], text  # the whole text, until it parses into records
+    try:
+        records = json.loads(text) if fmt == "json" else list(csv_reader(io.StringIO(text)))
+        if fmt == "csv" and records[:1] == [list(TABLE_FIELDS)]:
             records = records[1:]
-        return [
-            TableRow(int(idx), int(g), parse_exact(value), form)
-            for idx, g, value, form in records
-        ]
-    if fmt == "json":
-        return [
-            TableRow(r["index"], r["gcd"], parse_exact(r["value"]), r["form"])
-            for r in json.loads(text)
-        ]
-    raise DomainError(f"cannot parse table format {fmt!r}")
+        for record in records:
+            idx, g, value, form = record if fmt == "csv" else itemgetter(*TABLE_FIELDS)(record)
+            if fmt == "csv":  # json holds the index and gcd as ints already
+                idx, g = int(idx), int(g)
+            rows.append(TableRow(idx, g, parse_exact(value), form))
+    except (ValueError, ZeroDivisionError, KeyError, TypeError) as error:
+        raise DomainError(f"malformed {fmt} table record {record!r}: {error!r}") from None
+    return rows

@@ -6,12 +6,12 @@ independent ways:
 * a brute-force floating sum (the oracle, O(n) per call), folded over k and
   n - k: as gcd(k, n) = gcd(n - k, n), the terms pair into a real cosine sum
   over k <= n/2, so the value's imaginary part is 0 by construction. Each
-  divisor d <= n/2 of n, largest last, writes f(d) to the multiples of d, and
-  each twiddle is the product of two split tables of about sqrt(n/2) entries,
+  divisor d <= n/2 of n, gcd(k, n) last, writes f(d) to the multiples of d,
+  and each twiddle is the product of two split tables of about sqrt(n/2) entries,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
   terms: the divisor lattice of n from :mod:`gcdft.numtheory`, weighted per
   prime by the prime-power rule of :mod:`gcdft.ramanujan` as int pairs
-  (c_d(m), n/d), cached per class (n, gcd(m, n)) and shared by every f,
+  (c_d(m), position of d), cached per class (n, gcd(m, n)), shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f,
@@ -21,10 +21,10 @@ The transform depends on m only through its gcd class g = gcd(m, n), and the
 factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
 negative included, needs no reduction first. The per-prime product reads each
 t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
-read the class through :func:`numtheory._class_exponents`. The float oracles
-and their l1 bound read the divisors of n from the terms of the full class
-g = n, where c_d = phi(d). f's values come from :func:`functions._divisor_values`;
-past 10^6 divisors, where that walk raises, a multiplicative f's convolution
+read the class through :func:`numtheory._class_exponents`. A divisor is its
+position in :func:`numtheory.divisor_tuple`, the lattice walk's order, where
+:func:`functions._divisor_values` holds f(n/d); the float oracles sieve in it.
+Past 10^6 divisors, where that walk raises, a multiplicative f's convolution
 sums one class-lattice walk of c_{p^e}(m) * f(p^(s-e)). No divisor is factored.
 
 :func:`exact_closed_form` is the only place that picks a closed form: the
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -93,14 +93,13 @@ def reduce_order(m: int, n: int) -> int:
     return r if r else n
 
 
-def _ascending_divisors(fac: Factorization) -> list[int]:
-    """The divisors of n, ascending, as the n/d of the terms of the full class
-    g = n, where every c_d = phi(d) is nonzero; ``divisor_tuple(n)`` must list
-    exactly them, as a sieve needs."""
-    n = fac.value
-    divs = sorted(v for _, v in _ramanujan_terms(fac, n))
-    if divisor_tuple(n) != tuple(divs):
-        raise InconsistencyError(f"{divisor_tuple(n)} are not the ascending divisors of {n}")
+def _lattice_divisors(n: int) -> tuple[int, ...]:
+    """``divisor_tuple(n)``, every divisor of d before d, as a sieve needs; a tuple
+    that is not exactly the d(n) distinct divisors of n raises :class:`InconsistencyError`."""
+    divs = divisor_tuple(n)
+    count = prod(s + 1 for _, s in factorize(n).factors)
+    if len(divs) != count or len(set(divs)) != count or lcm(*divs) != n:  # each d divides n
+        raise InconsistencyError(f"{divs} are not the {count} divisors of {n}")
     return divs
 
 
@@ -109,10 +108,10 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     """Divisors of n and, for k = 1..n, ``index[k-1]`` = the position of
     gcd(k, n) among them, in the smallest unsigned dtype that holds d(n) - 1.
 
-    A divisor sieve: ``index[d-1::d] = i`` over the divisors in ascending
-    order, so each k ends on its largest divisor of n, which is gcd(k, n).
+    A divisor sieve: ``index[d-1::d] = i`` over the divisors in lattice
+    order, so each k ends on gcd(k, n), which follows its divisors there.
     That is sigma(n)/n strided writes per entry, with no gcd computed."""
-    divs = tuple(_ascending_divisors(factorize(n)))
+    divs = _lattice_divisors(n)
     index = np.empty(n, dtype=np.min_scalar_type(len(divs) - 1))
     for i, d in enumerate(divs):
         index[d - 1 :: d] = i
@@ -120,10 +119,10 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     return divs, index
 
 
-def _float_value(f: ArithmeticFunction, values: dict[int, Exact], d: int, n: int) -> float:
-    """f(d) from ``values`` as a float, for the float oracles at n."""
+def _float_value(f: ArithmeticFunction, value: Exact, d: int, n: int) -> float:
+    """f(d) = ``value`` as a float, for the float oracles at n."""
     try:
-        return float(values[d])
+        return float(value)
     except OverflowError:
         raise OracleScaleError(
             f"{f.name}({d}) is beyond float range: no float oracle at n = {n}"
@@ -132,8 +131,8 @@ def _float_value(f: ArithmeticFunction, values: dict[int, Exact], d: int, n: int
 
 def _gcd_sequence(f: ArithmeticFunction, n: int, count: int | None = None) -> np.ndarray:
     """The floats f(gcd(k, n)), k = 1..count (all of 1..n by default): each
-    divisor d <= count, ascending, writes f(d) to its multiples, so k ends on
-    gcd(k, n). Oracle use only (n <= 10^6)."""
+    divisor d <= count, in lattice order, writes f(d) (from the far end of
+    :func:`_divisor_values`) to its multiples, so k ends on gcd(k, n)."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
@@ -142,12 +141,10 @@ def _gcd_sequence(f: ArithmeticFunction, n: int, count: int | None = None) -> np
         )
     count = n if count is None else count
     a = np.empty(count)
-    fac = factorize(n)
-    values = _divisor_values(f, fac)
-    for d in _ascending_divisors(fac):
-        if d > count:
-            break
-        a[d - 1 :: d] = _float_value(f, values, d, n)
+    values = reversed(_divisor_values(f, factorize(n)))
+    for d, value in zip(_lattice_divisors(n), values):
+        if d <= count:
+            a[d - 1 :: d] = _float_value(f, value, d, n)
     return a
 
 
@@ -168,7 +165,7 @@ def dft_brute_float(f: ArithmeticFunction, n: int, m: int) -> complex:
     (n <= 10^6)."""
     half = n // 2
     a = _gcd_sequence(f, n, half)
-    top = _float_value(f, _divisor_values(f, factorize(n)), n, n)
+    top = _float_value(f, _divisor_values(f, factorize(n))[0], n, n)
     if n % 2 == 0:
         a[-1] *= 0.5  # k = n/2 is its own partner n - k
     block = isqrt(half) + 1
@@ -198,11 +195,11 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
 
 
 def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
-    """(weight(p, s, e, t), n/d) over the d | n with c_d(m) != 0 at the orders
-    of class g: for t = v_p(g), c_{p^e}(m) = 0 unless e <= t + 1
-    (:func:`ramanujan._prime_power_sum`); n/d has p^(s-e)."""
+    """(weight(p, s, e, t), position of d) over the d | n with c_d(m) != 0 at
+    the orders of class g: for t = v_p(g), c_{p^e}(m) = 0 unless e <= t + 1
+    (:func:`ramanujan._prime_power_sum`); d has p^e."""
     choices = [
-        [(weight(p, s, e, t), s - e) for e in range(min(t + 1, s) + 1)]
+        [(weight(p, s, e, t), e) for e in range(min(t + 1, s) + 1)]
         for (p, s), t in zip(fac.factors, _class_exponents(fac, g))
     ]
     return numtheory._lattice_terms(fac, choices)
@@ -210,17 +207,17 @@ def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=1 << 7)
 def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
-    """The int pairs (c_d(m), n/d) of :func:`_class_lattice`, bounded and
-    keyed on (n, g) alone: an entry serves every f."""
+    """The int pairs (c_d(m), position of d) of :func:`_class_lattice`,
+    bounded and keyed on (n, g) alone: an entry serves every f."""
     return tuple(_class_lattice(fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t)))
 
 
 def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:
     """Exact transform as the Dirichlet convolution of f with the Ramanujan
-    sum, sum over d | n of f(n/d) * c_d(m): f from :func:`_divisor_values`
-    on :func:`_ramanujan_terms`. Where that walk over every divisor of n
-    raises, a multiplicative f sums one :func:`_class_lattice` walk of the
-    products c_{p^e}(m) * f(p^(s-e)) instead."""
+    sum, sum over d | n of f(n/d) * c_d(m): :func:`_divisor_values` at the
+    positions of :func:`_ramanujan_terms`. Where that walk over every divisor
+    of n raises, a multiplicative f sums one :func:`_class_lattice` walk of
+    the products c_{p^e}(m) * f(p^(s-e)) instead."""
     fac = n if isinstance(n, Factorization) else numtheory.factorize(n)
     g = gcd(m if type(m) is int else as_int(m, "m"), fac.value)
     try:
@@ -233,7 +230,7 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
         )
         result = sum(w for w, _ in terms)
     else:
-        result = sum(c * values[v] for c, v in _ramanujan_terms(fac, g))
+        result = sum(c * values[i] for c, i in _ramanujan_terms(fac, g))
     return result if type(result) is int else as_exact(result)
 
 
@@ -339,7 +336,7 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
     over the terms of the full class g = n, where c_d = phi(d)."""
     fac = factorize(n)
     values = _divisor_values(f, fac)
-    l1 = sum(c * abs(values[v]) for c, v in _ramanujan_terms(fac, n))
+    l1 = sum(c * abs(values[i]) for c, i in _ramanujan_terms(fac, n))
     try:
         norm = float(l1)
     except OverflowError:

@@ -21,7 +21,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, InconsistencyError
 from .functions import ArithmeticFunction, Kind, get_function
-from .numtheory import divisors, totient
+from .numtheory import as_int, divisors, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
     ramanujan_definition,
@@ -57,13 +57,13 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.n_max < 1:
+        if as_int(self.n_max, "n_max") < 1:  # a bool, float or str raises here
             raise DomainError("n_max must be >= 1")
         if not (math.isfinite(self.tolerance_float) and self.tolerance_float > 0):
             raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance_float}")
         if self.m_policy not in M_POLICIES:
             raise DomainError(f"m_policy must be one of {M_POLICIES}")
-        if self.m_policy == "sample" and self.sample_count < 1:
+        if as_int(self.sample_count, "sample_count") < 1 and self.m_policy == "sample":
             raise DomainError("sample count must be >= 1")
 
 

@@ -108,6 +108,33 @@ def test_compare_shows_the_runs_of_a_metric_within_spread(bench_pairs):
     assert "outside both quartile ranges" in rate and "runs" not in rate
 
 
+def test_compare_marks_a_spread_above_the_bound_unresolved(bench_pairs):
+    def rate_line(old_rates, new_rates):
+        old = {"revision": "a" * 40, "paired_with": "b" * 40,
+               "workloads": {"oracle": bench_pairs.summarize([result(r) for r in old_rates])}}
+        new = {"revision": "b" * 40, "paired_with": "a" * 40,
+               "workloads": {"oracle": bench_pairs.summarize([result(r) for r in new_rates])}}
+        return next(line for line in bench_pairs.compare(old, new) if "values_per_s" in line)
+
+    bimodal = [100, 140] * 5  # quartiles 100 and 140: a spread of 33.3% against 25%
+    narrow = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    line = rate_line(bimodal, narrow)
+    assert ", unresolved: quartile spread 33.3% above its bound 25%" in line
+    assert "unresolved" in rate_line(narrow, bimodal)
+    # only the change side is narrow: every change run must beat every parent run
+    assert "unresolved" in rate_line(bimodal, [139] * 10)
+    assert "unresolved" not in rate_line(bimodal, [141] * 10)
+    assert "unresolved" not in rate_line(narrow, [n + 3 for n in narrow])
+    # a latency is better lower: its spread is read the same way
+    latency = next(line for line in bench_pairs.compare(
+        {"revision": "a" * 40, "workloads": {"oracle": bench_pairs.summarize(
+            [result(r) for r in bimodal])}},
+        {"revision": "b" * 40, "workloads": {"oracle": bench_pairs.summarize(
+            [result(r) for r in [200] * 10])}},
+    ) if "latency_p90_ms" in line)
+    assert "unresolved" not in latency
+
+
 def test_each_record_keeps_its_digest_and_compare_reads_it(bench_pairs, tmp_path, monkeypatch):
     parent, change = "a" * 40, "b" * 40
     digests = {parent: ["p1", "p2", "p3", "p4", "p5"], change: ["p1", "p2", "p3", "p4", "c5"]}

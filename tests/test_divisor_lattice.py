@@ -1,12 +1,16 @@
-"""One divisor-lattice builder, ``numtheory._lattice_terms``: the divisor
-lists, the divisor values of f and the exact convolution's Ramanujan terms
-are all products over the primes of n of one (weight, exponent) choice per
-prime, and each term is a plain (weight, divisor) pair of ints."""
+"""One divisor-lattice builder, ``numtheory._lattice_terms``, and one divisor
+order, its walk's: the position of a divisor prod p^e is sum e * stride,
+the last prime fastest. The divisor lists, the divisor values of f and the
+exact convolution's Ramanujan terms are all products over the primes of n of
+one (weight, exponent) choice per prime, and each term is a plain (weight,
+position) pair of ints. ``divisor_tuple`` lists the divisors in that order,
+every divisor of d before d; only ``divisors`` sorts them."""
 
 import pytest
 
 from gcdft import transform
-from gcdft.errors import OracleScaleError
+from gcdft.errors import InconsistencyError, OracleScaleError
+from gcdft.functions import SIGMA, ArithmeticFunction, _divisor_values, evaluate
 from gcdft.numtheory import (
     DEFINITION_SCALE_LIMIT,
     Factorization,
@@ -15,15 +19,18 @@ from gcdft.numtheory import (
     divisors,
     factorize,
 )
+from gcdft.ramanujan import ramanujan_von_sterneck
+from gcdft.transform import dft_brute_float, dft_brute_spectrum
 
 N_VALUES = list(range(1, 2001)) + [277200, 720720]
 
 
 def assert_plain(terms, n):
-    """Every term is a pair of ints whose divisor divides n."""
-    for w, d in terms:
-        assert type(w) is int and type(d) is int, (w, d)
-        assert n % d == 0, (n, d)
+    """Every term is a pair of ints whose position names a divisor of n."""
+    count = len(divisor_tuple(n))
+    for w, i in terms:
+        assert type(w) is int and type(i) is int, (w, i)
+        assert 0 <= i < count, (n, i)
 
 
 class TestDefaultChoices:
@@ -31,28 +38,48 @@ class TestDefaultChoices:
         for n in N_VALUES:
             terms = _lattice_terms(factorize(n))
             assert_plain(terms, n)
-            assert {w for w, _ in terms} == {1}
-            divs = [d for _, d in terms]
-            assert sorted(divs) == list(divisor_tuple(n)), n
+            assert [i for _, i in terms] == list(range(len(terms))), n
+            divs = [d for d, _ in terms]
+            assert divs == list(divisor_tuple(n)), n
+            assert sorted(divs) == divisors(n), n
             assert all(a * b == n for a, b in zip(divs, reversed(divs))), n
 
     def test_product_order_varies_the_last_prime_fastest(self):
-        assert [d for _, d in _lattice_terms(factorize(12))] == [1, 3, 2, 6, 4, 12]
+        terms = [(1, 0), (3, 1), (2, 2), (6, 3), (4, 4), (12, 5)]
+        assert _lattice_terms(factorize(12)) == terms
+        assert divisor_tuple(12) == (1, 3, 2, 6, 4, 12)
 
     def test_one_has_one_term(self):
-        assert _lattice_terms(factorize(1)) == [(1, 1)]
+        assert _lattice_terms(factorize(1)) == [(1, 0)]
+        assert divisor_tuple(1) == (1,)
 
     def test_divisor_lists_build_no_factorization(self, monkeypatch):
         fac = factorize(720720)
         monkeypatch.setattr(Factorization, "_proven", None)
-        assert divisor_tuple.__wrapped__(720720) == tuple(divisors(fac))
+        assert sorted(divisor_tuple.__wrapped__(720720)) == divisors(fac)
         assert len(divisors(fac)) == 240
+
+
+class TestLatticeOrder:
+    def test_each_divisor_once_after_its_own_divisors(self):
+        for n in N_VALUES:
+            divs = divisor_tuple(n)
+            position = {d: i for i, d in enumerate(divs)}
+            assert len(position) == len(divs) and all(n % d == 0 for d in divs), n
+            # d / p precedes d for every prime p | d, so every divisor of d does
+            for p, _ in factorize(n).factors:
+                assert all(position[d // p] < i for i, d in enumerate(divs) if d % p == 0), n
+
+    def test_only_divisors_sorts(self):
+        assert divisor_tuple(720) != tuple(divisors(720))
+        assert divisors(720) == sorted(divisor_tuple(720)) == divisors(factorize(720))
 
 
 class TestWeightedChoices:
     def test_weights_multiply_along_each_term(self):
         terms = _lattice_terms(factorize(12), [[(5, 1)], [(2, 0), (-3, 1)]])
-        assert terms == [(10, 2), (-15, 6)]
+        assert terms == [(10, 2), (-15, 3)]
+        assert [divisor_tuple(12)[i] for _, i in terms] == [2, 6]
 
     def test_a_walk_above_the_limit_raises_before_any_term(self):
         fac = Factorization(2**20, ((2, 20),))
@@ -69,3 +96,36 @@ class TestWeightedChoices:
                 terms = transform._ramanujan_terms(fac, g)
                 assert_plain(terms, n)
                 assert all(c != 0 for c, _ in terms), (n, g)
+
+    def test_ramanujan_positions_index_the_divisor_values(self):
+        for n in N_VALUES:
+            fac, divs = factorize(n), divisor_tuple(n)
+            values = _divisor_values(SIGMA, fac)
+            assert values == tuple(evaluate(SIGMA, n // d) for d in divs), n
+            for g in divs:
+                for c, i in transform._ramanujan_terms(fac, g):
+                    assert i < len(values) and c == ramanujan_von_sterneck(divs[i], g), (n, g)
+
+
+class TestWrongDivisorTuple:
+    """A tuple of d(n) entries that are not the divisors of n is refused by
+    every sieve that reads it."""
+
+    def test_same_length_wrong_tuple_raises(self, monkeypatch):
+        transform._gcd_buckets.cache_clear()
+        monkeypatch.setattr(transform, "divisor_tuple", lambda n: (1, 2, 3, 4, 5, 12))
+        try:
+            with pytest.raises(InconsistencyError, match="not the 6 divisors of 12"):
+                dft_brute_float(SIGMA, 12, 1)
+            with pytest.raises(InconsistencyError, match="not the 6 divisors of 12"):
+                dft_brute_spectrum(SIGMA, 12)
+            with pytest.raises(InconsistencyError, match="not the 6 divisors of 12"):
+                transform._gcd_buckets(12)
+        finally:
+            transform._gcd_buckets.cache_clear()
+
+    def test_a_repeated_divisor_raises(self, monkeypatch):
+        f = ArithmeticFunction.multiplicative("twin", lambda p, e: e + 1)
+        monkeypatch.setattr(transform, "divisor_tuple", lambda n: (1, 3, 2, 2, 4, 12))
+        with pytest.raises(InconsistencyError):
+            dft_brute_spectrum(f, 12)

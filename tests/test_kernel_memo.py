@@ -19,7 +19,7 @@ from gcdft.functions import (
     id_power,
     sum_function,
 )
-from gcdft.numtheory import SMALL_PRIMES, Factorization, factorize, is_prime
+from gcdft.numtheory import SMALL_PRIMES, Factorization, divisor_tuple, factorize, is_prime
 from gcdft.ramanujan import (
     FLOAT_TOLERANCE,
     ramanujan_definition,
@@ -149,7 +149,7 @@ class TestMemoBounds:
         assert 0 < _divisor_values.cache_info().currsize <= maxsize
         for n in (1, 2, 720, 8 * maxsize - 1, 8 * maxsize):
             values = _divisor_values(sigma, factorize(n))
-            assert values == {n // d: evaluate(SIGMA, n // d) for d in sorted(values, reverse=True)}
+            assert values == tuple(evaluate(SIGMA, n // d) for d in divisor_tuple(n))
 
     def test_divisor_values_key_f_by_identity(self):
         twins = [ArithmeticFunction.multiplicative("twin", lambda p, e: e + 1) for _ in range(2)]
@@ -159,8 +159,10 @@ class TestMemoBounds:
         first, second, third = (_divisor_values(f, fac) for f in (*twins, other))
         assert _divisor_values.cache_info().misses - misses == 3
         assert first is not second and first == second
-        assert list(first.items()) == [(12, 6), (4, 3), (6, 4), (2, 2), (3, 2), (1, 1)]
-        assert list(third.items()) == [(d, d) for d in (12, 4, 6, 2, 3, 1)]
+        # f(n/d) at the position of d in the lattice order (1, 3, 2, 6, 4, 12)
+        assert [12 // d for d in divisor_tuple(12)] == [12, 4, 6, 2, 3, 1]
+        assert first == (6, 3, 4, 2, 2, 1)
+        assert third == (12, 4, 6, 2, 3, 1)
         assert _divisor_values(twins[0], fac) is first
 
     def test_prime_power_runs_the_rule_on_every_call(self):

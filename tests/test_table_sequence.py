@@ -10,7 +10,7 @@ import pytest
 
 from gcdft import tables
 from gcdft.functions import ID, SIGMA, ArithmeticFunction, catalog_names, get_function
-from gcdft.numtheory import divisor_tuple
+from gcdft.numtheory import divisors
 from gcdft.cli import main
 from gcdft.tables import (
     TABLE_FIELDS,
@@ -89,7 +89,7 @@ class TestSequence:
     def test_sieve_places_each_order_in_its_gcd_class(self):
         for n in range(1, 301):
             table = build_table(ID, n)
-            assert [g for g, _, _ in table.cells] == list(divisor_tuple(n))
+            assert [g for g, _, _ in table.cells] == divisors(n)
             assert [table.cells[p][0] for p in table.positions] == [
                 math.gcd(k, n) for k in range(1, n + 1)
             ]

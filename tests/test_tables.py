@@ -16,7 +16,7 @@ from gcdft.functions import (
     get_function,
     id_power,
 )
-from gcdft.numtheory import divisor_tuple, factorize, totient
+from gcdft.numtheory import divisor_tuple, divisors, factorize, totient
 from gcdft.tables import (
     TableRow,
     _gcd_piece,
@@ -189,6 +189,23 @@ class TestRendering:
         text = render_table(build_table(ID, 6, compress=True), "text")
         assert text.splitlines()[0].split() == ["index", "gcd", "value", "form"]
 
+    @pytest.mark.parametrize(
+        "text, fmt, record",
+        [
+            ("1,1,1/0,x", "csv", "['1', '1', '1/0', 'x']"),
+            ("1,1,abc,x", "csv", "['1', '1', 'abc', 'x']"),
+            ("index,gcd,value,form\n1,2", "csv", "['1', '2']"),
+            ('[{"index": 1}]', "json", "{'index': 1}"),
+            ("not json", "json", "'not json'"),
+        ],
+        ids=["zero-denominator", "not-a-number", "two-fields", "missing-key", "not-json"],
+    )
+    def test_malformed_text_raises_a_domain_error_naming_the_record(self, text, fmt, record):
+        with pytest.raises(DomainError, match=f"malformed {fmt} table record") as raised:
+            parse_table(text, fmt)
+        assert record in str(raised.value)
+        assert raised.value.__cause__ is None
+
     def test_unknown_format_rejected(self):
         with pytest.raises(DomainError):
             render_table([], "yaml")
@@ -244,7 +261,7 @@ class TestGcdClassEvaluation:
             convolutions.clear()
             build_table(self.GENERAL, 720, compress=compress)
             assert len(convolutions) == len(divisor_tuple(720)) == 30
-            assert sorted(g for _, _, g in convolutions) == list(divisor_tuple(720))
+            assert sorted(g for _, _, g in convolutions) == divisors(720)
 
     def test_general_forms_parse_to_their_values(self):
         """A general f's transform does not factor: each class form is the

@@ -83,7 +83,7 @@ class TestRealLimit:
         def refuse(*args, **kwargs):
             raise AssertionError("the divisors must not be listed")
 
-        monkeypatch.setattr(tables, "_lattice_terms", refuse)
+        monkeypatch.setattr(tables, "product", refuse)
         monkeypatch.setattr(transform, "_local_factor", refuse)
         monkeypatch.setattr(transform, "dft_exact_convolution", refuse)
         with pytest.raises(DomainError, match="compressed"):

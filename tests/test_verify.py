@@ -51,6 +51,21 @@ class TestConfig:
         with pytest.raises(DomainError):
             SweepConfig(n_max=5, m_policy="sample", sample_count=0)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"n_max": 2.5},
+            {"n_max": "5"},
+            {"n_max": True},
+            {"n_max": 5, "sample_count": 2.5},
+            {"n_max": 5, "m_policy": "sample", "sample_count": 2.5},
+        ],
+        ids=["float-n", "str-n", "bool-n", "float-count", "float-count-sampled"],
+    )
+    def test_rejects_non_integer_fields_at_construction(self, fields):
+        with pytest.raises(DomainError, match="must be an integer"):
+            SweepConfig(**fields)
+
 
 class TestOrderPolicies:
     def test_all(self):
@@ -227,7 +242,7 @@ class TestFaultInjection:
                 cache.cache_clear()
         assert failures[1] == Failure(
             "path-equivalence-float", "id", 2, 1, "1",
-            "oracle error: (1,) are not the ascending divisors of 2",
+            "oracle error: (1,) are not the 2 divisors of 2",
         )
         assert code == EXIT_VERIFICATION
         captured = capsys.readouterr()

@@ -19,6 +19,11 @@ Before the runs, this checkout's ``tools/digest.py`` hashes the answers of
 each tree's ``src`` under ``PYTHONHASHSEED=0``, and each file keeps its five
 lines under ``digest``. Where both files hold them, ``--compare`` says
 whether lines 1-4, the exact answers, agree.
+
+An end-to-end metric reads "unresolved" in ``--compare`` where either side's
+quartile distance, relative to its median, exceeds the metric's bound in
+BENCHMARK.json, unless every change run beats every parent run: such a
+spread cannot show a move within the bound either way.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import platform
 import statistics
@@ -144,13 +150,23 @@ def run_pairs(parent: str, change: str, seed: int) -> None:
         print(f"wrote {path.name}", file=sys.stderr)
 
 
+def spread(summary: dict) -> float:
+    """A metric's quartile distance relative to its median; inf where a
+    median of 0 has runs apart."""
+    if summary["median"]:
+        return summary["iqr"] / abs(summary["median"])
+    return math.inf if summary["iqr"] else 0.0
+
+
 def compare(old: dict, new: dict) -> list[str]:
     """Each median's move from ``old`` to ``new`` against both sides'
     quartiles; for an end-to-end metric, its bound, and the pairs won when
     both files hold run values from the same pairs. An end-to-end metric
     within spread also shows both sides' run values in pair order, so a
-    bimodal metric shows its two modes. Where both files hold digest lines,
-    one line says whether their exact answers (lines 1-4) agree."""
+    bimodal metric shows its two modes, and one whose spread exceeds its
+    bound on either side reads "unresolved" unless every change run beats
+    every parent run. Where both files hold digest lines, one line says
+    whether their exact answers (lines 1-4) agree."""
     paired = new.get("paired_with") == old.get("revision")
     lines = [f"{old['revision'][:7]} -> {new['revision'][:7]}"
              + ("" if paired else " (not paired with each other)")]
@@ -182,6 +198,12 @@ def compare(old: dict, new: dict) -> list[str]:
                     line += f", better in {wins}/{len(b['values'])} pairs"
                     if sign * move > 0 and gap and wins >= 0.9 * len(b["values"]):
                         line += ", a gain"
+                wide = max(spread(a), spread(b))
+                clear = "values" in a and "values" in b and (
+                    min(sign * y for y in b["values"]) > max(sign * x for x in a["values"])
+                )
+                if wide > bound and not clear:
+                    line += f", unresolved: quartile spread {wide:.1%} above its bound {bound:.0%}"
                 if not apart and "values" in a and "values" in b:
                     line += "; runs " + " ".join(f"{v:.4g}" for v in a["values"]) + " -> "
                     line += " ".join(f"{v:.4g}" for v in b["values"])
