@@ -10,9 +10,11 @@ c_n(m) is multiplicative in n, and its value at a prime power,
 Sterneck's form is its product over the primes of n, and the exact
 convolution in :mod:`gcdft.transform` builds its terms from it. Kluyver's
 divisor sum, a walk over the divisors of gcd(m, n) on n's divisor lattice, and
-the floating definition are the rule's independent checks; the definition
+the floating definition are the rule's independent checks. The definition
 reads its terms from one table, held for the last n, of the k coprime to n
-and the n-th roots of unity, indexed at the exact phases.
+and the n-th roots of unity, indexed at the exact phases: per residue for
+:func:`ramanujan_definition`, or for every residue of n at once for
+:func:`ramanujan_definition_row`, which gives the same floats.
 """
 
 from __future__ import annotations
@@ -49,6 +51,16 @@ def _definition_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     return k, roots
 
 
+def _definition_sums(n: int, residues) -> np.ndarray:
+    """The definition's sum at each order in ``residues``, one row of terms
+    per order, each row summed on its own: the table is checked before any
+    order is reduced mod n."""
+    k, roots = _definition_table(n)
+    # k*r is reduced mod n in exact integer arithmetic before the angle is
+    # formed, keeping the phase error at the 1e-15 level even for huge m.
+    return roots[np.outer([r % n for r in residues], k) % n].sum(axis=1)
+
+
 def ramanujan_definition(n: int, m: int) -> complex:
     """Floating-point sum over the k coprime to n; oracle use only (n <= 10^6).
 
@@ -57,11 +69,24 @@ def ramanujan_definition(n: int, m: int) -> complex:
     ``np.exp(2j * np.pi * phase / n)`` gives, read from the roots of unity
     of :func:`_definition_table` at the phases of its k.
     """
-    # k*m is reduced mod n in exact integer arithmetic before the angle is
-    # formed, keeping the phase error at the 1e-15 level even for huge m.
     n, m = as_int(n, "n"), as_int(m, "m")
-    k, roots = _definition_table(n)
-    return complex(roots[(k * (m % n)) % n].sum())
+    return complex(_definition_sums(n, [m])[0])
+
+
+def ramanujan_definition_row(n: int) -> list[complex]:
+    """:func:`ramanujan_definition` at every residue r = 0..n-1, entry r
+    equal to ``ramanujan_definition(n, r)`` bit for bit: n * phi(n) terms,
+    gathered from the table in blocks of orders of at most
+    DEFINITION_SCALE_LIMIT terms each. Oracle use only (n <= 10^6); a verify
+    sweep reads the row once per n and lets it go."""
+    n = as_int(n, "n")
+    k, _ = _definition_table(n)
+    step = DEFINITION_SCALE_LIMIT // len(k)  # >= 1, as len(k) = phi(n) <= n
+    return [
+        z
+        for start in range(0, n, step)
+        for z in _definition_sums(n, range(start, min(start + step, n))).tolist()
+    ]
 
 
 def _prime_power_sum(p: int, e: int, t: int) -> int:

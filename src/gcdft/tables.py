@@ -267,8 +267,10 @@ def parse_table(text: str, fmt: str) -> list[TableRow]:
             records = records[1:]
         for record in records:
             idx, g, value, form = record if fmt == "csv" else itemgetter(*TABLE_FIELDS)(record)
-            if fmt == "csv":  # json holds the index and gcd as ints already
+            if fmt == "csv":
                 idx, g = int(idx), int(g)
+            elif type(idx) is not int or type(g) is not int:  # json holds them as ints
+                raise TypeError(f"index and gcd must be ints, got {idx!r} and {g!r}")
             rows.append(TableRow(idx, g, parse_exact(value), form))
     except (ValueError, ZeroDivisionError, KeyError, TypeError) as error:
         raise DomainError(f"malformed {fmt} table record {record!r}: {error!r}") from None

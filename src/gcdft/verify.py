@@ -4,6 +4,9 @@ evaluation paths over configurable (f, n, m) grids.
 Each check yields ``(identity, None)`` on a pass, or ``(identity, failure)``,
 both built by :func:`_verdict`, instead of raising, so a sweep reports the
 full damage; the CLI maps a nonempty failure list to exit code 2.
+Each check does its per-n work once per n: it factors n once and passes the
+``Factorization`` to every exact path it compares, and reads the float
+oracles at n from one spectrum or one definition row.
 ``tools/fault_matrix.py`` faults each rule behind the paths in turn and
 shows which identities catch it.
 """
@@ -14,6 +17,7 @@ import functools
 import itertools
 import json
 import math
+import numbers
 import random
 from collections import Counter
 from dataclasses import dataclass, field
@@ -21,10 +25,10 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, InconsistencyError
 from .functions import ArithmeticFunction, Kind, get_function
-from .numtheory import as_int, divisors, totient
+from .numtheory import as_int, divisors, factorize, totient
 from .ramanujan import (
     FLOAT_TOLERANCE,
-    ramanujan_definition,
+    ramanujan_definition_row,
     ramanujan_kluyver,
     ramanujan_von_sterneck,
 )
@@ -59,8 +63,15 @@ class SweepConfig:
     def __post_init__(self):
         if as_int(self.n_max, "n_max") < 1:  # a bool, float or str raises here
             raise DomainError("n_max must be >= 1")
-        if not (math.isfinite(self.tolerance_float) and self.tolerance_float > 0):
-            raise DomainError(f"tolerance must be finite and > 0, got {self.tolerance_float}")
+        if not isinstance(self.functions, tuple) or not all(
+            isinstance(name, str) for name in self.functions
+        ):
+            raise DomainError(f"functions must be a tuple of names, got {self.functions!r}")
+        tolerance = self.tolerance_float
+        if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
+            raise DomainError(f"tolerance must be a real number, got {tolerance!r}")
+        if not (math.isfinite(tolerance) and tolerance > 0):
+            raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
         if self.m_policy not in M_POLICIES:
             raise DomainError(f"m_policy must be one of {M_POLICIES}")
         if as_int(self.sample_count, "sample_count") < 1 and self.m_policy == "sample":
@@ -132,19 +143,20 @@ def check_path_equivalence(
     seed: int = 0,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Convolution vs closed form (exact) and vs the FFT spectrum (float,
-    within :func:`float_bound` of the exact value). An
-    :class:`InconsistencyError` of the float oracle at n fails the float
-    check at each of n's orders."""
+    within :func:`float_bound` of the exact value), with n factored and the
+    spectrum read once per n. An :class:`InconsistencyError` of the float
+    oracle at n fails the float check at each of n's orders."""
     rng = random.Random(seed)
     for n in n_values:
+        fac = factorize(n)
         try:
-            spectrum = dft_brute_spectrum(f, n)
+            spectrum = dft_brute_spectrum(f, n).tolist()
         except InconsistencyError as exc:
             spectrum = exc
         bound = float_bound(f, n, tolerance)
         for m in orders_for(n, policy, sample_count, rng):
-            convolution = dft_exact_convolution(f, n, m)
-            closed = exact_closed_form(f, n, m)
+            convolution = dft_exact_convolution(f, fac, m)
+            closed = exact_closed_form(f, fac, m)
             if closed is not None:
                 yield _verdict("path-equivalence-exact", f.name, n, m, convolution, closed)
             target = closed if closed is not None else convolution
@@ -178,9 +190,10 @@ def check_closed_form_pair(
         return
     rng = random.Random(seed)
     for n in n_values:
+        fac = factorize(n)
         for m in orders_for(n, policy, sample_count, rng):
-            general = dft_closed_form_multiplicative(f, n, m)
-            other = oracle(n, m)
+            general = dft_closed_form_multiplicative(f, fac, m)
+            other = oracle(fac, m)
             yield _verdict(identity, f.name, n, m, general, other)
 
 
@@ -192,9 +205,9 @@ def check_gcd_dependence(
     g = gcd(m, n), computed once per divisor g of n; a class missing from
     the class table fails the check."""
     for n in n_values:
-        by_class = _class_values(f, n)
+        fac, by_class = factorize(n), _class_values(f, n)
         for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
-            left = exact_closed_form(f, n, m)
+            left = exact_closed_form(f, fac, m)
             try:
                 right = by_class[math.gcd(m, n)]
             except KeyError as missing:
@@ -221,10 +234,11 @@ def check_multiplicativity(
             if math.gcd(u, v) != 1:
                 continue
             n = u * v
+            fac = factorize(n)
             orders = divisors(n)
             orders += [rng.randrange(1, n + 1) for _ in range(MULTIPLICATIVITY_EXTRA_ORDERS)]
             for m in orders:
-                combined = exact_closed_form(f, n, m)
+                combined = exact_closed_form(f, fac, m)
                 try:
                     split = by_class[u][math.gcd(m, u)] * by_class[v][math.gcd(m, v)]
                 except KeyError as missing:
@@ -237,11 +251,12 @@ def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, 
     to the totient."""
     f = get_function("id")  # the catalog object, not the alias ID, which tracers replace
     for n in n_values:
-        phi = totient(n)
+        fac = factorize(n)
+        phi = totient(fac)
         for m in range(1, n + 1):
             if math.gcd(m, n) != 1:
                 continue
-            yield _verdict("coprime-order-totient", f.name, n, m, phi, exact_closed_form(f, n, m))
+            yield _verdict("coprime-order-totient", f.name, n, m, phi, exact_closed_form(f, fac, m))
 
 
 def check_ramanujan_agreement(
@@ -249,16 +264,27 @@ def check_ramanujan_agreement(
     tolerance: float = FLOAT_TOLERANCE,
 ) -> Iterator[tuple[str, Failure | None]]:
     """The two exact Ramanujan evaluators agree everywhere; the floating
-    definition agrees (rounded) up to n = RAMANUJAN_FLOAT_LIMIT."""
+    definition agrees (rounded) up to n = RAMANUJAN_FLOAT_LIMIT. The float
+    values come from one :func:`ramanujan_definition_row` per n, read at
+    m mod n and dropped when the sweep moves to the next n."""
     for n in n_values:
+        row = ramanujan_definition_row(n) if n <= RAMANUJAN_FLOAT_LIMIT else None
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
             yield _verdict("ramanujan-exact-agreement", "-", n, m, exact, other)
-            if n <= RAMANUJAN_FLOAT_LIMIT:
-                approx = ramanujan_definition(n, m)
+            if row is not None:
+                approx = row[m % n]
                 ok = float_agrees(approx, exact, tolerance)
                 yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx, ok)
+
+
+def _identities(checks: Iterable[tuple[str, Failure | None]], failures: list[Failure]):
+    """The identity of each check in turn, each failure appended to ``failures``."""
+    for identity, failure in checks:
+        if failure is not None:
+            failures.append(failure)
+        yield identity
 
 
 def run_verification(config: SweepConfig) -> SweepReport:
@@ -278,12 +304,8 @@ def run_verification(config: SweepConfig) -> SweepReport:
             ]
     checks.append(check_coprime_order_totient(n_values))
 
-    checked, failed = Counter(), Counter()
-    for identity, failure in itertools.chain(*checks):
-        checked[identity] += 1
-        if failure is not None:
-            failed[identity] += 1
-            report.failures.append(failure)
+    checked = Counter(_identities(itertools.chain(*checks), report.failures))
+    failed = Counter(failure.identity for failure in report.failures)
     report.by_identity = {identity: [count, failed[identity]] for identity, count in checked.items()}
     report.checks = checked.total()
     return report

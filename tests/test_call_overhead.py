@@ -1,5 +1,6 @@
 """The cheaper per-call paths of a verify sweep give the values of the plain
-ones: the float definition reads its terms from a table of unit roots, a
+ones: the float definition reads its terms from a table of unit roots, its
+row over every residue of n gives the same floats, a
 ``Factorization`` hashes by its value, the geometric closed form builds a
 ``Fraction`` only where its ratio is not whole, and ``run_verification``
 tallies its checks without recording each one."""
@@ -10,9 +11,10 @@ import numpy as np
 import pytest
 
 from gcdft import ramanujan, transform
+from gcdft.errors import OracleScaleError
 from gcdft.functions import Kind, _divisor_values, catalog_names, get_function
-from gcdft.numtheory import Factorization, factorize
-from gcdft.ramanujan import ramanujan_definition
+from gcdft.numtheory import DEFINITION_SCALE_LIMIT, Factorization, factorize
+from gcdft.ramanujan import ramanujan_definition, ramanujan_definition_row
 from gcdft.transform import dft_closed_form_completely_mult, dft_closed_form_multiplicative
 from gcdft.verify import (
     SweepConfig,
@@ -34,6 +36,19 @@ class TestUnitRoots:
             for m in range(-n, 2 * n + 1):
                 plain = complex(np.exp(2j * np.pi * ((k * (m % n)) % n) / n).sum())
                 assert ramanujan_definition(n, m) == plain, (n, m)
+
+    def test_row_is_the_definition_at_each_residue(self):
+        # 997 and 1000 are one block of orders, 1009 two: 1009 * 1008 terms
+        for n in [*range(1, 300), 997, 1000, 1009]:
+            row = ramanujan_definition_row(n)
+            assert len(row) == n and all(type(z) is complex for z in row), n
+            for m in range(-n, 2 * n + 1):
+                assert row[m % n] == ramanujan_definition(n, m), (n, m)
+
+    @pytest.mark.parametrize("n", [0, DEFINITION_SCALE_LIMIT + 1])
+    def test_row_refuses_an_unrated_n(self, n):
+        with pytest.raises(OracleScaleError):
+            ramanujan_definition_row(n)
 
     def test_table_is_read_only_and_held_for_one_n(self):
         _, roots = ramanujan._definition_table(12)

@@ -1,6 +1,7 @@
-"""``tools/fault_matrix.py``: the clean sweep passes, and a fault in each rule
+"""``tools/fault_matrix.py``: the clean sweep passes, a fault in each rule
 and each exact path the evaluation uses fails at least two exact identity
-families."""
+families, and the whole table at n <= 12 is pinned, so a change to which
+checks reach which path shows."""
 
 import importlib.util
 import pathlib
@@ -59,3 +60,88 @@ def test_each_rule_fault_fails_two_exact_families(fault_matrix, fault):
     exact = [k for k, (failed, _) in counts.items() if failed and "float" not in k]
     assert len(exact) >= 2, counts
     assert rules() == honest  # every rule is put back
+
+
+PINNED_TABLE = """\
+functions sigma, id, J_3, tau, mu, n <= 12, every m: failures/checks
+fault none
+  coprime-order-totient            0/46
+  gcd-dependence                   0/1170
+  gcd-form-vs-multiplicative-form  0/78
+  integrality                      0/390
+  multiplicativity                 0/2030
+  path-equivalence-exact           0/390
+  path-equivalence-float           0/390
+  ramanujan-exact-agreement        0/78
+  ramanujan-float-agreement        0/78
+  total                            0/4650
+fault local-factor+1
+  coprime-order-totient            45/46
+  gcd-dependence                   1134/1170
+  gcd-form-vs-multiplicative-form  77/78
+  integrality                      0/390
+  multiplicativity                 1992/2030
+  path-equivalence-exact           378/390
+  path-equivalence-float           378/390
+  ramanujan-exact-agreement        0/78
+  ramanujan-float-agreement        0/78
+  total                            4004/4650
+fault prime-power-sum+1
+  coprime-order-totient            0/46
+  gcd-dependence                   324/1170
+  gcd-form-vs-multiplicative-form  0/78
+  integrality                      0/390
+  multiplicativity                 717/2030
+  path-equivalence-exact           108/390
+  path-equivalence-float           0/390
+  ramanujan-exact-agreement        12/78
+  ramanujan-float-agreement        12/78
+  total                            1173/4650
+fault class-exponents+1
+  coprime-order-totient            0/46
+  gcd-dependence                   420/1170
+  gcd-form-vs-multiplicative-form  28/78
+  integrality                      0/390
+  multiplicativity                 990/2030
+  path-equivalence-exact           140/390
+  path-equivalence-float           0/390
+  ramanujan-exact-agreement        24/78
+  ramanujan-float-agreement        24/78
+  total                            1626/4650
+fault lattice-drops-last
+  coprime-order-totient            0/46
+  gcd-dependence                   1158/1170
+  gcd-form-vs-multiplicative-form  0/78
+  integrality                      0/390
+  multiplicativity                 1786/1805
+  path-equivalence-exact           386/390
+  path-equivalence-float           390/390
+  ramanujan-exact-agreement        58/78
+  ramanujan-float-agreement        0/78
+  total                            3778/4425
+fault negate-closed-form
+  coprime-order-totient            46/46
+  gcd-dependence                   1131/1170
+  gcd-form-vs-multiplicative-form  0/78
+  integrality                      0/390
+  multiplicativity                 1947/2030
+  path-equivalence-exact           377/390
+  path-equivalence-float           377/390
+  ramanujan-exact-agreement        0/78
+  ramanujan-float-agreement        0/78
+  total                            3878/4650
+fault offset-convolution
+  coprime-order-totient            0/46
+  gcd-dependence                   1170/1170
+  gcd-form-vs-multiplicative-form  0/78
+  integrality                      0/390
+  multiplicativity                 1968/2030
+  path-equivalence-exact           390/390
+  path-equivalence-float           0/390
+  ramanujan-exact-agreement        0/78
+  ramanujan-float-agreement        0/78
+  total                            3528/4650"""
+
+
+def test_the_table_at_twelve_is_pinned(fault_matrix):
+    assert fault_matrix.render(12) == PINNED_TABLE

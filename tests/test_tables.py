@@ -197,8 +197,31 @@ class TestRendering:
             ("index,gcd,value,form\n1,2", "csv", "['1', '2']"),
             ('[{"index": 1}]', "json", "{'index': 1}"),
             ("not json", "json", "'not json'"),
+            (
+                '[{"index": "x", "gcd": 2.5, "value": "1", "form": "1"}]',
+                "json",
+                "{'index': 'x', 'gcd': 2.5, 'value': '1', 'form': '1'}",
+            ),
+            (
+                '[{"index": 1, "gcd": 1.0, "value": "1", "form": "1"}]',
+                "json",
+                "{'index': 1, 'gcd': 1.0, 'value': '1', 'form': '1'}",
+            ),
+            (
+                '[{"index": true, "gcd": 1, "value": "1", "form": "1"}]',
+                "json",
+                "{'index': True, 'gcd': 1, 'value': '1', 'form': '1'}",
+            ),
+            (
+                '[{"index": 1, "gcd": "1", "value": "1", "form": "1"}]',
+                "json",
+                "{'index': 1, 'gcd': '1', 'value': '1', 'form': '1'}",
+            ),
         ],
-        ids=["zero-denominator", "not-a-number", "two-fields", "missing-key", "not-json"],
+        ids=[
+            "zero-denominator", "not-a-number", "two-fields", "missing-key", "not-json",
+            "str-index", "float-gcd", "bool-index", "str-gcd",
+        ],
     )
     def test_malformed_text_raises_a_domain_error_naming_the_record(self, text, fmt, record):
         with pytest.raises(DomainError, match=f"malformed {fmt} table record") as raised:

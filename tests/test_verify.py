@@ -4,7 +4,9 @@ path are caught, and reports render in every format."""
 import json
 import math
 import random
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from gcdft import numtheory, ramanujan, transform, verify
@@ -65,6 +67,22 @@ class TestConfig:
     def test_rejects_non_integer_fields_at_construction(self, fields):
         with pytest.raises(DomainError, match="must be an integer"):
             SweepConfig(**fields)
+
+    @pytest.mark.parametrize(
+        "functions", ["id", ["id"], ("id", 3), (None,)], ids=["str", "list", "int-name", "none-name"]
+    )
+    def test_functions_must_be_a_tuple_of_names(self, functions):
+        with pytest.raises(DomainError, match="functions must be a tuple of names"):
+            SweepConfig(n_max=3, functions=functions)
+
+    @pytest.mark.parametrize("tolerance", ["x", "1e-6", None, True, 1j])
+    def test_tolerance_must_be_a_real_number(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance must be a real number"):
+            SweepConfig(n_max=3, tolerance_float=tolerance)
+
+    def test_accepts_a_real_tolerance_of_any_type(self):
+        for tolerance in (1, Fraction(1, 10**6), np.float64(1e-6)):
+            assert SweepConfig(n_max=3, tolerance_float=tolerance).tolerance_float == tolerance
 
 
 class TestOrderPolicies:
@@ -423,10 +441,20 @@ class TestNoIdentityChecksTheKernelAgainstItself:
 
 
 def test_ramanujan_float_checks_call_the_public_definition(monkeypatch):
+    """The float checks read one public definition row per n: an offset row
+    at ``verify`` fails every one of them."""
     calls = []
-    honest = verify.ramanujan_definition
-    monkeypatch.setattr(verify, "ramanujan_definition", lambda n, m: calls.append((n, m)) or honest(n, m))
-    results = list(check_ramanujan_agreement(range(1, 13)))
-    floats = [failure for identity, failure in results if identity == "ramanujan-float-agreement"]
-    assert len(floats) == len(calls) == 78
-    assert floats == [None] * 78
+    honest = verify.ramanujan_definition_row
+    monkeypatch.setattr(verify, "ramanujan_definition_row", lambda n: calls.append(n) or honest(n))
+
+    def float_checks():
+        results = check_ramanujan_agreement(range(1, 13))
+        return [failure for identity, failure in results if identity == "ramanujan-float-agreement"]
+
+    assert float_checks() == [None] * 78
+    assert calls == list(range(1, 13))
+    monkeypatch.setattr(
+        verify, "ramanujan_definition_row", lambda n: [z + 1e-3j for z in honest(n)]
+    )
+    failures = float_checks()
+    assert len(failures) == 78 and None not in failures
