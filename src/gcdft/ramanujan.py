@@ -35,7 +35,8 @@ FLOAT_TOLERANCE = 1e-6
 def _definition_table(n: int) -> tuple[np.ndarray, np.ndarray]:
     """The k in 1..n <= 10^6 coprime to n, every multiple of a prime of n
     cleared, and e(j/n) for j = 0..n-1: read-only and held for the last n,
-    which a sweep asks for at every m."""
+    so that the blocks of one :func:`ramanujan_definition_row` and repeated
+    ``ramanujan_definition(n, m)`` calls at one n build it once."""
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
@@ -108,7 +109,8 @@ def _von_sterneck(n: int, g: int) -> int:
 def ramanujan_von_sterneck(n: int, m: int) -> int:
     """Exact evaluation of mu(n/g) * phi(n) / phi(n/g), g = gcd(m, n), as the
     product of :func:`_prime_power_sum` over the p^s || n."""
-    n, m = as_int(n, "n"), as_int(m, "m")
+    if type(n) is not int or type(m) is not int:
+        n, m = as_int(n, "n"), as_int(m, "m")
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     return _von_sterneck(n, math.gcd(m % n, n))
@@ -130,7 +132,8 @@ def ramanujan_kluyver(n: int, m: int) -> int:
     """Exact evaluation via the divisor sum of mu(n/d) * d over d | gcd(m, n).
     A walk over more than DEFINITION_SCALE_LIMIT divisors raises
     :class:`OracleScaleError` before any term is built."""
-    n, m = as_int(n, "n"), as_int(m, "m")
+    if type(n) is not int or type(m) is not int:
+        n, m = as_int(n, "n"), as_int(m, "m")
     if n < 1:
         raise OracleScaleError("n must be >= 1")
     return _kluyver(n, math.gcd(m % n, n))

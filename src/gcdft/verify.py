@@ -1,9 +1,10 @@
 """Identity sweeps: every closed form is replayed against the independent
 evaluation paths over configurable (f, n, m) grids.
 
-Each check yields ``(identity, None)`` on a pass, or ``(identity, failure)``,
-both built by :func:`_verdict`, instead of raising, so a sweep reports the
-full damage; the CLI maps a nonempty failure list to exit code 2.
+Each check yields ``(identity, None)`` on a pass, one record built when the
+check starts, or ``(identity, failure)``, built by :func:`_verdict` only for
+a failing check, instead of raising, so a sweep reports the full damage; the
+CLI maps a nonempty failure list to exit code 2.
 Each check does its per-n work once per n: it factors n once and passes the
 ``Factorization`` to every exact path it compares, and reads the float
 oracles at n from one spectrum or one definition row.
@@ -67,6 +68,10 @@ class SweepConfig:
             isinstance(name, str) for name in self.functions
         ):
             raise DomainError(f"functions must be a tuple of names, got {self.functions!r}")
+        if not self.functions or len(set(map(get_function, self.functions))) < len(self.functions):
+            raise DomainError(
+                f"functions must name at least one function, each once, got {self.functions!r}"
+            )
         tolerance = self.tolerance_float
         if not isinstance(tolerance, numbers.Real) or isinstance(tolerance, bool):
             raise DomainError(f"tolerance must be a real number, got {tolerance!r}")
@@ -107,14 +112,10 @@ class SweepReport:
         return not self.failures
 
 
-def _verdict(identity: str, f_name: str, n: int, m: int, expected, got, ok=None):
-    """``(identity, None)`` if ``ok`` (by default, if ``got == expected``),
-    else ``(identity, failure)``: ``expected`` by ``str``, ``got`` by ``repr``
-    when it is a float oracle's complex value, else by ``str``."""
-    if ok is None:
-        ok = got == expected
-    if ok:
-        return identity, None
+def _verdict(identity: str, f_name: str, n: int, m: int, expected, got):
+    """``(identity, failure)`` for a failing check: ``expected`` by ``str``,
+    ``got`` by ``repr`` when it is a float oracle's complex value, else by
+    ``str``."""
     shown = repr(complex(got)) if isinstance(got, complex) else str(got)
     return identity, Failure(identity, f_name, n, m, str(expected), shown)
 
@@ -130,8 +131,9 @@ def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]
         return list(range(1, n + 1))
     if policy == "divisors":
         return divisors(n)
-    picks = min(count, n)
-    return sorted(rng.sample(range(1, n + 1), picks))
+    if policy != "sample":
+        raise DomainError(f"m_policy must be one of {M_POLICIES}, got {policy!r}")
+    return sorted(rng.sample(range(1, n + 1), min(count, n)))
 
 
 def check_path_equivalence(
@@ -147,6 +149,8 @@ def check_path_equivalence(
     spectrum read once per n. An :class:`InconsistencyError` of the float
     oracle at n fails the float check at each of n's orders."""
     rng = random.Random(seed)
+    exact_pass, float_pass = ("path-equivalence-exact", None), ("path-equivalence-float", None)
+    integral_pass = ("integrality", None)
     for n in n_values:
         fac = factorize(n)
         try:
@@ -158,17 +162,21 @@ def check_path_equivalence(
             convolution = dft_exact_convolution(f, fac, m)
             closed = exact_closed_form(f, fac, m)
             if closed is not None:
-                yield _verdict("path-equivalence-exact", f.name, n, m, convolution, closed)
+                yield exact_pass if closed == convolution else _verdict(
+                    "path-equivalence-exact", f.name, n, m, convolution, closed
+                )
             target = closed if closed is not None else convolution
             if isinstance(spectrum, InconsistencyError):
-                approx, ok = f"oracle error: {spectrum}", False
+                approx = f"oracle error: {spectrum}"
+                yield _verdict("path-equivalence-float", f.name, n, m, target, approx)
+            elif float_agrees(approx := spectrum[m % n], target, bound):
+                yield float_pass
             else:
-                approx = spectrum[m % n]
-                ok = float_agrees(approx, target, bound)
-            yield _verdict("path-equivalence-float", f.name, n, m, target, approx, ok)
+                yield _verdict("path-equivalence-float", f.name, n, m, target, approx)
             if f.integer_valued:
-                ok = convolution.denominator == 1
-                yield _verdict("integrality", f.name, n, m, "integer", convolution, ok)
+                yield integral_pass if convolution.denominator == 1 else _verdict(
+                    "integrality", f.name, n, m, "integer", convolution
+                )
 
 
 def check_closed_form_pair(
@@ -188,13 +196,13 @@ def check_closed_form_pair(
         oracle = functools.partial(dft_closed_form_completely_mult, f)
     else:
         return
-    rng = random.Random(seed)
+    rng, passed = random.Random(seed), (identity, None)
     for n in n_values:
         fac = factorize(n)
         for m in orders_for(n, policy, sample_count, rng):
             general = dft_closed_form_multiplicative(f, fac, m)
             other = oracle(fac, m)
-            yield _verdict(identity, f.name, n, m, general, other)
+            yield passed if other == general else _verdict(identity, f.name, n, m, general, other)
 
 
 def check_gcd_dependence(
@@ -204,6 +212,7 @@ def check_gcd_dependence(
     """The closed form at order m equals the convolution at order
     g = gcd(m, n), computed once per divisor g of n; a class missing from
     the class table fails the check."""
+    passed = ("gcd-dependence", None)
     for n in n_values:
         fac, by_class = factorize(n), _class_values(f, n)
         for m in range(1, GCD_DEPENDENCE_SPAN * n + 1):
@@ -212,7 +221,9 @@ def check_gcd_dependence(
                 right = by_class[math.gcd(m, n)]
             except KeyError as missing:
                 right = _missing(missing)
-            yield _verdict("gcd-dependence", f.name, n, m, right, left)
+            yield passed if left == right else _verdict(
+                "gcd-dependence", f.name, n, m, right, left
+            )
 
 
 def check_multiplicativity(
@@ -227,36 +238,43 @@ def check_multiplicativity(
     few seeded non-divisors. A class missing from a class table fails the
     check.
     """
-    rng = random.Random(seed)
+    rng, passed = random.Random(seed), ("multiplicativity", None)
+    pair_max = as_int(pair_max, "pair_max")
     by_class = {u: _class_values(f, u) for u in range(1, pair_max + 1)}
     for u in range(1, pair_max + 1):
         for v in range(u + 1, pair_max + 1):
             if math.gcd(u, v) != 1:
                 continue
-            n = u * v
+            n, cu, cv = u * v, by_class[u], by_class[v]
             fac = factorize(n)
             orders = divisors(n)
             orders += [rng.randrange(1, n + 1) for _ in range(MULTIPLICATIVITY_EXTRA_ORDERS)]
             for m in orders:
                 combined = exact_closed_form(f, fac, m)
                 try:
-                    split = by_class[u][math.gcd(m, u)] * by_class[v][math.gcd(m, v)]
+                    split = cu[math.gcd(m, u)] * cv[math.gcd(m, v)]
                 except KeyError as missing:
                     split = _missing(missing)
-                yield _verdict("multiplicativity", f.name, n, m, split, combined)
+                yield passed if combined == split else _verdict(
+                    "multiplicativity", f.name, n, m, split, combined
+                )
 
 
 def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, Failure | None]]:
     """At orders coprime to n the dispatched closed form for f = id collapses
     to the totient."""
     f = get_function("id")  # the catalog object, not the alias ID, which tracers replace
+    passed = ("coprime-order-totient", None)
     for n in n_values:
         fac = factorize(n)
         phi = totient(fac)
         for m in range(1, n + 1):
             if math.gcd(m, n) != 1:
                 continue
-            yield _verdict("coprime-order-totient", f.name, n, m, phi, exact_closed_form(f, fac, m))
+            closed = exact_closed_form(f, fac, m)
+            yield passed if closed == phi else _verdict(
+                "coprime-order-totient", f.name, n, m, phi, closed
+            )
 
 
 def check_ramanujan_agreement(
@@ -267,16 +285,21 @@ def check_ramanujan_agreement(
     definition agrees (rounded) up to n = RAMANUJAN_FLOAT_LIMIT. The float
     values come from one :func:`ramanujan_definition_row` per n, read at
     m mod n and dropped when the sweep moves to the next n."""
+    exact_pass = ("ramanujan-exact-agreement", None)
+    float_pass = ("ramanujan-float-agreement", None)
     for n in n_values:
         row = ramanujan_definition_row(n) if n <= RAMANUJAN_FLOAT_LIMIT else None
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
-            yield _verdict("ramanujan-exact-agreement", "-", n, m, exact, other)
+            yield exact_pass if other == exact else _verdict(
+                "ramanujan-exact-agreement", "-", n, m, exact, other
+            )
             if row is not None:
                 approx = row[m % n]
-                ok = float_agrees(approx, exact, tolerance)
-                yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx, ok)
+                yield float_pass if float_agrees(approx, exact, tolerance) else _verdict(
+                    "ramanujan-float-agreement", "-", n, m, exact, approx
+                )
 
 
 def _identities(checks: Iterable[tuple[str, Failure | None]], failures: list[Failure]):

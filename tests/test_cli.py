@@ -138,6 +138,13 @@ class TestVerify:
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("names", ["", " , ", "id,id", "1,one", "lambda,liouville"])
+    def test_empty_or_repeated_functions_are_usage_errors(self, capsys, names):
+        code, out, err = run_cli(capsys, "verify", "--n-max", "4", "--functions", names)
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error:"), err
+
     def test_json_report(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--n-max", "12", "--format", "json",

@@ -1,14 +1,17 @@
 """``tools/fault_matrix.py``: the clean sweep passes, a fault in each rule
 and each exact path the evaluation uses fails at least two exact identity
 families, and the whole table at n <= 12 is pinned, so a change to which
-checks reach which path shows."""
+checks reach which path shows. Every failure of a sampled sweep under each
+fault is pinned too, so a change to a failure's text or order shows."""
 
+import hashlib
 import importlib.util
 import pathlib
 
 import pytest
 
 from gcdft import numtheory, ramanujan, transform, verify
+from gcdft.verify import SweepConfig, run_verification
 
 TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fault_matrix.py"
 
@@ -145,3 +148,26 @@ fault offset-convolution
 
 def test_the_table_at_twelve_is_pinned(fault_matrix):
     assert fault_matrix.render(12) == PINNED_TABLE
+
+
+# sha256 of the 16 891 failures below, independent of the hash seed
+PINNED_FAILURES = "740e3d7c1c7c83d0c6247e2afb663b40674e28208570890918ee7c1438626a6c"
+
+
+def test_every_failure_under_each_fault_is_pinned(fault_matrix):
+    config = SweepConfig(n_max=12, m_policy="sample", sample_count=5, seed=3,
+                         functions=("sigma", "id", "J_3", "tau", "mu"))
+    runs = []
+    for fault, (module, rule, build) in fault_matrix.FAULTS.items():
+        honest = getattr(module, rule)
+        fault_matrix._clear_caches()
+        replaced = fault_matrix._replace(honest, build(honest))
+        try:
+            report = run_verification(config)
+        finally:
+            for holder, attr in replaced:
+                setattr(holder, attr, honest)
+            fault_matrix._clear_caches()
+        runs.append((fault, report.checks, [tuple(vars(f).values()) for f in report.failures]))
+    assert sum(len(failures) for _, _, failures in runs) == 16891
+    assert hashlib.sha256(repr(runs).encode()).hexdigest() == PINNED_FAILURES

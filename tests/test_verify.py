@@ -80,6 +80,15 @@ class TestConfig:
         with pytest.raises(DomainError, match="tolerance must be a real number"):
             SweepConfig(n_max=3, tolerance_float=tolerance)
 
+    @pytest.mark.parametrize(
+        "functions",
+        [(), ("id", "id"), ("1", "one"), ("lambda", "liouville"), ("sigma", "id_2", "id_2")],
+        ids=["empty", "id-twice", "one-by-two-names", "liouville-by-two-names", "id_2-twice"],
+    )
+    def test_functions_must_name_each_function_once(self, functions):
+        with pytest.raises(DomainError, match="at least one function, each once"):
+            SweepConfig(n_max=3, functions=functions)
+
     def test_accepts_a_real_tolerance_of_any_type(self):
         for tolerance in (1, Fraction(1, 10**6), np.float64(1e-6)):
             assert SweepConfig(n_max=3, tolerance_float=tolerance).tolerance_float == tolerance
@@ -101,6 +110,19 @@ class TestOrderPolicies:
 
     def test_sample_caps_at_n(self):
         assert orders_for(3, "sample", 10, random.Random(0)) == [1, 2, 3]
+
+    def test_unknown_policy_raises_naming_the_policies(self):
+        with pytest.raises(DomainError, match=r"one of \('all', 'divisors', 'sample'\)"):
+            orders_for(6, "everything", 3, random.Random(0))
+        with pytest.raises(DomainError, match="'divsors'"):
+            list(check_path_equivalence(ID, range(1, 4), policy="divsors"))
+        with pytest.raises(DomainError, match="'divsors'"):
+            list(check_closed_form_pair(ID, range(1, 4), policy="divsors"))
+
+    @pytest.mark.parametrize("pair_max", [2.5, "3", True])
+    def test_multiplicativity_pair_max_must_be_an_integer(self, pair_max):
+        with pytest.raises(DomainError, match="pair_max must be an integer"):
+            list(check_multiplicativity(ID, pair_max=pair_max))
 
 
 class TestCleanSweeps:
