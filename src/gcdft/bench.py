@@ -17,7 +17,7 @@ from dataclasses import astuple, dataclass
 
 from .errors import DomainError
 from .functions import ArithmeticFunction, Exact
-from .numtheory import factorize
+from .numtheory import as_int, factorize
 from .ramanujan import FLOAT_TOLERANCE
 from .tables import format_exact
 from .transform import dft_brute_float, dft_dispatch, float_agrees, float_bound
@@ -49,7 +49,7 @@ class BenchResult:
 
 def bench_one(f: ArithmeticFunction, n: int, repetitions: int = 5) -> BenchResult:
     """Median wall time of both paths at order m = n."""
-    if repetitions < 1:
+    if as_int(repetitions, "repetitions") < 1:  # a bool, float or str raises here
         raise DomainError("repetitions must be >= 1")
     m = n
     brute_times = []

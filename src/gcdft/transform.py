@@ -133,7 +133,7 @@ def _gcd_sequence(f: ArithmeticFunction, n: int, count: int | None = None) -> np
     """The floats f(gcd(k, n)), k = 1..count (all of 1..n by default): each
     divisor d <= count, in lattice order, writes f(d) (from the far end of
     :func:`_divisor_values`) to its multiples, so k ends on gcd(k, n)."""
-    if n < 1:
+    if (n := as_int(n)) < 1:
         raise OracleScaleError("n must be >= 1")
     if n > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
@@ -163,7 +163,8 @@ def dft_brute_float(f: ArithmeticFunction, n: int, m: int) -> complex:
     then a matrix-vector product over rows of B terms, and the sum over q a
     dot product, whose real part is the cosine sum. Oracle use only
     (n <= 10^6)."""
-    half = n // 2
+    m = m if type(m) is int else as_int(m, "m")
+    half = as_int(n) // 2
     a = _gcd_sequence(f, n, half)
     top = _float_value(f, _divisor_values(f, factorize(n))[0], n, n)
     if n % 2 == 0:

@@ -1,5 +1,7 @@
 """Identity sweeps: every closed form is replayed against the independent
-evaluation paths over configurable (f, n, m) grids.
+evaluation paths over an (f, n, m) grid. Every check that reads a grid value
+(m policy, sample count, tolerance, seed, n_max) reads it from one
+:class:`SweepConfig`, which validates all six fields when it is built.
 
 Each check yields ``(identity, None)`` on a pass, one record built when the
 check starts, or ``(identity, failure)``, built by :func:`_verdict` only for
@@ -62,7 +64,9 @@ class SweepConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if as_int(self.n_max, "n_max") < 1:  # a bool, float or str raises here
+        for name in ("n_max", "sample_count", "seed"):  # a bool, float or str raises here
+            object.__setattr__(self, name, as_int(getattr(self, name), name))
+        if self.n_max < 1:
             raise DomainError("n_max must be >= 1")
         if not isinstance(self.functions, tuple) or not all(
             isinstance(name, str) for name in self.functions
@@ -79,7 +83,7 @@ class SweepConfig:
             raise DomainError(f"tolerance must be finite and > 0, got {tolerance}")
         if self.m_policy not in M_POLICIES:
             raise DomainError(f"m_policy must be one of {M_POLICIES}")
-        if as_int(self.sample_count, "sample_count") < 1 and self.m_policy == "sample":
+        if self.sample_count < 1 and self.m_policy == "sample":
             raise DomainError("sample count must be >= 1")
 
 
@@ -125,30 +129,25 @@ def _missing(error: KeyError) -> str:
     return f"class {error.args[0]} missing from the class table"
 
 
-def orders_for(n: int, policy: str, count: int, rng: random.Random) -> list[int]:
-    """Deterministic m grid for a given n under the configured policy."""
-    if policy == "all":
+def orders_for(n: int, config: SweepConfig, rng: random.Random) -> list[int]:
+    """Deterministic m grid for a given n under the config's m policy."""
+    if config.m_policy == "all":
         return list(range(1, n + 1))
-    if policy == "divisors":
+    if config.m_policy == "divisors":
         return divisors(n)
-    if policy != "sample":
-        raise DomainError(f"m_policy must be one of {M_POLICIES}, got {policy!r}")
-    return sorted(rng.sample(range(1, n + 1), min(count, n)))
+    return sorted(rng.sample(range(1, n + 1), min(config.sample_count, n)))
 
 
 def check_path_equivalence(
     f: ArithmeticFunction,
     n_values: Iterable[int],
-    policy: str = "all",
-    sample_count: int = 20,
-    tolerance: float = FLOAT_TOLERANCE,
-    seed: int = 0,
+    config: SweepConfig,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Convolution vs closed form (exact) and vs the FFT spectrum (float,
     within :func:`float_bound` of the exact value), with n factored and the
     spectrum read once per n. An :class:`InconsistencyError` of the float
     oracle at n fails the float check at each of n's orders."""
-    rng = random.Random(seed)
+    rng = random.Random(config.seed)
     exact_pass, float_pass = ("path-equivalence-exact", None), ("path-equivalence-float", None)
     integral_pass = ("integrality", None)
     for n in n_values:
@@ -157,8 +156,8 @@ def check_path_equivalence(
             spectrum = dft_brute_spectrum(f, n).tolist()
         except InconsistencyError as exc:
             spectrum = exc
-        bound = float_bound(f, n, tolerance)
-        for m in orders_for(n, policy, sample_count, rng):
+        bound = float_bound(f, n, config.tolerance_float)
+        for m in orders_for(n, config, rng):
             convolution = dft_exact_convolution(f, fac, m)
             closed = exact_closed_form(f, fac, m)
             if closed is not None:
@@ -182,9 +181,7 @@ def check_path_equivalence(
 def check_closed_form_pair(
     f: ArithmeticFunction,
     n_values: Iterable[int],
-    policy: str = "all",
-    sample_count: int = 20,
-    seed: int = 0,
+    config: SweepConfig,
 ) -> Iterator[tuple[str, Failure | None]]:
     """Geometric closed form vs per-prime-sum closed form (and the id-only
     product vs the general multiplicative one when f = id). Any other f has
@@ -196,10 +193,10 @@ def check_closed_form_pair(
         oracle = functools.partial(dft_closed_form_completely_mult, f)
     else:
         return
-    rng, passed = random.Random(seed), (identity, None)
+    rng, passed = random.Random(config.seed), (identity, None)
     for n in n_values:
         fac = factorize(n)
-        for m in orders_for(n, policy, sample_count, rng):
+        for m in orders_for(n, config, rng):
             general = dft_closed_form_multiplicative(f, fac, m)
             other = oracle(fac, m)
             yield passed if other == general else _verdict(identity, f.name, n, m, general, other)
@@ -228,18 +225,17 @@ def check_gcd_dependence(
 
 def check_multiplicativity(
     f: ArithmeticFunction,
-    pair_max: int,
-    seed: int = 0,
+    config: SweepConfig,
 ) -> Iterator[tuple[str, Failure | None]]:
     """The closed form at uv equals the product of the convolutions at
-    coprime u and v, read from class tables built once per u <= pair_max.
+    coprime u < v <= min(100, n_max), read from class tables built once per u.
 
     Orders cover every divisor of uv (hence every distinct gcd class) plus a
     few seeded non-divisors. A class missing from a class table fails the
     check.
     """
-    rng, passed = random.Random(seed), ("multiplicativity", None)
-    pair_max = as_int(pair_max, "pair_max")
+    rng, passed = random.Random(config.seed), ("multiplicativity", None)
+    pair_max = min(100, config.n_max)
     by_class = {u: _class_values(f, u) for u in range(1, pair_max + 1)}
     for u in range(1, pair_max + 1):
         for v in range(u + 1, pair_max + 1):
@@ -279,7 +275,7 @@ def check_coprime_order_totient(n_values: Iterable[int]) -> Iterator[tuple[str, 
 
 def check_ramanujan_agreement(
     n_values: Iterable[int],
-    tolerance: float = FLOAT_TOLERANCE,
+    config: SweepConfig,
 ) -> Iterator[tuple[str, Failure | None]]:
     """The two exact Ramanujan evaluators agree everywhere; the floating
     definition agrees (rounded) up to n = RAMANUJAN_FLOAT_LIMIT. The float
@@ -287,6 +283,7 @@ def check_ramanujan_agreement(
     m mod n and dropped when the sweep moves to the next n."""
     exact_pass = ("ramanujan-exact-agreement", None)
     float_pass = ("ramanujan-float-agreement", None)
+    tolerance = config.tolerance_float
     for n in n_values:
         row = ramanujan_definition_row(n) if n <= RAMANUJAN_FLOAT_LIMIT else None
         for m in range(1, n + 1):
@@ -315,15 +312,14 @@ def run_verification(config: SweepConfig) -> SweepReport:
     tallied as :meth:`SweepReport.record` would, without a call per check."""
     report = SweepReport()
     n_values = range(1, config.n_max + 1)
-    grid = dict(policy=config.m_policy, sample_count=config.sample_count, seed=config.seed)
-    checks = [check_ramanujan_agreement(n_values, tolerance=config.tolerance_float)]
+    checks = [check_ramanujan_agreement(n_values, config)]
     for f in map(get_function, config.functions):
-        checks.append(check_path_equivalence(f, n_values, tolerance=config.tolerance_float, **grid))
+        checks.append(check_path_equivalence(f, n_values, config))
         if f.is_multiplicative:
             checks += [
-                check_closed_form_pair(f, n_values, **grid),
+                check_closed_form_pair(f, n_values, config),
                 check_gcd_dependence(f, n_values),
-                check_multiplicativity(f, pair_max=min(100, config.n_max), seed=config.seed),
+                check_multiplicativity(f, config),
             ]
     checks.append(check_coprime_order_totient(n_values))
 

@@ -74,6 +74,13 @@ class TestBenchOne:
         result = bench_one(ID, 60, 1)
         assert result.value == 360 and result.spot_check
 
+    @pytest.mark.parametrize("repetitions", [2.5, True, "3"], ids=repr)
+    def test_repetitions_must_be_an_integer(self, repetitions):
+        with pytest.raises(DomainError, match="repetitions must be an integer"):
+            bench_one(ID, 12, repetitions)
+        with pytest.raises(DomainError, match="repetitions must be an integer"):
+            run_bench(ID, [12], repetitions)
+
 
 class TestRendering:
     def test_csv_structure(self):

@@ -7,6 +7,7 @@ those names fails here rather than in a benchmark run."""
 
 import contextlib
 import io
+import json
 import pathlib
 import sys
 
@@ -14,7 +15,8 @@ import pytest
 
 from gcdft import cli, transform
 
-PERFBENCH = pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 # a seed whose first point request falls in the share the benchmark checks
 SEED = 13
 CLOSED_FORMS = (
@@ -66,3 +68,19 @@ def test_the_offset_fault_is_put_back(worker):
     finally:
         patches.undo()
     assert all(getattr(transform, n) is f for n, f in zip(CLOSED_FORMS, honest))
+
+
+def test_every_per_layer_span_metric_names_a_traced_span(worker):
+    """A ``<span>.calls`` or ``<span>.self_ms`` metric of BENCHMARK.json reads
+    0 in silence when its function moves or is renamed; so each must name a
+    span the tracer yields. ``transform.decompose_order`` is the one known
+    dead metric: its function is gone and the metric awaits its removal."""
+    dead = {"transform.decompose_order"}
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    named = {
+        span
+        for span, _, kind in (m["name"].rpartition(".") for m in metrics)
+        if kind in ("calls", "self_ms")
+    }
+    traced = {span for span, _ in sys.modules[worker.Tracer.__module__].layer_functions()}
+    assert named - traced == dead

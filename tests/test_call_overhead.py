@@ -108,14 +108,13 @@ def test_tally_equals_a_record_of_every_check(monkeypatch):
 
     replay = SweepReport()
     n_values = range(1, config.n_max + 1)
-    grid = dict(policy=config.m_policy, sample_count=config.sample_count, seed=config.seed)
-    checks = [check_ramanujan_agreement(n_values, tolerance=config.tolerance_float)]
+    checks = [check_ramanujan_agreement(n_values, config)]
     for f in map(get_function, config.functions):
         checks += [
-            check_path_equivalence(f, n_values, tolerance=config.tolerance_float, **grid),
-            check_closed_form_pair(f, n_values, **grid),
+            check_path_equivalence(f, n_values, config),
+            check_closed_form_pair(f, n_values, config),
             check_gcd_dependence(f, n_values),
-            check_multiplicativity(f, pair_max=config.n_max, seed=config.seed),
+            check_multiplicativity(f, config),
         ]
     checks.append(check_coprime_order_totient(n_values))
     for identity, failure in itertools.chain(*checks):

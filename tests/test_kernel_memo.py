@@ -32,7 +32,7 @@ from gcdft.transform import (
     dft_dispatch,
     dft_exact_convolution,
 )
-from gcdft.verify import Failure, check_ramanujan_agreement
+from gcdft.verify import Failure, SweepConfig, check_ramanujan_agreement
 
 RATIONAL = ArithmeticFunction.multiplicative(
     "rational", lambda p, e: Fraction(e - 2, p + e), integer_valued=False
@@ -124,12 +124,13 @@ class TestRamanujanAgreement:
     def test_residues_once_per_n_match_per_order_calls(self, monkeypatch):
         n_values = range(1, 40)
         monkeypatch.setattr(verify, "RAMANUJAN_FLOAT_LIMIT", 30)
-        assert list(check_ramanujan_agreement(n_values)) == list(
+        config = SweepConfig(n_max=39)
+        assert list(check_ramanujan_agreement(n_values, config)) == list(
             per_order_agreement(n_values, float_limit=30)
         )
         honest = ramanujan._von_sterneck
         monkeypatch.setattr(ramanujan, "_von_sterneck", lambda n, g: honest(n, g) + 1)
-        got = list(check_ramanujan_agreement(n_values))
+        got = list(check_ramanujan_agreement(n_values, config))
         assert got == list(per_order_agreement(n_values, float_limit=30))
         assert {identity for identity, failure in got if failure} == {
             "ramanujan-exact-agreement",

@@ -53,14 +53,14 @@ def test_a_faulted_sweep_calls_one_verdict_per_failure(verdicts, monkeypatch):
 
 
 def public_checks():
-    ns, f = range(1, 13), get_function("sigma")
+    ns, f, config = range(1, 13), get_function("sigma"), SweepConfig(n_max=12)
     return {
-        "path-equivalence": check_path_equivalence(f, ns),
-        "closed-form-pair": check_closed_form_pair(get_function("id"), ns),
+        "path-equivalence": check_path_equivalence(f, ns, config),
+        "closed-form-pair": check_closed_form_pair(get_function("id"), ns, config),
         "gcd-dependence": check_gcd_dependence(f, ns),
-        "multiplicativity": check_multiplicativity(f, pair_max=12),
+        "multiplicativity": check_multiplicativity(f, config),
         "coprime-order-totient": check_coprime_order_totient(ns),
-        "ramanujan-agreement": check_ramanujan_agreement(ns),
+        "ramanujan-agreement": check_ramanujan_agreement(ns, config),
     }
 
 

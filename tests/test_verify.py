@@ -61,8 +61,14 @@ class TestConfig:
             {"n_max": True},
             {"n_max": 5, "sample_count": 2.5},
             {"n_max": 5, "m_policy": "sample", "sample_count": 2.5},
+            {"n_max": 3, "seed": "x"},
+            {"n_max": 3, "seed": 2.5},
+            {"n_max": 3, "seed": True},
         ],
-        ids=["float-n", "str-n", "bool-n", "float-count", "float-count-sampled"],
+        ids=[
+            "float-n", "str-n", "bool-n", "float-count", "float-count-sampled",
+            "str-seed", "float-seed", "bool-seed",
+        ],
     )
     def test_rejects_non_integer_fields_at_construction(self, fields):
         with pytest.raises(DomainError, match="must be an integer"):
@@ -89,40 +95,57 @@ class TestConfig:
         with pytest.raises(DomainError, match="at least one function, each once"):
             SweepConfig(n_max=3, functions=functions)
 
+    def test_keeps_numpy_integers_as_plain_ints(self):
+        # random.Random and the json report refuse a numpy int
+        config = SweepConfig(n_max=np.int64(5), m_policy="sample", sample_count=np.int8(2),
+                             seed=np.int64(3))
+        assert [type(config.n_max), type(config.sample_count), type(config.seed)] == [int] * 3
+        assert json.loads(render_report(run_verification(config), config, "json"))["passed"]
+
     def test_accepts_a_real_tolerance_of_any_type(self):
         for tolerance in (1, Fraction(1, 10**6), np.float64(1e-6)):
             assert SweepConfig(n_max=3, tolerance_float=tolerance).tolerance_float == tolerance
 
 
+def grid(policy="all", count=3):
+    """A sweep config with the given m policy and sample count."""
+    return SweepConfig(n_max=100, m_policy=policy, sample_count=count)
+
+
 class TestOrderPolicies:
     def test_all(self):
-        assert orders_for(6, "all", 3, random.Random(0)) == [1, 2, 3, 4, 5, 6]
+        assert orders_for(6, grid("all"), random.Random(0)) == [1, 2, 3, 4, 5, 6]
 
     def test_divisors(self):
-        assert orders_for(12, "divisors", 3, random.Random(0)) == divisors(12)
+        assert orders_for(12, grid("divisors"), random.Random(0)) == divisors(12)
 
     def test_sample_deterministic(self):
-        a = orders_for(100, "sample", 10, random.Random(42))
-        b = orders_for(100, "sample", 10, random.Random(42))
+        a = orders_for(100, grid("sample", 10), random.Random(42))
+        b = orders_for(100, grid("sample", 10), random.Random(42))
         assert a == b
         assert len(a) == 10
         assert all(1 <= m <= 100 for m in a)
 
     def test_sample_caps_at_n(self):
-        assert orders_for(3, "sample", 10, random.Random(0)) == [1, 2, 3]
+        assert orders_for(3, grid("sample", 10), random.Random(0)) == [1, 2, 3]
 
     def test_unknown_policy_raises_naming_the_policies(self):
-        with pytest.raises(DomainError, match=r"one of \('all', 'divisors', 'sample'\)"):
-            orders_for(6, "everything", 3, random.Random(0))
-        with pytest.raises(DomainError, match="'divsors'"):
-            list(check_path_equivalence(ID, range(1, 4), policy="divsors"))
-        with pytest.raises(DomainError, match="'divsors'"):
-            list(check_closed_form_pair(ID, range(1, 4), policy="divsors"))
+        # the config refuses the policy, so no check or order grid sees it
+        for policy in ("everything", "divsors"):
+            with pytest.raises(DomainError, match=r"one of \('all', 'divisors', 'sample'\)"):
+                SweepConfig(n_max=3, m_policy=policy)
 
-    @pytest.mark.parametrize("pair_max", [2.5, "3", True])
-    def test_multiplicativity_pair_max_must_be_an_integer(self, pair_max):
-        with pytest.raises(DomainError, match="pair_max must be an integer"):
-            list(check_multiplicativity(ID, pair_max=pair_max))
+    @pytest.mark.parametrize("n_max", [2.5, "3", True])
+    def test_multiplicativity_pair_cap_reads_a_checked_n_max(self, n_max):
+        with pytest.raises(DomainError, match="n_max must be an integer"):
+            SweepConfig(n_max=n_max)
+
+    def test_multiplicativity_caps_its_pairs_at_100(self):
+        # every divisor of uv plus three seeded orders per pair u < v <= 100
+        checks = list(check_multiplicativity(ID, SweepConfig(n_max=200)))
+        pairs = [(u, v) for u in range(1, 101) for v in range(u + 1, 101) if math.gcd(u, v) == 1]
+        assert len(checks) == sum(len(divisors(u * v)) + 3 for u, v in pairs)
+        assert checks == list(check_multiplicativity(ID, SweepConfig(n_max=100)))
 
 
 class TestCleanSweeps:
@@ -165,13 +188,13 @@ class TestCleanSweeps:
         assert failures == []
         failures = [
             failure
-            for _, failure in check_multiplicativity(get_function("sigma"), 30)
+            for _, failure in check_multiplicativity(get_function("sigma"), SweepConfig(n_max=30))
             if failure is not None
         ]
         assert failures == []
         failures = [
             failure
-            for _, failure in check_ramanujan_agreement(range(1, 80))
+            for _, failure in check_ramanujan_agreement(range(1, 80), grid())
             if failure is not None
         ]
         assert failures == []
@@ -186,11 +209,11 @@ class TestCleanSweeps:
         # orders 1..3n per n; every divisor of uv plus three seeded orders per pair
         assert len(list(check_gcd_dependence(ID, range(1, 21)))) == 3 * sum(range(1, 21))
         pairs = [(u, v) for u in range(1, 13) for v in range(u + 1, 13) if math.gcd(u, v) == 1]
-        assert len(list(check_multiplicativity(ID, 12))) == sum(
+        assert len(list(check_multiplicativity(ID, SweepConfig(n_max=12)))) == sum(
             len(divisors(u * v)) + 3 for u, v in pairs
         )
         # exact, float and integrality check per order for an integer-valued f
-        assert len(list(check_path_equivalence(ID, [12, 30]))) == 3 * (12 + 30)
+        assert len(list(check_path_equivalence(ID, [12, 30], grid()))) == 3 * (12 + 30)
 
 
 class TestFaultInjection:
@@ -226,7 +249,7 @@ class TestFaultInjection:
         [
             (
                 negate_closed_form,
-                lambda: check_path_equivalence(ID, range(1, 5)),
+                lambda: check_path_equivalence(ID, range(1, 5), grid()),
                 [
                     Failure("path-equivalence-exact", "id", 1, 1, "1", "-1"),
                     Failure("path-equivalence-float", "id", 1, 1, "-1", "(1+0j)"),
@@ -234,7 +257,7 @@ class TestFaultInjection:
             ),
             (
                 negate_closed_form,
-                lambda: check_path_equivalence(get_function("id_-1"), [2]),
+                lambda: check_path_equivalence(get_function("id_-1"), [2], grid()),
                 [
                     Failure("path-equivalence-exact", "id_-1", 2, 1, "-1/2", "1/2"),
                     Failure("path-equivalence-float", "id_-1", 2, 1, "1/2", "(-0.5+0j)"),
@@ -247,12 +270,12 @@ class TestFaultInjection:
             ),
             (
                 offset_local_factor,
-                lambda: check_closed_form_pair(get_function("id_2"), range(1, 5)),
+                lambda: check_closed_form_pair(get_function("id_2"), range(1, 5), grid()),
                 [Failure("geometric-form-vs-multiplicative-form", "id_2", 2, 1, "4", "3")],
             ),
             (
                 offset_local_factor,
-                lambda: check_closed_form_pair(ID, range(1, 5)),
+                lambda: check_closed_form_pair(ID, range(1, 5), grid()),
                 [Failure("gcd-form-vs-multiplicative-form", "id", 2, 1, "2", "1")],
             ),
         ],
@@ -275,7 +298,7 @@ class TestFaultInjection:
             numtheory, "_lattice_terms", lambda fac, choices=None: honest(fac, choices)[:-1]
         )
         try:
-            failures = [failure for _, failure in check_path_equivalence(ID, [2]) if failure]
+            failures = [x for _, x in check_path_equivalence(ID, [2], grid()) if x is not None]
             code = main(["verify", "--n-max", "12", "--functions", "sigma"])
         finally:
             for cache in caches:
@@ -299,7 +322,7 @@ class TestFaultInjection:
         negate_closed_form(monkeypatch)
         failures = [
             failure
-            for _, failure in check_path_equivalence(ID, range(1, 15))
+            for _, failure in check_path_equivalence(ID, range(1, 15), grid())
             if failure is not None
         ]
         assert failures
@@ -312,10 +335,10 @@ class TestFloatBound:
     def test_large_values_pass_the_fft_check(self, monkeypatch, name, n):
         # values reach ~10^10, where the FFT is off by ~2e-6 in absolute terms
         f = get_function(name)
-        outcomes = list(check_path_equivalence(f, [n], policy="divisors"))
+        outcomes = list(check_path_equivalence(f, [n], grid("divisors")))
         assert [x for _, x in outcomes if x is not None] == []
         negate_closed_form(monkeypatch)
-        faulted = check_path_equivalence(f, [n], policy="divisors")
+        faulted = check_path_equivalence(f, [n], grid("divisors"))
         assert {x.identity for _, x in faulted if x is not None} == {
             "path-equivalence-exact",
             "path-equivalence-float",
@@ -326,7 +349,7 @@ class TestClosedFormPairChecks:
     def test_id_pairs(self):
         failures = [
             failure
-            for _, failure in check_closed_form_pair(ID, range(1, 60))
+            for _, failure in check_closed_form_pair(ID, range(1, 60), grid())
             if failure is not None
         ]
         assert failures == []
@@ -336,7 +359,7 @@ class TestClosedFormPairChecks:
             failures = [
                 failure
                 for _, failure in check_closed_form_pair(
-                    get_function(name), range(1, 60)
+                    get_function(name), range(1, 60), grid()
                 )
                 if failure is not None
             ]
@@ -414,9 +437,9 @@ class TestClosedFormPairWork:
             "dft_closed_form_multiplicative",
             lambda f, n, m: calls.append(n) or honest(f, n, m),
         )
-        assert list(check_closed_form_pair(get_function("sigma"), range(1, 30))) == []
+        assert list(check_closed_form_pair(get_function("sigma"), range(1, 30), grid())) == []
         assert calls == []
-        pairs = list(check_closed_form_pair(get_function("id_2"), range(1, 30)))
+        pairs = list(check_closed_form_pair(get_function("id_2"), range(1, 30), grid()))
         assert len(pairs) == len(calls) == sum(range(1, 30))
 
 
@@ -442,14 +465,15 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         monkeypatch.setattr(
             verify, "exact_closed_form", lambda f, n, m: calls.append(n) or honest(f, n, m)
         )
-        checks = list(check_multiplicativity(get_function("sigma"), 12))
+        checks = list(check_multiplicativity(get_function("sigma"), SweepConfig(n_max=12)))
         assert checks and all(failure is None for _, failure in checks)
         assert len(calls) == len(checks)
 
     def test_first_multiplicativity_record(self, monkeypatch):
         offset_local_factor(monkeypatch)
         sigma = get_function("sigma")
-        failures = [f for _, f in check_multiplicativity(sigma, 12) if f is not None]
+        checks = check_multiplicativity(sigma, SweepConfig(n_max=12))
+        failures = [f for _, f in checks if f is not None]
         # u = 1, v = 2, m = 1: the convolutions give 1 * 2, the offset closed form 3
         split = dft_exact_convolution(sigma, 1, 1) * dft_exact_convolution(sigma, 2, 1)
         assert failures[0] == Failure("multiplicativity", "sigma", 2, 1, str(split), "3")
@@ -470,7 +494,7 @@ def test_ramanujan_float_checks_call_the_public_definition(monkeypatch):
     monkeypatch.setattr(verify, "ramanujan_definition_row", lambda n: calls.append(n) or honest(n))
 
     def float_checks():
-        results = check_ramanujan_agreement(range(1, 13))
+        results = check_ramanujan_agreement(range(1, 13), grid())
         return [failure for identity, failure in results if identity == "ramanujan-float-agreement"]
 
     assert float_checks() == [None] * 78
