@@ -101,7 +101,13 @@ class ArithmeticFunction:
         return self.kind is not Kind.GENERAL
 
     def prime_power(self, p: int, e: int) -> Exact:
-        """f(p^e) for e >= 0; f(p^0) = 1 by convention."""
+        """f(p^e) for an integer p >= 2 and e >= 0; f(p^0) = 1 by convention.
+        A bool, float or string p or e, or p < 2, raises :class:`DomainError`.
+        p is not tested for primality."""
+        if not (type(p) is int and type(e) is int):
+            p, e = as_int(p, "p"), as_int(e, "e")
+        if p < 2:
+            raise DomainError(f"{self.name}(p^e): p must be at least 2, got {p}")
         if e < 0:
             raise DomainError(f"{self.name}(p^{e}): negative exponent")
         if e == 0:

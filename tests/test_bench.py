@@ -2,7 +2,6 @@
 
 import csv
 import io
-import sys
 
 import pytest
 
@@ -65,12 +64,10 @@ class TestBenchOne:
         after = factorize.cache_info()
         assert (after.hits, after.misses) == (before.hits + len(numbers), before.misses)
 
-    def test_factorize_replaced_by_a_plain_wrapper(self, monkeypatch):
+    def test_factorize_replaced_by_a_plain_wrapper(self, everywhere):
         """A tracer swaps every gcdft alias of factorize for a wrapper with
         no ``__wrapped__``; the timed cold work does not go through it."""
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "gcdft" and getattr(module, "factorize", None) is factorize:
-                monkeypatch.setattr(module, "factorize", lambda n: factorize(n))
+        everywhere(factorize, lambda n: factorize(n))
         result = bench_one(ID, 60, 1)
         assert result.value == 360 and result.spot_check
 

@@ -10,7 +10,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gcdft import ramanujan, transform
+from gcdft import ramanujan
 from gcdft.errors import OracleScaleError
 from gcdft.functions import Kind, _divisor_values, catalog_names, get_function
 from gcdft.numtheory import DEFINITION_SCALE_LIMIT, Factorization, factorize
@@ -96,12 +96,11 @@ def test_geometric_form_has_the_per_prime_value_and_type(name):
             assert (geometric, type(geometric)) == (general, type(general)), (n, m)
 
 
-def test_tally_equals_a_record_of_every_check(monkeypatch):
+def test_tally_equals_a_record_of_every_check(fault):
     """With the per-prime kernel offset, so that failures come in several
     identities, the tally gives the counts, their order and the failure list
     that :meth:`SweepReport.record` over the same chained checks gives."""
-    honest = transform._local_factor
-    monkeypatch.setattr(transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1)
+    fault("local-factor+1")
     config = SweepConfig(n_max=14, m_policy="sample", sample_count=5, seed=3,
                          functions=("sigma", "id", "id_2", "mu"))
     report = run_verification(config)

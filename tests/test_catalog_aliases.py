@@ -3,8 +3,6 @@ wrapper, as a tracer does; the library recognises ``id`` by the catalog
 object, so its tables and sweeps do not change, and a parametrized name
 such as ``id_1`` is still the catalog object."""
 
-import sys
-
 import pytest
 
 from gcdft import functions
@@ -14,19 +12,14 @@ from gcdft.verify import SweepConfig, run_verification
 
 
 @pytest.fixture
-def wrapped_id(monkeypatch):
+def wrapped_id(everywhere):
     """Every gcdft module's name for the catalog ``id`` points at a wrapper."""
     original = get_function("id")
 
     def forward(*args, **kwargs):
         return original(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "gcdft":
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, forward)
+    everywhere(original, forward)
     assert functions.ID is forward
 
 

@@ -7,7 +7,6 @@ import time
 
 import pytest
 
-from gcdft import verify
 from gcdft.cli import (
     EXIT_INCONSISTENCY,
     EXIT_OK,
@@ -131,9 +130,8 @@ class TestVerify:
         )
         assert out == out2
 
-    def test_injected_fault_exits_two(self, capsys, monkeypatch):
-        honest = verify.exact_closed_form
-        monkeypatch.setattr(verify, "exact_closed_form", lambda f, n, m: -honest(f, n, m))
+    def test_injected_fault_exits_two(self, capsys, fault):
+        fault("negate-closed-form")
         code, out, _ = run_cli(capsys, "verify", "--n-max", "15", "--functions", "id")
         assert code == EXIT_VERIFICATION
         assert "FAIL" in out

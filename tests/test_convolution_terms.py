@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from gcdft import numtheory, ramanujan, transform
+from gcdft import transform
 from gcdft.errors import OracleScaleError
 from gcdft.functions import ArithmeticFunction, catalog_names, get_function
 from gcdft.numtheory import SMALL_PRIMES, Factorization, divisor_tuple, factorize
@@ -33,13 +33,7 @@ def rational_general():
 
 
 class TestOnePath:
-    def test_cold_call_factors_only_n(self, monkeypatch):
-        for cache in (numtheory.factorize, numtheory.divisor_tuple):
-            cache.cache_clear()
-        ramanujan._von_sterneck.cache_clear()
-        factored = []
-        honest = numtheory.factorize
-        monkeypatch.setattr(numtheory, "factorize", lambda n: factored.append(n) or honest(n))
+    def test_cold_call_factors_only_n(self, factored):
         fresh = ArithmeticFunction.multiplicative("fresh", lambda p, e: p**e + e)
         dft_exact_convolution(fresh, 360360, 7)
         assert factored == [360360]

@@ -5,7 +5,6 @@ n, so nothing is factored again."""
 import time
 from fractions import Fraction
 
-from gcdft import numtheory
 from gcdft.functions import (
     MU,
     PHI,
@@ -43,10 +42,7 @@ def timed(call, *args):
 
 
 class TestGivenFactorization:
-    def test_181_bit_semiprime_is_fast_and_never_factored(self, monkeypatch):
-        factored = []
-        honest = numtheory.factorize
-        monkeypatch.setattr(numtheory, "factorize", lambda n: factored.append(n) or honest(n))
+    def test_181_bit_semiprime_is_fast_and_never_factored(self, factored):
         fac = semiprime()
         assert timed(sum_function, SIGMA, fac) == 1 + (P + 1) + (Q + 1) + (P + 1) * (Q + 1)
         assert timed(dirichlet_convolve, SIGMA, PHI, fac) == 4 * P * Q

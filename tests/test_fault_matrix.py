@@ -5,23 +5,11 @@ checks reach which path shows. Every failure of a sampled sweep under each
 fault is pinned too, so a change to a failure's text or order shows."""
 
 import hashlib
-import importlib.util
-import pathlib
 
 import pytest
 
 from gcdft import numtheory, ramanujan, transform, verify
 from gcdft.verify import SweepConfig, run_verification
-
-TOOL = pathlib.Path(__file__).resolve().parents[1] / "tools" / "fault_matrix.py"
-
-
-@pytest.fixture(scope="module")
-def fault_matrix():
-    spec = importlib.util.spec_from_file_location("fault_matrix", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def test_clean_sweep_passes(fault_matrix):

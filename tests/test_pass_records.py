@@ -1,15 +1,15 @@
 """A passing verify check costs only its comparison: each check builds its
 pass record ``(identity, None)`` once and yields it on every pass, and
 ``_verdict`` runs only for a failing check. The exact Ramanujan evaluators
-take plain ints straight through and still refuse anything else."""
+take plain ints straight through; ``test_typed_boundary.py`` sweeps what they
+refuse."""
 
 from collections import defaultdict
 
 import numpy as np
 import pytest
 
-from gcdft import transform, verify
-from gcdft.errors import DomainError
+from gcdft import verify
 from gcdft.functions import get_function
 from gcdft.ramanujan import ramanujan_kluyver, ramanujan_von_sterneck
 from gcdft.verify import (
@@ -44,9 +44,8 @@ def test_a_clean_sweep_calls_no_verdict(verdicts):
     assert verdicts == [0]
 
 
-def test_a_faulted_sweep_calls_one_verdict_per_failure(verdicts, monkeypatch):
-    honest = transform._local_factor
-    monkeypatch.setattr(transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1)
+def test_a_faulted_sweep_calls_one_verdict_per_failure(verdicts, fault):
+    fault("local-factor+1")
     report = run_verification(SweepConfig(n_max=12, functions=("sigma", "id")))
     assert 0 < len(report.failures) < report.checks
     assert verdicts == [len(report.failures)]
@@ -72,13 +71,6 @@ def test_each_pass_yields_the_one_pass_record_of_its_identity(check):
         assert item == (item[0], None)
         records[item[0]].add(id(item))
     assert records and all(len(ids) == 1 for ids in records.values()), records
-
-
-@pytest.mark.parametrize("evaluator", [ramanujan_von_sterneck, ramanujan_kluyver])
-@pytest.mark.parametrize("n, m", [(True, 1), (12.0, 1), ("12", 1), (12, 1.0)])
-def test_exact_evaluators_refuse_non_integers(evaluator, n, m):
-    with pytest.raises(DomainError, match="must be an integer"):
-        evaluator(n, m)
 
 
 @pytest.mark.parametrize("evaluator", [ramanujan_von_sterneck, ramanujan_kluyver])

@@ -3,61 +3,17 @@ von Sterneck's form and by the exact convolution alike; and float oracles
 that take the divisors of n, with their factors, from the convolution's terms
 of the full class g = n, so that only n itself is ever factored."""
 
-import sys
 from fractions import Fraction
 
 import pytest
 
-from gcdft import numtheory, ramanujan, transform
+from gcdft import ramanujan, transform
 from gcdft.errors import InconsistencyError
 from gcdft.functions import ID, ArithmeticFunction, catalog_names, evaluate, get_function
 from gcdft.numtheory import divisor_tuple, moebius, totient
 from gcdft.ramanujan import ramanujan_von_sterneck
 from gcdft.transform import dft_brute_float, dft_brute_spectrum, dft_dispatch, float_bound
 from gcdft.verify import SweepConfig, run_verification
-
-
-def replace_everywhere(monkeypatch, original, replacement):
-    """Point every gcdft module's name for ``original`` at ``replacement``."""
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] != "gcdft":
-            continue
-        for attr, value in list(vars(module).items()):
-            if value is original:
-                monkeypatch.setattr(module, attr, replacement)
-
-
-# held here, so that they are cleared even while a test has replaced a name
-CACHES = (
-    numtheory.factorize,
-    numtheory.divisor_tuple,
-    ramanujan._von_sterneck,
-    transform._ramanujan_terms,
-    transform._gcd_buckets,
-)
-
-
-def clear_caches():
-    for cache in CACHES:
-        cache.cache_clear()
-
-
-@pytest.fixture
-def cold():
-    """Empty caches on entry, and again on exit so that nothing a test patched
-    stays cached for the next one."""
-    clear_caches()
-    yield
-    clear_caches()
-
-
-@pytest.fixture
-def factored(monkeypatch, cold):
-    """The list of every n that ``factorize`` is called on, under any alias."""
-    calls = []
-    honest = numtheory.factorize
-    replace_everywhere(monkeypatch, honest, lambda n: calls.append(n) or honest(n))
-    return calls
 
 
 def parent_von_sterneck(n, g):
@@ -73,13 +29,8 @@ class TestOneRule:
             for g in divisor_tuple(n):
                 assert ramanujan._von_sterneck(n, g) == parent_von_sterneck(n, g), (n, g)
 
-    def test_rule_fault_fails_the_ramanujan_checks(self, monkeypatch, cold):
-        honest = ramanujan._prime_power_sum
-
-        def offset(p, e, t):
-            return honest(p, e, t) + (p == 3 and e == t + 1)
-
-        replace_everywhere(monkeypatch, honest, offset)
+    def test_rule_fault_fails_the_ramanujan_checks(self, fault):
+        fault("prime-power-sum+1")
         report = run_verification(SweepConfig(n_max=12, functions=("sigma", "id")))
         counts = report.by_identity
         assert counts["ramanujan-exact-agreement"] == [78, 12]

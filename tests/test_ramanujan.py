@@ -3,7 +3,6 @@
 import cmath
 import math
 import random
-import sys
 
 import pytest
 
@@ -94,20 +93,12 @@ class TestKluyver:
 
 
     @pytest.mark.parametrize("primes_of_m", [None, 8])
-    def test_factors_only_n_and_the_gcd(self, monkeypatch, primes_of_m):
+    def test_factors_only_n_and_the_gcd(self, factored, primes_of_m):
         """Over the 2^16 divisors of P16 at m = 0, and the 2^8 of P8 at m = P8,
         Kluyver's sum factors n and gcd(m, n) and no divisor."""
         n = math.prod(SMALL_PRIMES[:16])
         m = 0 if primes_of_m is None else math.prod(SMALL_PRIMES[:primes_of_m])
-        ramanujan._kluyver.cache_clear()
-        numtheory.factorize.cache_clear()
-        calls = []
-        honest = numtheory.factorize
-        for name, module in list(sys.modules.items()):
-            if name.split(".")[0] == "gcdft":
-                for attr, value in list(vars(module).items()):
-                    if value is honest:
-                        monkeypatch.setattr(module, attr, lambda k: calls.append(k) or honest(k))
+        calls = factored
         value = ramanujan_kluyver(n, m)
         assert calls == [n, math.gcd(m, n)]
         assert value == ramanujan_von_sterneck(n, m)

@@ -8,7 +8,6 @@ DEFINITION_SCALE_LIMIT they raise before listing any divisor or building any
 term, and the CLI exits 1."""
 
 import math
-import sys
 import time
 
 import pytest
@@ -33,19 +32,6 @@ def primorial(count):
     """The product of the first ``count`` primes, as a given Factorization."""
     primes = SMALL_PRIMES[:count]
     return Factorization(math.prod(primes), tuple((p, 1) for p in primes))
-
-
-@pytest.fixture
-def factored(monkeypatch):
-    """The list of every n that ``factorize`` is called on, under any alias."""
-    calls = []
-    honest = numtheory.factorize
-    for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "gcdft":
-            for attr, value in list(vars(module).items()):
-                if value is honest:
-                    monkeypatch.setattr(module, attr, lambda n: calls.append(n) or honest(n))
-    return calls
 
 
 class TestTablesOfAGivenFactorization:

@@ -78,6 +78,10 @@ class TestReduceOrder:
         assert reduce_order(0, 12) == 12
         assert reduce_order(-1, 12) == 11
 
+    def test_zero_n_is_a_domain_error(self):
+        with pytest.raises(DomainError):
+            reduce_order(5, 0)
+
 
 def gcd_multiplicity(g, p):
     t = 0
@@ -678,14 +682,10 @@ class TestElementaryIdentities:
 
 
 class TestInconsistencyDetection:
-    def test_perturbed_convolution_detected(self, monkeypatch):
+    def test_perturbed_convolution_detected(self, fault):
         import gcdft.transform as transform
 
-        honest = transform.dft_exact_convolution
-        monkeypatch.setattr(
-            transform, "dft_exact_convolution",
-            lambda f, n, m: honest(f, n, m) + 1,
-        )
+        fault("offset-convolution")
         with pytest.raises(InconsistencyError):
             transform.dft_dispatch(ID, 12, 5, verify=True)
 

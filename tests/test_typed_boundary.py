@@ -1,13 +1,16 @@
-"""Every public function of ``gcdft`` that takes an integer refuses a bool, a
-float or a string there with :class:`DomainError`, rather than answering or
-raising a bare ``TypeError``."""
+"""Every public function of ``gcdft`` that takes an integer, and every public
+method or constructor of a class in ``gcdft.__all__`` that takes one, refuses
+a bool, a float or a string there with :class:`DomainError`, rather than
+answering or raising a bare ``TypeError``."""
+
+import inspect
 
 import pytest
 
 import gcdft
 from gcdft import SIGMA
 from gcdft.errors import DomainError
-from gcdft.functions import get_function
+from gcdft.functions import catalog_names, get_function
 
 NOT_INTEGERS = [True, 12.0, "12", 2.5]
 ID_2 = get_function("id_2")
@@ -84,3 +87,56 @@ def test_n_must_be_an_integer(name, value):
     AT_N[name](12)  # answers at an integer
     with pytest.raises(DomainError, match="must be an integer"):
         AT_N[name](value)
+
+
+# "Class.method" of each public method or constructor that takes an integer:
+# __call__ is swept as the catalog instances of AT_N, prime_power below and the
+# constructor in test_integer_inputs.py; a DftReport is a result record, built
+# by the library from checked values
+SWEPT_METHODS = {"ArithmeticFunction.__call__", "ArithmeticFunction.prime_power",
+                 "Factorization.__init__"}
+EXEMPT_METHODS = {"DftReport.__init__"}
+
+
+def takes_an_integer(function):
+    """Whether a parameter of ``function`` is annotated ``int`` or a union with it."""
+    for parameter in inspect.signature(function).parameters.values():
+        text = parameter.annotation
+        text = text if isinstance(text, str) else inspect.formatannotation(text)
+        if "int" in text.replace(" ", "").split("|"):
+            return True
+    return False
+
+
+def test_every_public_method_is_swept():
+    found = set()
+    for name in gcdft.__all__:
+        cls = getattr(gcdft, name)
+        if not isinstance(cls, type):
+            continue
+        for attr, member in vars(cls).items():
+            method = getattr(member, "__func__", member)
+            public = not attr.startswith("_") or attr in ("__init__", "__call__")
+            if public and inspect.isfunction(method) and takes_an_integer(method):
+                found.add(f"{name}.{attr}")
+    assert found == SWEPT_METHODS | EXEMPT_METHODS
+
+
+@pytest.mark.parametrize("value", NOT_INTEGERS, ids=repr)
+@pytest.mark.parametrize("name", catalog_names())
+def test_p_and_e_must_be_integers(name, value):
+    f = get_function(name)
+    f.prime_power(2, 3)  # answers at integers
+    with pytest.raises(DomainError, match="p must be an integer"):
+        f.prime_power(value, 3)
+    with pytest.raises(DomainError, match="e must be an integer"):
+        f.prime_power(2, value)
+
+
+@pytest.mark.parametrize("p", [1, 0, -3])
+@pytest.mark.parametrize("name", catalog_names())
+def test_p_must_be_at_least_two(name, p):
+    f = get_function(name)
+    for e in (0, 1, 2):
+        with pytest.raises(DomainError, match="p must be at least 2"):
+            f.prime_power(p, e)

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from gcdft import numtheory, ramanujan, transform, verify
+from gcdft import verify
 from gcdft.cli import EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION, main
 from gcdft.errors import DomainError
 from gcdft.functions import ID, get_function
@@ -28,18 +28,6 @@ from gcdft.verify import (
     render_report,
     run_verification,
 )
-
-
-def negate_closed_form(monkeypatch):
-    """Negate the closed form wherever the sweep reads it."""
-    honest = verify.exact_closed_form
-    monkeypatch.setattr(verify, "exact_closed_form", lambda f, n, m: -honest(f, n, m))
-
-
-def offset_local_factor(monkeypatch):
-    """Add one to every per-prime factor of the closed form."""
-    honest = transform._local_factor
-    monkeypatch.setattr(transform, "_local_factor", lambda f, p, s, t: honest(f, p, s, t) + 1)
 
 
 class TestConfig:
@@ -217,8 +205,8 @@ class TestCleanSweeps:
 
 
 class TestFaultInjection:
-    def test_negated_closed_form_is_caught(self, monkeypatch):
-        negate_closed_form(monkeypatch)
+    def test_negated_closed_form_is_caught(self, fault):
+        fault("negate-closed-form")
         config = SweepConfig(n_max=20, functions=("id",))
         report = run_verification(config)
         assert not report.passed
@@ -226,16 +214,15 @@ class TestFaultInjection:
         first = report.failures[0]
         assert first.identity in ("path-equivalence-exact", "path-equivalence-float")
 
-    def test_offset_convolution_is_caught(self, monkeypatch):
-        honest = verify.dft_exact_convolution
-        monkeypatch.setattr(verify, "dft_exact_convolution", lambda f, n, m: honest(f, n, m) + 1)
+    def test_offset_convolution_is_caught(self, fault):
+        fault("offset-convolution")
         config = SweepConfig(n_max=20, functions=("phi",))
         report = run_verification(config)
         assert not report.passed
 
-    def test_gcd_dependence_catches_an_offset_local_factor(self, monkeypatch):
+    def test_gcd_dependence_catches_an_offset_local_factor(self, fault):
         # the closed form at m against the convolution at gcd(m, n)
-        offset_local_factor(monkeypatch)
+        fault("local-factor+1")
         failures = [
             failure
             for _, failure in check_gcd_dependence(get_function("sigma"), range(1, 30))
@@ -245,10 +232,10 @@ class TestFaultInjection:
         assert all(f.identity == "gcd-dependence" for f in failures)
 
     @pytest.mark.parametrize(
-        "fault, check, expected",
+        "name, check, expected",
         [
             (
-                negate_closed_form,
+                "negate-closed-form",
                 lambda: check_path_equivalence(ID, range(1, 5), grid()),
                 [
                     Failure("path-equivalence-exact", "id", 1, 1, "1", "-1"),
@@ -256,7 +243,7 @@ class TestFaultInjection:
                 ],
             ),
             (
-                negate_closed_form,
+                "negate-closed-form",
                 lambda: check_path_equivalence(get_function("id_-1"), [2], grid()),
                 [
                     Failure("path-equivalence-exact", "id_-1", 2, 1, "-1/2", "1/2"),
@@ -264,45 +251,35 @@ class TestFaultInjection:
                 ],
             ),
             (
-                offset_local_factor,
+                "local-factor+1",
                 lambda: check_gcd_dependence(get_function("sigma"), range(1, 5)),
                 [Failure("gcd-dependence", "sigma", 2, 1, "2", "3")],
             ),
             (
-                offset_local_factor,
+                "local-factor+1",
                 lambda: check_closed_form_pair(get_function("id_2"), range(1, 5), grid()),
                 [Failure("geometric-form-vs-multiplicative-form", "id_2", 2, 1, "4", "3")],
             ),
             (
-                offset_local_factor,
+                "local-factor+1",
                 lambda: check_closed_form_pair(ID, range(1, 5), grid()),
                 [Failure("gcd-form-vs-multiplicative-form", "id", 2, 1, "2", "1")],
             ),
         ],
         ids=["negated-id", "negated-rational", "gcd-dependence", "geometric-pair", "gcd-pair"],
     )
-    def test_first_failure_records(self, monkeypatch, fault, check, expected):
+    def test_first_failure_records(self, fault, name, check, expected):
         # expected values print by str, float oracle values by repr(complex)
-        fault(monkeypatch)
+        fault(name)
         failures = [failure for _, failure in check() if failure is not None]
         assert failures[: len(expected)] == expected
 
-    def test_a_dropped_lattice_term_is_reported(self, monkeypatch, capsys):
+    def test_a_dropped_lattice_term_is_reported(self, fault, capsys):
         # every divisor walk loses n itself: the float oracle's divisor check
         # raises, and each class table lacks the class g = n
-        caches = (numtheory.divisor_tuple, transform._ramanujan_terms, ramanujan._kluyver)
-        honest = numtheory._lattice_terms
-        for cache in caches:
-            cache.cache_clear()
-        monkeypatch.setattr(
-            numtheory, "_lattice_terms", lambda fac, choices=None: honest(fac, choices)[:-1]
-        )
-        try:
-            failures = [x for _, x in check_path_equivalence(ID, [2], grid()) if x is not None]
-            code = main(["verify", "--n-max", "12", "--functions", "sigma"])
-        finally:
-            for cache in caches:
-                cache.cache_clear()
+        fault("lattice-drops-last")
+        failures = [x for _, x in check_path_equivalence(ID, [2], grid()) if x is not None]
+        code = main(["verify", "--n-max", "12", "--functions", "sigma"])
         assert failures[1] == Failure(
             "path-equivalence-float", "id", 2, 1, "1",
             "oracle error: (1,) are not the 2 divisors of 2",
@@ -318,8 +295,8 @@ class TestFaultInjection:
         ):
             assert line in captured.out
 
-    def test_fault_in_check_generator(self, monkeypatch):
-        negate_closed_form(monkeypatch)
+    def test_fault_in_check_generator(self, fault):
+        fault("negate-closed-form")
         failures = [
             failure
             for _, failure in check_path_equivalence(ID, range(1, 15), grid())
@@ -332,12 +309,12 @@ class TestFaultInjection:
 
 class TestFloatBound:
     @pytest.mark.parametrize("name, n", [("id_3", 2520), ("J_3", 5040)])
-    def test_large_values_pass_the_fft_check(self, monkeypatch, name, n):
+    def test_large_values_pass_the_fft_check(self, fault, name, n):
         # values reach ~10^10, where the FFT is off by ~2e-6 in absolute terms
         f = get_function(name)
         outcomes = list(check_path_equivalence(f, [n], grid("divisors")))
         assert [x for _, x in outcomes if x is not None] == []
-        negate_closed_form(monkeypatch)
+        fault("negate-closed-form")
         faulted = check_path_equivalence(f, [n], grid("divisors"))
         assert {x.identity for _, x in faulted if x is not None} == {
             "path-equivalence-exact",
@@ -391,8 +368,8 @@ class TestReportRendering:
         assert lines[0] == "identity,checks,failures"
         assert len(lines) == len(report.by_identity) + 1
 
-    def test_failure_text_shows_counterexample(self, monkeypatch):
-        negate_closed_form(monkeypatch)
+    def test_failure_text_shows_counterexample(self, fault):
+        fault("negate-closed-form")
         config = SweepConfig(n_max=15, functions=("id",))
         report = run_verification(config)
         text = render_report(report, config, "text")
@@ -453,8 +430,8 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         "geometric-form-vs-multiplicative-form",
     )
 
-    def test_offset_kernel_fails_every_exact_identity(self, monkeypatch):
-        offset_local_factor(monkeypatch)
+    def test_offset_kernel_fails_every_exact_identity(self, fault):
+        fault("local-factor+1")
         report = run_verification(SweepConfig(n_max=12, functions=("sigma", "id_2", "id")))
         failed = {identity for identity, (_, failures) in report.by_identity.items() if failures}
         assert set(self.EXACT_IDENTITIES) <= failed
@@ -469,8 +446,8 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         assert checks and all(failure is None for _, failure in checks)
         assert len(calls) == len(checks)
 
-    def test_first_multiplicativity_record(self, monkeypatch):
-        offset_local_factor(monkeypatch)
+    def test_first_multiplicativity_record(self, fault):
+        fault("local-factor+1")
         sigma = get_function("sigma")
         checks = check_multiplicativity(sigma, SweepConfig(n_max=12))
         failures = [f for _, f in checks if f is not None]
@@ -479,8 +456,8 @@ class TestNoIdentityChecksTheKernelAgainstItself:
         assert failures[0] == Failure("multiplicativity", "sigma", 2, 1, str(split), "3")
         assert split == 2
 
-    def test_coprime_order_totient_reads_the_dispatched_closed_form(self, monkeypatch):
-        offset_local_factor(monkeypatch)
+    def test_coprime_order_totient_reads_the_dispatched_closed_form(self, fault):
+        fault("local-factor+1")
         failures = [f for _, f in check_coprime_order_totient(range(1, 6)) if f is not None]
         # n = 1 has no prime, so no kernel: the first failure is phi(2) = 1
         assert failures[0] == Failure("coprime-order-totient", "id", 2, 1, "1", "2")
