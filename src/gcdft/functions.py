@@ -1,6 +1,7 @@
 """Arithmetic functions as prime-power rules, with Dirichlet convolution,
-sum functions and Moebius inversion, which read f at every divisor of n from
-one walk over the divisor lattice of n, :func:`_divisor_values`, by position.
+sum functions and Moebius inversion, which read f at every divisor of n by
+position from :func:`_divisor_values`, a general f at those of the one divisor
+walk, :func:`numtheory.divisor_tuple`, keyed by an int or a ``Factorization``.
 
 Values are exact: a plain ``int`` whenever a value is integral and a
 ``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
@@ -137,12 +138,12 @@ def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
 @lru_cache(maxsize=1 << 8)
 def _divisor_values(f: ArithmeticFunction, fac: Factorization) -> tuple[Exact, ...]:
     """f(n/d) at the lattice position of each d | n, and so f(d) at the
-    mirrored one: each p^s || n chooses its exponent in n/d from s down to 0,
-    weighted by ``f.prime_power`` for a multiplicative f, else read from its
-    table. Bounded, keyed on f by identity, and shared by every caller."""
+    mirrored one: a general f's table read at :func:`numtheory.divisor_tuple`
+    from the far end, or for a multiplicative f each p^s || n choosing its
+    exponent in n/d from s down to 0, weighted by ``f.prime_power``. Bounded,
+    keyed on f by identity, and shared by every caller."""
     if f.kind is Kind.GENERAL:
-        choices = [[(p**e, e) for e in range(s, -1, -1)] for p, s in fac.factors]
-        return tuple(evaluate(f, v) for v, _ in numtheory._lattice_terms(fac, choices))
+        return tuple(evaluate(f, v) for v in reversed(numtheory.divisor_tuple(fac)))
     choices = [[(f.prime_power(p, e), e) for e in range(s, -1, -1)] for p, s in fac.factors]
     return tuple(as_exact(w) for w, _ in numtheory._lattice_terms(fac, choices))
 
@@ -255,13 +256,13 @@ _J_K = re.compile(r"J_(\d+)$")
 def get_function(name: str) -> ArithmeticFunction:
     """Look up a catalog function by name; id_<k> and J_<k> take a parameter.
     Memoized: one name is one object, so its cached values and the kernel memo carry over."""
+    if not isinstance(name, str):
+        raise DomainError(f"a function name must be a string, got {name!r}")
     if name in _CATALOG:
         return _CATALOG[name]
-    m = _ID_K.match(name)
-    if m:
+    if m := _ID_K.match(name):
         return id_power(int(m.group(1)))
-    m = _J_K.match(name)
-    if m:
+    if m := _J_K.match(name):
         return jordan_function(int(m.group(1)))
     raise UndefinedValueError(f"unknown arithmetic function {name!r}")
 

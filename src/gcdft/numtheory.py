@@ -1,7 +1,8 @@
 """Exact integer primitives: gcd, primality, factorization, the divisor
-lattice of plain (weight, position) int pairs and the classical multiplicative
-functions built on prime-power factorizations. Everything here works on
-arbitrary-precision Python ints; no operation may overflow or round.
+lattice of plain (weight, position) int pairs, listed once per n by the cached
+:func:`divisor_tuple` (keyed by an int or a ``Factorization``), and the
+classical multiplicative functions built on prime-power factorizations. All of
+it is exact on arbitrary-precision Python ints: nothing overflows or rounds.
 """
 
 from __future__ import annotations
@@ -463,7 +464,7 @@ def _divide_out(n: int, p: int) -> tuple[int, int]:
     return n, s
 
 
-@lru_cache(maxsize=1 << 18)
+@lru_cache(maxsize=1 << 18, typed=True)
 def factorize(n: int) -> Factorization:
     """Canonical prime factorization of n >= 1; each prime is proven once.
 
@@ -478,7 +479,8 @@ def factorize(n: int) -> Factorization:
     part again goes to :func:`is_prime` unless below 10007^2. Pollard rho
     raises :class:`FactorizationBudgetError` on a cofactor it cannot split
     within ``_RHO_BUDGET`` steps, shared with p-1 and charged by the
-    cofactor's size. A float or a bool raises :class:`DomainError`.
+    cofactor's size. A float or a bool raises :class:`DomainError`, also where
+    an equal numpy int is cached: the cache is keyed by type.
     """
     n = as_int(n)
     if n < 1:
@@ -567,19 +569,18 @@ def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int]]:
     return terms
 
 
-@lru_cache(maxsize=1 << 18)
-def divisor_tuple(n: int) -> tuple[int, ...]:
-    """The divisors of n at their positions in :func:`_lattice_terms`, every
-    divisor of d before d, as a shared immutable tuple; :func:`divisors` sorts."""
-    return tuple(d for d, _ in _lattice_terms(factorize(n)))
+@lru_cache(maxsize=1 << 18, typed=True)
+def divisor_tuple(n: int | Factorization) -> tuple[int, ...]:
+    """n's divisors in :func:`_lattice_terms`' order, every divisor of d before d: the one
+    divisor walk, one tuple for an int n and its Factorization, which is never factored."""
+    if isinstance(n, Factorization):
+        return tuple(d for d, _ in _lattice_terms(n))
+    return divisor_tuple(factorize(n))
 
 
 def divisors(n: int | Factorization) -> list[int]:
-    """All positive divisors of n in ascending order. A Factorization is not
-    factored again: its divisors come from its primes."""
-    if isinstance(n, Factorization):
-        return sorted(d for d, _ in _lattice_terms(n))
-    return sorted(divisor_tuple(as_int(n)))
+    """The divisors of n in ascending order: :func:`divisor_tuple`, sorted."""
+    return sorted(divisor_tuple(n))
 
 
 def moebius(n: int | Factorization) -> int:

@@ -4,8 +4,9 @@ A table row maps an order index to gcd(index, n), the exact transform value
 and a form: the value's per-prime factors (totient forms for f = id), or the
 value itself for a general f, whose transform does not factor. The transform
 depends on the order only through that gcd, so a :class:`Table` keeps one
-(gcd, value, form) cell per gcd class, one per divisor of n, and, per row,
-its index and the position of its class, one byte per row for a full table.
+(gcd, value, form) cell per gcd class g of :func:`numtheory.divisor_tuple`, the
+one divisor walk, keyed by an int or a ``Factorization``, and, per row, its
+index and the position of its class, one byte per row for a full table.
 A class sieve places every order in its class with no gcd per row, and a
 :class:`TableRow` is built only when one is asked for. Rendering formats each
 class once, and a block is one join of its index strings and class texts
@@ -28,7 +29,7 @@ from typing import NamedTuple
 from . import transform
 from .errors import DomainError, OracleScaleError
 from .functions import ArithmeticFunction, as_exact, get_function
-from .numtheory import Factorization, as_factorization
+from .numtheory import Factorization, as_factorization, divisor_tuple
 from .ramanujan import DEFINITION_SCALE_LIMIT
 
 _PRIME_LETTERS = "pqwxyz"
@@ -122,13 +123,12 @@ def build_table(
     :class:`Table` of one cell per class, at most DEFINITION_SCALE_LIMIT rows.
 
     For a multiplicative f each h_{p^t}(p^s), p^s || n and t <= s, is read
-    once from the per-prime kernel :func:`transform._local_factor`, and each
-    class's g, value and form are products over the per-prime lists of p^t,
-    of those values and of their pieces (:func:`_gcd_piece` for f = id). A
-    general f's classes are :func:`transform._class_values`, one exact
-    convolution each, and a form is its value. A sieve sets the
-    byte of every multiple of each divisor d, ascending, to d's class, so the
-    order k ends in the class of gcd(k, n)."""
+    once from the per-prime kernel :func:`transform._local_factor`, and the
+    classes g of :func:`numtheory.divisor_tuple` take, in its lattice order,
+    the products of those values and of their pieces (:func:`_gcd_piece` for
+    f = id). A general f's classes are :func:`transform._class_values`, and
+    a form is its value. A sieve sets the byte of every multiple of each
+    divisor d, ascending, to d's class, so k ends in the class of gcd(k, n)."""
     fac = as_factorization(n)
     # a compressed table has a row per divisor, counted before any is listed
     rows = prod(s + 1 for _, s in fac.factors) if compress else fac.value
@@ -140,20 +140,19 @@ def build_table(
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
     if not f.is_multiplicative:  # its transform does not factor
-        cells = [(g, v, format_exact(v)) for g, v in transform._class_values(f, fac).items()]
+        cells = ((g, v, format_exact(v)) for g, v in transform._class_values(f, fac).items())
     else:
         symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
-        powers, local, pieces = [], [], []
+        local, pieces = [], []
         for i, (p, s) in enumerate(fac.factors):
-            powers.append([p**t for t in range(s + 1)])
             local.append([transform._local_factor(f, p, s, t) for t in range(s + 1)])
             pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v)
                            for t, v in enumerate(local[-1])])
         join = "".join if symbolic else "*".join
-        cells = sorted(  # by class: the classes g are distinct
-            (prod(g), as_exact(prod(v)), join(form) or "1")
-            for g, v, form in zip(product(*powers), product(*local), product(*pieces))
-        )
+        # product() varies the last prime fastest, as the divisor walk does
+        values = (as_exact(prod(v)) for v in product(*local))
+        cells = zip(divisor_tuple(fac), values, (join(form) or "1" for form in product(*pieces)))
+    cells = sorted(cells)  # by class: the classes g are distinct
     classes = [g for g, _, _ in cells]
     if compress:
         return Table(tuple(cells), tuple(classes), range(len(classes)))

@@ -5,9 +5,7 @@ independent ways:
 
 * a brute-force floating sum (the oracle, O(n) per call), folded over k and
   n - k: as gcd(k, n) = gcd(n - k, n), the terms pair into a real cosine sum
-  over k <= n/2, so the value's imaginary part is 0 by construction. Each
-  divisor d <= n/2 of n, gcd(k, n) last, writes f(d) to the multiples of d,
-  and each twiddle is the product of two split tables of about sqrt(n/2) entries,
+  over k <= n/2, so the value's imaginary part is 0 by construction,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
   terms: the divisor lattice of n from :mod:`gcdft.numtheory`, weighted per
   prime by the prime-power rule of :mod:`gcdft.ramanujan` as int pairs
@@ -49,7 +47,7 @@ from . import numtheory
 from .errors import DomainError, InconsistencyError, OracleScaleError
 from .functions import ArithmeticFunction, Exact, Kind, _divisor_values, as_exact
 from .numtheory import Factorization, _class_exponents, as_factorization, as_int
-from .numtheory import divisor_tuple, divisors, factorize
+from .numtheory import divisor_tuple, factorize
 from .ramanujan import DEFINITION_SCALE_LIMIT, FLOAT_TOLERANCE, _prime_power_sum
 
 PATH_BRUTE_FLOAT = "brute_float"
@@ -93,13 +91,12 @@ def reduce_order(m: int, n: int) -> int:
     return r if r else n
 
 
-def _lattice_divisors(n: int) -> tuple[int, ...]:
-    """``divisor_tuple(n)``, every divisor of d before d, as a sieve needs; a tuple
+def _lattice_divisors(fac: Factorization) -> tuple[int, ...]:
+    """``divisor_tuple(fac)``, every divisor of d before d, as a sieve needs; a tuple
     that is not exactly the d(n) distinct divisors of n raises :class:`InconsistencyError`."""
-    divs = divisor_tuple(n)
-    count = prod(s + 1 for _, s in factorize(n).factors)
-    if len(divs) != count or len(set(divs)) != count or lcm(*divs) != n:  # each d divides n
-        raise InconsistencyError(f"{divs} are not the {count} divisors of {n}")
+    divs, count = divisor_tuple(fac), prod(s + 1 for _, s in fac.factors)
+    if len(divs) != count or len(set(divs)) != count or lcm(*divs) != fac.value:  # each d | n
+        raise InconsistencyError(f"{divs} are not the {count} divisors of {fac.value}")
     return divs
 
 
@@ -111,7 +108,7 @@ def _gcd_buckets(n: int) -> tuple[tuple[int, ...], np.ndarray]:
     A divisor sieve: ``index[d-1::d] = i`` over the divisors in lattice
     order, so each k ends on gcd(k, n), which follows its divisors there.
     That is sigma(n)/n strided writes per entry, with no gcd computed."""
-    divs = _lattice_divisors(n)
+    divs = _lattice_divisors(factorize(n))
     index = np.empty(n, dtype=np.min_scalar_type(len(divs) - 1))
     for i, d in enumerate(divs):
         index[d - 1 :: d] = i
@@ -141,8 +138,8 @@ def _gcd_sequence(f: ArithmeticFunction, n: int, count: int | None = None) -> np
         )
     count = n if count is None else count
     a = np.empty(count)
-    values = reversed(_divisor_values(f, factorize(n)))
-    for d, value in zip(_lattice_divisors(n), values):
+    fac = factorize(n)
+    for d, value in zip(_lattice_divisors(fac), reversed(_divisor_values(f, fac))):
         if d <= count:
             a[d - 1 :: d] = _float_value(f, value, d, n)
     return a
@@ -236,9 +233,10 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
 
 
 def _class_values(f: ArithmeticFunction, n: int | Factorization) -> dict[int, Exact]:
-    """The exact convolution at every gcd class g | n, keyed on g, ascending:
-    an int n lists its cached divisors, a ``Factorization`` its own."""
-    return {g: dft_exact_convolution(f, n, g) for g in divisors(n)}
+    """The exact convolution at every gcd class g | n, keyed on g, in the
+    order of :func:`numtheory.divisor_tuple`."""
+    fac = as_factorization(n)
+    return {g: dft_exact_convolution(f, fac, g) for g in divisor_tuple(fac)}
 
 
 def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:

@@ -4,11 +4,13 @@ the last prime fastest. The divisor lists, the divisor values of f and the
 exact convolution's Ramanujan terms are all products over the primes of n of
 one (weight, exponent) choice per prime, and each term is a plain (weight,
 position) pair of ints. ``divisor_tuple`` lists the divisors in that order,
-every divisor of d before d; only ``divisors`` sorts them."""
+every divisor of d before d; only ``divisors`` sorts them. It is the one
+walk with the default choices: every reader of n's divisors, given n as an
+int or as a ``Factorization``, reads its cached tuple."""
 
 import pytest
 
-from gcdft import transform
+from gcdft import numtheory, transform
 from gcdft.errors import InconsistencyError, OracleScaleError
 from gcdft.functions import SIGMA, ArithmeticFunction, _divisor_values, evaluate
 from gcdft.numtheory import (
@@ -20,6 +22,7 @@ from gcdft.numtheory import (
     factorize,
 )
 from gcdft.ramanujan import ramanujan_von_sterneck
+from gcdft.tables import build_table
 from gcdft.transform import dft_brute_float, dft_brute_spectrum
 
 N_VALUES = list(range(1, 2001)) + [277200, 720720]
@@ -58,6 +61,34 @@ class TestDefaultChoices:
         monkeypatch.setattr(Factorization, "_proven", None)
         assert sorted(divisor_tuple.__wrapped__(720720)) == divisors(fac)
         assert len(divisors(fac)) == 240
+
+
+class TestOneWalk:
+    @pytest.mark.parametrize("n", [12, 720720])
+    def test_every_reader_shares_one_walk(self, cold, everywhere, n):
+        general = ArithmeticFunction.from_table(
+            "general", {d: d % 7 - 3 for d in range(1, n + 1) if n % d == 0}
+        )
+        given = Factorization(n, factorize(n).factors)  # not factorize's own object
+        walks, honest = [], numtheory._lattice_terms
+
+        def spy(fac, choices=None):
+            if choices is None:
+                walks.append(fac.value)
+            return honest(fac, choices)
+
+        everywhere(honest, spy)
+        for arg in (n, given):
+            divisors(arg)
+            for f in (SIGMA, general):
+                for compress in (False, True):
+                    build_table(f, arg, compress=compress)
+                transform._class_values(f, arg)
+        _divisor_values(general, given)
+        for f in (SIGMA, general):
+            dft_brute_float(f, n, 5)
+            dft_brute_spectrum(f, n)
+        assert walks == [n]
 
 
 class TestLatticeOrder:

@@ -9,7 +9,7 @@ import hashlib
 import pytest
 
 from gcdft import numtheory, ramanujan, transform, verify
-from gcdft.verify import SweepConfig, run_verification
+from gcdft.verify import SweepConfig
 
 
 def test_clean_sweep_passes(fault_matrix):
@@ -146,16 +146,8 @@ def test_every_failure_under_each_fault_is_pinned(fault_matrix):
     config = SweepConfig(n_max=12, m_policy="sample", sample_count=5, seed=3,
                          functions=("sigma", "id", "J_3", "tau", "mu"))
     runs = []
-    for fault, (module, rule, build) in fault_matrix.FAULTS.items():
-        honest = getattr(module, rule)
-        fault_matrix._clear_caches()
-        replaced = fault_matrix._replace(honest, build(honest))
-        try:
-            report = run_verification(config)
-        finally:
-            for holder, attr in replaced:
-                setattr(holder, attr, honest)
-            fault_matrix._clear_caches()
+    for fault in fault_matrix.FAULTS:
+        report = fault_matrix.run_under(config, fault)
         runs.append((fault, report.checks, [tuple(vars(f).values()) for f in report.failures]))
     assert sum(len(failures) for _, _, failures in runs) == 16891
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == PINNED_FAILURES

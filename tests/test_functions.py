@@ -178,6 +178,11 @@ class TestCatalog:
         with pytest.raises(UndefinedValueError):
             get_function("zeta")
 
+    @pytest.mark.parametrize("name", [12, None, b"id_2", 1.5], ids=repr)
+    def test_a_name_that_is_not_a_string_is_a_domain_error(self, name):
+        with pytest.raises(DomainError, match="must be a string"):
+            get_function(name)
+
     def test_names_listing_resolves(self):
         for name in catalog_names():
             get_function(name)

@@ -1,16 +1,20 @@
 """Every public function of ``gcdft`` that takes an integer, and every public
 method or constructor of a class in ``gcdft.__all__`` that takes one, refuses
 a bool, a float or a string there with :class:`DomainError`, rather than
-answering or raising a bare ``TypeError``."""
+answering or raising a bare ``TypeError``; so does ``divisor_tuple``. A
+cache entry made at an equal numpy int does not answer for a non-integer."""
 
 import inspect
+from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import gcdft
 from gcdft import SIGMA
 from gcdft.errors import DomainError
 from gcdft.functions import catalog_names, get_function
+from gcdft.numtheory import divisor_tuple
 
 NOT_INTEGERS = [True, 12.0, "12", 2.5]
 ID_2 = get_function("id_2")
@@ -87,6 +91,25 @@ def test_n_must_be_an_integer(name, value):
     AT_N[name](12)  # answers at an integer
     with pytest.raises(DomainError, match="must be an integer"):
         AT_N[name](value)
+
+
+# each equal to a numpy int, which a cache keyed on the value alone would
+# take for it
+EQUAL_TO_A_NUMPY_INT = [12.0, True, Fraction(12)]
+ONE_INTEGER = {
+    **{f"{name}(n)": lambda v, call=call: call(v, 5) for name, call in AT_N_AND_M.items()},
+    **{f"{name}(m)": lambda v, call=call: call(12, v) for name, call in AT_N_AND_M.items()},
+    **AT_N,
+    "divisor_tuple": divisor_tuple,
+}
+
+
+@pytest.mark.parametrize("value", EQUAL_TO_A_NUMPY_INT, ids=repr)
+@pytest.mark.parametrize("name", list(ONE_INTEGER))
+def test_a_cached_numpy_int_admits_no_equal_non_integer(cold, name, value):
+    ONE_INTEGER[name](np.int64(value))  # answers at a numpy int, and caches it
+    with pytest.raises(DomainError, match="must be an integer"):
+        ONE_INTEGER[name](value)
 
 
 # "Class.method" of each public method or constructor that takes an integer:

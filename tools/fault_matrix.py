@@ -17,16 +17,17 @@ order m. The faults:
 * ``offset-convolution``: ``transform.dft_exact_convolution`` returns one
   more.
 
-This is gcdft's only fault table. Each fault replaces the rule at every
-gcdft module that holds it, and every gcdft ``lru_cache`` is emptied before
-and after each sweep, so no value computed under one fault reaches another.
+This is gcdft's only fault table. ``run_under`` runs any ``SweepConfig``
+under one fault: the fault replaces the rule at every gcdft module that holds
+it, and every gcdft ``lru_cache`` is emptied before and after the sweep, so
+no value computed under one fault reaches another.
 A sweep that raises is shown with its error in place of the counts.
 """
 
 import sys
 
 from gcdft import numtheory, ramanujan, transform
-from gcdft.verify import SweepConfig, run_verification
+from gcdft.verify import SweepConfig, SweepReport, run_verification
 
 FUNCTIONS = ("sigma", "id", "J_3", "tau", "mu")
 N_MAX = 24
@@ -96,9 +97,10 @@ def _replace(original, replacement) -> list:
     return replaced
 
 
-def sweep(n_max: int, fault: str | None = None) -> dict[str, tuple[int, int]] | str:
-    """{identity: (failures, checks)} of the sweep under ``fault``, or the
-    error it raised as ``"Name: message"``."""
+def run_under(config: SweepConfig, fault: str | None = None) -> SweepReport:
+    """``run_verification(config)`` with ``FAULTS[fault]`` in place at every
+    gcdft module that holds the rule; every cache is emptied before the fault
+    goes in and after the honest rule is put back, also when the sweep raises."""
     replaced = []
     _clear_caches()
     try:
@@ -106,14 +108,21 @@ def sweep(n_max: int, fault: str | None = None) -> dict[str, tuple[int, int]] | 
             module, rule, build = FAULTS[fault]
             honest = getattr(module, rule)
             replaced = _replace(honest, build(honest))
-        report = run_verification(SweepConfig(n_max=n_max, functions=FUNCTIONS))
-        return {k: (failed, checks) for k, (checks, failed) in sorted(report.by_identity.items())}
-    except Exception as error:  # a faulted rule may break a path outright
-        return f"{type(error).__name__}: {error}"
+        return run_verification(config)
     finally:
         for module, attr in replaced:
             setattr(module, attr, honest)
         _clear_caches()
+
+
+def sweep(n_max: int, fault: str | None = None) -> dict[str, tuple[int, int]] | str:
+    """{identity: (failures, checks)} of the sweep under ``fault``, or the
+    error it raised as ``"Name: message"``."""
+    try:
+        report = run_under(SweepConfig(n_max=n_max, functions=FUNCTIONS), fault)
+    except Exception as error:  # a faulted rule may break a path outright
+        return f"{type(error).__name__}: {error}"
+    return {k: (failed, checks) for k, (checks, failed) in sorted(report.by_identity.items())}
 
 
 def render(n_max: int) -> str:
