@@ -574,7 +574,7 @@ def divisor_tuple(n: int | Factorization) -> tuple[int, ...]:
     """n's divisors in :func:`_lattice_terms`' order, every divisor of d before d: the one
     divisor walk, one tuple for an int n and its Factorization, which is never factored."""
     if isinstance(n, Factorization):
-        return tuple(d for d, _ in _lattice_terms(n))
+        return tuple([d for d, _ in _lattice_terms(n)])
     return divisor_tuple(factorize(n))
 
 

@@ -140,7 +140,7 @@ def build_table(
             f" {DEFINITION_SCALE_LIMIT}{hint}"
         )
     if not f.is_multiplicative:  # its transform does not factor
-        cells = ((g, v, format_exact(v)) for g, v in transform._class_values(f, fac).items())
+        cells = [(g, v, format_exact(v)) for g, v in transform._class_values(f, fac).items()]
     else:
         symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
         local, pieces = [], []
@@ -150,8 +150,8 @@ def build_table(
                            for t, v in enumerate(local[-1])])
         join = "".join if symbolic else "*".join
         # product() varies the last prime fastest, as the divisor walk does
-        values = (as_exact(prod(v)) for v in product(*local))
-        cells = zip(divisor_tuple(fac), values, (join(form) or "1" for form in product(*pieces)))
+        cells = [(g, as_exact(prod(v)), join(form) or "1")
+                 for g, v, form in zip(divisor_tuple(fac), product(*local), product(*pieces))]
     cells = sorted(cells)  # by class: the classes g are distinct
     classes = [g for g, _, _ in cells]
     if compress:
