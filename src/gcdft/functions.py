@@ -1,7 +1,7 @@
 """Arithmetic functions as prime-power rules, with Dirichlet convolution,
 sum functions and Moebius inversion, which read f at every divisor of n by
-position from :func:`_divisor_values`, a general f at those of the one divisor
-walk, :func:`numtheory.divisor_tuple`, keyed by an int or a ``Factorization``.
+position from :func:`_divisor_values`: the products of one walk of a multiplicative
+f's prime-power values, or a general f at :func:`numtheory.divisor_tuple`.
 
 Values are exact: a plain ``int`` whenever a value is integral and a
 ``fractions.Fraction`` only when it is not. :func:`as_exact` puts every value
@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable, Mapping
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Callable, Mapping
 
 from . import numtheory
 from .errors import DomainError, UndefinedValueError
@@ -48,9 +48,11 @@ class ArithmeticFunction:
 
     Both multiplicative kinds carry a ``(p, e) -> value`` rule; a completely
     multiplicative one is built from a ``p -> value`` rule as f(p^e) = f(p)^e.
-    General functions carry a finite value table. f(1) = 1 is implied for the
-    two multiplicative kinds. Instances are immutable, and the rule runs on
-    every prime-power call.
+    General functions carry a finite value table, keyed by integers >= 1.
+    Each kind takes only the rule it reads; any other argument raises
+    :class:`DomainError`. f(1) = 1 is implied for the two multiplicative
+    kinds. Instances are immutable, and the rule runs on every prime-power
+    call.
     """
 
     __slots__ = ("name", "kind", "_pp_rule", "_table", "integer_valued")
@@ -64,14 +66,21 @@ class ArithmeticFunction:
         direct_rule: Mapping[int, Exact] | None = None,
         integer_valued: bool = True,
     ):
-        if kind is not Kind.GENERAL and prime_power_rule is None:
-            raise DomainError(f"{kind.value} function needs a prime-power rule")
-        if kind is Kind.GENERAL and direct_rule is None:
-            raise DomainError("general function needs a value table")
+        if not isinstance(kind, Kind):
+            raise DomainError(f"kind must be a Kind, got {kind!r}")
+        table = None
+        if kind is Kind.GENERAL:
+            if prime_power_rule is not None or not isinstance(direct_rule, Mapping):
+                raise DomainError("a general function takes a value table (a mapping) and no rule")
+            table = {as_int(k, "a table key"): as_exact(v) for k, v in direct_rule.items()}
+            if any(k < 1 for k in table):
+                raise DomainError(f"table keys must be >= 1, got {min(table)}")
+        elif prime_power_rule is None or direct_rule is not None:
+            raise DomainError(f"a {kind.value} function takes a prime-power rule and no table")
         self.name = name
         self.kind = kind
         self._pp_rule = prime_power_rule
-        self._table = None if direct_rule is None else {k: as_exact(v) for k, v in direct_rule.items()}
+        self._table = table
         self.integer_valued = integer_valued
 
     @classmethod
@@ -139,13 +148,13 @@ def evaluate(f: ArithmeticFunction, n: int | Factorization) -> Exact:
 def _divisor_values(f: ArithmeticFunction, fac: Factorization) -> tuple[Exact, ...]:
     """f(n/d) at the lattice position of each d | n, and so f(d) at the
     mirrored one: a general f's table read at :func:`numtheory.divisor_tuple`
-    from the far end, or for a multiplicative f each p^s || n choosing its
-    exponent in n/d from s down to 0, weighted by ``f.prime_power``. Bounded,
-    keyed on f by identity, and shared by every caller."""
+    from the far end, or for a multiplicative f the walk of each p^s || n's
+    values f(p^e), e = s down to 0, whose products are f(n/d) in the order
+    of the d. Bounded, keyed on f by identity, and shared by every caller."""
     if f.kind is Kind.GENERAL:
         return tuple(evaluate(f, v) for v in reversed(numtheory.divisor_tuple(fac)))
-    choices = [[(f.prime_power(p, e), e) for e in range(s, -1, -1)] for p, s in fac.factors]
-    return tuple(as_exact(w) for w, _ in numtheory._lattice_terms(fac, choices))
+    choices = [[f.prime_power(p, e) for e in range(s, -1, -1)] for p, s in fac.factors]
+    return tuple(map(as_exact, numtheory._lattice_terms(fac, choices)))
 
 
 def dirichlet_convolve(
@@ -260,10 +269,14 @@ def get_function(name: str) -> ArithmeticFunction:
         raise DomainError(f"a function name must be a string, got {name!r}")
     if name in _CATALOG:
         return _CATALOG[name]
-    if m := _ID_K.match(name):
-        return id_power(int(m.group(1)))
-    if m := _J_K.match(name):
-        return jordan_function(int(m.group(1)))
+    for pattern, family in ((_ID_K, id_power), (_J_K, jordan_function)):
+        if m := pattern.match(name):
+            try:
+                k = int(m.group(1))
+            except ValueError:  # more digits than int() converts
+                digits = len(m.group(1).lstrip("-"))
+                raise DomainError(f"a parameter of {digits} digits is too long") from None
+            return family(k)
     raise UndefinedValueError(f"unknown arithmetic function {name!r}")
 
 

@@ -1,5 +1,5 @@
 """Exact integer primitives: gcd, primality, factorization, the divisor
-lattice of plain (weight, position) int pairs, listed once per n by the cached
+lattice walk of plain products of one weight per prime, listed once per n by the cached
 :func:`divisor_tuple` (keyed by an int or a ``Factorization``), and the
 classical multiplicative functions built on prime-power factorizations. All of
 it is exact on arbitrary-precision Python ints: nothing overflows or rounds.
@@ -550,22 +550,21 @@ def _class_exponents(fac: Factorization, m: int) -> tuple[int, ...]:
     return tuple(exponents)
 
 
-def _lattice_terms(fac: Factorization, choices=None) -> list[tuple[int, int]]:
-    """The product over the p^s || n of one (weight, exponent) choice per
-    prime: each term is its weights' product and the position of prod p^e,
-    sum e * stride by Horner's rule, in product order (the last prime
-    fastest). By default each prime chooses (p^e, e), e = 0..s: the divisors
-    of n at positions 0..d(n) - 1, d and n/d mirrored. A walk of more than
-    DEFINITION_SCALE_LIMIT terms raises :class:`OracleScaleError` first."""
+def _lattice_terms(fac: Factorization, choices=None) -> list:
+    """The products over the p^s || n of one weight per prime, chosen from its
+    list in ``choices``, in product order (the last prime fastest). By default
+    each prime chooses p^e, e = 0..s: the divisors of n, each at its position,
+    d and n/d mirrored. A walk of more than DEFINITION_SCALE_LIMIT terms raises
+    :class:`OracleScaleError` first."""
     if choices is None:
-        choices = [[(p**e, e) for e in range(s + 1)] for p, s in fac.factors]
+        choices = [[p**e for e in range(s + 1)] for p, s in fac.factors]
     if (count := math.prod(map(len, choices))) > DEFINITION_SCALE_LIMIT:
         raise OracleScaleError(
             f"a walk over {count} divisors of n = {fac.value} is above {DEFINITION_SCALE_LIMIT}"
         )
-    terms = [(1, 0)]  # (weight, position) over the primes so far
-    for (_, s), local in zip(fac.factors, choices):
-        terms = [(w * r, i * (s + 1) + e) for w, i in terms for r, e in local]
+    terms = [1]  # the weights' products over the primes so far
+    for local in choices:
+        terms = [w * r for w in terms for r in local]
     return terms
 
 
@@ -574,7 +573,7 @@ def divisor_tuple(n: int | Factorization) -> tuple[int, ...]:
     """n's divisors in :func:`_lattice_terms`' order, every divisor of d before d: the one
     divisor walk, one tuple for an int n and its Factorization, which is never factored."""
     if isinstance(n, Factorization):
-        return tuple([d for d, _ in _lattice_terms(n)])
+        return tuple(_lattice_terms(n))
     return divisor_tuple(factorize(n))
 
 

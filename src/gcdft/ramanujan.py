@@ -118,14 +118,14 @@ def ramanujan_von_sterneck(n: int, m: int) -> int:
 
 @lru_cache(maxsize=1 << 18)
 def _kluyver(n: int, g: int) -> int:
-    """Sum of mu(n/d) * d over d | g: weights p^e * mu(p^(s-e)) for e = 0..v_p(g),
-    read from g's own factorization, with mu(p^k) = 1, -1, then 0."""
+    """Sum of mu(n/d) * d over d | g: the walk of p^e * mu(p^(s-e)), e = 0..v_p(g),
+    summed, v_p(g) read from g's own factorization, mu(p^k) = 1, -1, then 0."""
     fac, of_g = factorize(n), dict(factorize(g).factors)
     choices = [
-        [(p**e * (1, -1, 0)[min(s - e, 2)], e) for e in range(of_g.get(p, 0) + 1)]
+        [p**e * (1, -1, 0)[min(s - e, 2)] for e in range(of_g.get(p, 0) + 1)]
         for p, s in fac.factors
     ]
-    return sum(w for w, _ in numtheory._lattice_terms(fac, choices))
+    return sum(numtheory._lattice_terms(fac, choices))
 
 
 def ramanujan_kluyver(n: int, m: int) -> int:

@@ -7,9 +7,9 @@ independent ways:
   n - k: as gcd(k, n) = gcd(n - k, n), the terms pair into a real cosine sum
   over k <= n/2, so the value's imaginary part is 0 by construction,
 * an exact Dirichlet convolution of f with the Ramanujan sum, over its nonzero
-  terms: the divisor lattice of n from :mod:`gcdft.numtheory`, weighted per
-  prime by the prime-power rule of :mod:`gcdft.ramanujan` as int pairs
-  (c_d(m), position of d), cached per class (n, gcd(m, n)), shared by every f,
+  terms: products over the primes of n of the rule of :mod:`gcdft.ramanujan`,
+  paired with the positions of d as (c_d(m), position of d) int pairs,
+  cached per class (n, gcd(m, n)), shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
   f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f,
@@ -192,22 +192,26 @@ def dft_brute_spectrum(f: ArithmeticFunction, n: int) -> np.ndarray:
     return np.fft.fft(np.concatenate((a[-1:], a[:-1])))
 
 
-def _class_lattice(fac: Factorization, g: int, weight) -> list[tuple[int, int]]:
-    """(weight(p, s, e, t), position of d) over the d | n with c_d(m) != 0 at
-    the orders of class g: for t = v_p(g), c_{p^e}(m) = 0 unless e <= t + 1
-    (:func:`ramanujan._prime_power_sum`); d has p^e."""
-    choices = [
-        [(weight(p, s, e, t), e) for e in range(min(t + 1, s) + 1)]
+def _class_lattice(fac: Factorization, g: int, weight) -> list[list]:
+    """Per p^s || n, weight(p, s, e, t) for the e <= min(t + 1, s), t = v_p(g): the box of
+    the d | n with c_d(m) != 0 at the orders of class g, as c_{p^e}(m) = 0 beyond
+    (:func:`ramanujan._prime_power_sum`)."""
+    return [
+        [weight(p, s, e, t) for e in range(min(t + 1, s) + 1)]
         for (p, s), t in zip(fac.factors, _class_exponents(fac, g))
     ]
-    return numtheory._lattice_terms(fac, choices)
 
 
 @lru_cache(maxsize=1 << 7)
 def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
-    """The int pairs (c_d(m), position of d) of :func:`_class_lattice`,
-    bounded and keyed on (n, g) alone: an entry serves every f."""
-    return tuple(_class_lattice(fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t)))
+    """(c_d(m), position of d) int pairs: the walk of :func:`_class_lattice`'s c_{p^e}(m)
+    with its box's positions by Horner's rule; bounded and keyed on (n, g): it serves every f."""
+    choices = _class_lattice(fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t))
+    products = numtheory._lattice_terms(fac, choices)
+    positions = [0]
+    for (_, s), local in zip(fac.factors, choices):
+        positions = [i * (s + 1) + e for i in positions for e in range(len(local))]
+    return tuple(zip(products, positions))
 
 
 def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact:
@@ -223,10 +227,10 @@ def dft_exact_convolution(f: ArithmeticFunction, n: int | Factorization, m: int)
     except OracleScaleError:
         if f.kind is _GENERAL:
             raise
-        terms = _class_lattice(
+        choices = _class_lattice(
             fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t) * f.prime_power(p, s - e)
         )
-        result = sum(w for w, _ in terms)
+        result = sum(numtheory._lattice_terms(fac, choices))
     else:
         result = sum(c * values[i] for c, i in _ramanujan_terms(fac, g))
     return result if type(result) is int else as_exact(result)
@@ -316,9 +320,9 @@ def dft_closed_form_completely_mult(
 
 
 def gcd_power_sum(f: ArithmeticFunction, n: int | Factorization) -> Exact:
-    """sum_{k=1..n} f(gcd(k, n)), i.e. the transform at order m = n."""
-    fac = as_factorization(n)
-    return dft_closed_form_multiplicative(f, fac, fac.value)
+    """sum_{k=1..n} f(gcd(k, n)) = (f * phi)(n), i.e. the transform at order
+    m = n, by the path :func:`dft_dispatch` picks for f's kind."""
+    return dft_dispatch(f, n, 0).value
 
 
 def exact_closed_form(f: ArithmeticFunction, n: int | Factorization, m: int) -> Exact | None:

@@ -319,6 +319,20 @@ class TestPrintLimit:
         assert err.startswith("error: ") and "decimal digits" in err
 
 
+class TestParameterDigits:
+    """A parameter past int()'s digit limit is a typed error: exit 1 with one
+    ``error:`` line naming its digit count."""
+
+    @pytest.mark.parametrize("prefix", ["id_", "J_"])
+    def test_exits_usage_with_one_error_line(self, capsys, prefix):
+        code, out, err = run_cli(capsys, "dft", "--f", prefix + "9" * 4301, "--n", "12", "--m", "1")
+        assert code == EXIT_USAGE
+        assert out == ""
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "4301 digits" in err
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -1,12 +1,14 @@
 """One divisor-lattice builder, ``numtheory._lattice_terms``, and one divisor
-order, its walk's: the position of a divisor prod p^e is sum e * stride,
-the last prime fastest. The divisor lists, the divisor values of f and the
-exact convolution's Ramanujan terms are all products over the primes of n of
-one (weight, exponent) choice per prime, and each term is a plain (weight,
-position) pair of ints. ``divisor_tuple`` lists the divisors in that order,
-every divisor of d before d; only ``divisors`` sorts them. It is the one
-walk with the default choices: every reader of n's divisors, given n as an
-int or as a ``Factorization``, reads its cached tuple."""
+order, its walk's: the position of a divisor prod p^e is its index there,
+sum e * stride, the last prime fastest. The divisor lists, the divisor values
+of f, Kluyver's sum and the exact convolution's Ramanujan terms are all
+products over the primes of n of one weight per prime, and each term of the
+walk is a plain product. Only the convolution's terms carry positions:
+``transform._ramanujan_terms`` pairs each c_d(m) with the position of d, by
+Horner's rule over its class box. ``divisor_tuple`` lists the divisors in
+that order, every divisor of d before d; only ``divisors`` sorts them. It is
+the one walk with the default choices: every reader of n's divisors, given n
+as an int or as a ``Factorization``, reads its cached tuple."""
 
 import pytest
 
@@ -39,21 +41,18 @@ def assert_plain(terms, n):
 class TestDefaultChoices:
     def test_divisors_mirrored_from_both_ends(self):
         for n in N_VALUES:
-            terms = _lattice_terms(factorize(n))
-            assert_plain(terms, n)
-            assert [i for _, i in terms] == list(range(len(terms))), n
-            divs = [d for d, _ in terms]
+            divs = _lattice_terms(factorize(n))
+            assert all(type(d) is int for d in divs), n
             assert divs == list(divisor_tuple(n)), n
             assert sorted(divs) == divisors(n), n
             assert all(a * b == n for a, b in zip(divs, reversed(divs))), n
 
     def test_product_order_varies_the_last_prime_fastest(self):
-        terms = [(1, 0), (3, 1), (2, 2), (6, 3), (4, 4), (12, 5)]
-        assert _lattice_terms(factorize(12)) == terms
+        assert _lattice_terms(factorize(12)) == [1, 3, 2, 6, 4, 12]
         assert divisor_tuple(12) == (1, 3, 2, 6, 4, 12)
 
     def test_one_has_one_term(self):
-        assert _lattice_terms(factorize(1)) == [(1, 0)]
+        assert _lattice_terms(factorize(1)) == [1]
         assert divisor_tuple(1) == (1,)
 
     def test_divisor_lists_build_no_factorization(self, monkeypatch):
@@ -108,15 +107,12 @@ class TestLatticeOrder:
 
 class TestWeightedChoices:
     def test_weights_multiply_along_each_term(self):
-        terms = _lattice_terms(factorize(12), [[(5, 1)], [(2, 0), (-3, 1)]])
-        assert terms == [(10, 2), (-15, 3)]
-        assert [divisor_tuple(12)[i] for _, i in terms] == [2, 6]
+        assert _lattice_terms(factorize(12), [[5], [2, -3]]) == [10, -15]
 
     def test_a_walk_above_the_limit_raises_before_any_term(self):
         fac = Factorization(2**20, ((2, 20),))
-        choices = [[(1, e) for e in range(21)]]
-        assert len(_lattice_terms(fac, choices)) == 21
-        wide = [[(1, 0)] * (DEFINITION_SCALE_LIMIT + 1)]
+        assert len(_lattice_terms(fac, [[1] * 21])) == 21
+        wide = [[1] * (DEFINITION_SCALE_LIMIT + 1)]
         with pytest.raises(OracleScaleError, match=str(DEFINITION_SCALE_LIMIT + 1)):
             _lattice_terms(fac, wide)
 
@@ -127,6 +123,14 @@ class TestWeightedChoices:
                 terms = transform._ramanujan_terms(fac, g)
                 assert_plain(terms, n)
                 assert all(c != 0 for c, _ in terms), (n, g)
+
+    def test_ramanujan_positions_are_the_divisors_of_nonzero_terms(self):
+        for n in N_VALUES:
+            fac, divs = factorize(n), divisor_tuple(n)
+            for g in divs:
+                positions = [i for _, i in transform._ramanujan_terms(fac, g)]
+                nonzero = [i for i, d in enumerate(divs) if ramanujan_von_sterneck(d, g) != 0]
+                assert positions == nonzero, (n, g)
 
     def test_ramanujan_positions_index_the_divisor_values(self):
         for n in N_VALUES:

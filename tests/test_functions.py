@@ -153,6 +153,38 @@ class TestExactValues:
             ArithmeticFunction.from_table("t", {1: 1.0})
 
 
+class TestConstructor:
+    """Each kind takes only the rule it reads, and a table maps integers >= 1."""
+
+    @pytest.mark.parametrize("kind", ["general", "multiplicative", None], ids=repr)
+    def test_a_kind_that_is_not_a_kind_is_a_domain_error(self, kind):
+        with pytest.raises(DomainError, match="must be a Kind"):
+            ArithmeticFunction("x", kind, prime_power_rule=lambda p, e: e + 1)
+        with pytest.raises(DomainError, match="must be a Kind"):
+            ArithmeticFunction("x", kind, direct_rule={1: 1})
+
+    @pytest.mark.parametrize("kind", [Kind.MULTIPLICATIVE, Kind.COMPLETELY_MULTIPLICATIVE])
+    def test_a_multiplicative_kind_takes_no_table(self, kind):
+        with pytest.raises(DomainError, match="no table"):
+            ArithmeticFunction("x", kind, prime_power_rule=lambda p, e: e + 1, direct_rule={2: 5})
+
+    def test_a_general_kind_takes_no_rule(self):
+        with pytest.raises(DomainError, match="no rule"):
+            ArithmeticFunction(
+                "x", Kind.GENERAL, prime_power_rule=lambda p, e: e + 1, direct_rule={2: 5}
+            )
+
+    @pytest.mark.parametrize("table", [[1, 2, 3], (1, 2), {1, 2}], ids=repr)
+    def test_a_table_that_is_not_a_mapping_is_a_domain_error(self, table):
+        with pytest.raises(DomainError, match="mapping"):
+            ArithmeticFunction.from_table("x", table)
+
+    @pytest.mark.parametrize("key", [2.0, True, 0, -6, "x", 2.5], ids=repr)
+    def test_a_table_key_below_one_or_not_an_integer_is_a_domain_error(self, key):
+        with pytest.raises(DomainError, match="table key"):
+            ArithmeticFunction.from_table("x", {key: 5})
+
+
 class TestCatalog:
     def test_required_names_present(self):
         for name in ("1", "id", "id_2", "phi", "mu", "J_2", "tau", "sigma", "lambda"):
@@ -182,6 +214,11 @@ class TestCatalog:
     def test_a_name_that_is_not_a_string_is_a_domain_error(self, name):
         with pytest.raises(DomainError, match="must be a string"):
             get_function(name)
+
+    @pytest.mark.parametrize("prefix", ["id_", "id_-", "J_"])
+    def test_a_parameter_past_the_int_digit_limit_is_a_domain_error(self, prefix):
+        with pytest.raises(DomainError, match="4301 digits"):
+            get_function(prefix + "9" * 4301)
 
     def test_names_listing_resolves(self):
         for name in catalog_names():

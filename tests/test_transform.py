@@ -25,6 +25,7 @@ from gcdft.functions import (
     TAU,
     ArithmeticFunction,
     catalog_names,
+    dirichlet_convolve,
     evaluate,
     get_function,
     id_power,
@@ -397,10 +398,16 @@ class TestGcdPowerSum:
             for n in range(1, 301):
                 assert gcd_power_sum(f, n) == dft_closed_form_multiplicative(f, n, n)
 
-    def test_rejects_general_kind(self):
-        f = ArithmeticFunction.from_table("table", {d: d for d in range(1, 13)})
-        with pytest.raises(DomainError):
-            gcd_power_sum(f, 12)
+    def test_general_kind_is_f_convolved_with_phi(self):
+        f = ArithmeticFunction.from_table("table", {1: 2, 2: -1, 3: 5, 6: 7})
+        assert gcd_power_sum(f, 6) == 14
+        tables = ({k: k % 7 - 3 for k in range(1, 31)},
+                  {k: Fraction(k % 7 - 3, 1 + k % 4) for k in range(1, 31)})
+        for table in tables:
+            f = ArithmeticFunction.from_table("general", table, integer_valued=False)
+            for n in range(1, 31):
+                value = gcd_power_sum(f, n)
+                assert value == brute_gcd_power_sum(f, n) == dirichlet_convolve(f, PHI, n), n
 
 
 class TestExactClosedForm:
