@@ -209,8 +209,8 @@ def _ramanujan_terms(fac: Factorization, g: int) -> tuple[tuple[int, int], ...]:
     choices = _class_lattice(fac, g, lambda p, s, e, t: _prime_power_sum(p, e, t))
     products = numtheory._lattice_terms(fac, choices)
     positions = [0]
-    for (_, s), local in zip(fac.factors, choices):
-        positions = [i * (s + 1) + e for i in positions for e in range(len(local))]
+    for (_, s), exponents in zip(fac.factors, map(range, map(len, choices))):
+        positions = [i * (s + 1) + e for i in positions for e in exponents]
     return tuple(zip(products, positions))
 
 
