@@ -66,6 +66,8 @@ class ArithmeticFunction:
         direct_rule: Mapping[int, Exact] | None = None,
         integer_valued: bool = True,
     ):
+        if not isinstance(name, str):
+            raise DomainError(f"a function name must be a string, got {name!r}")
         if not isinstance(kind, Kind):
             raise DomainError(f"kind must be a Kind, got {kind!r}")
         table = None
@@ -77,6 +79,8 @@ class ArithmeticFunction:
                 raise DomainError(f"table keys must be >= 1, got {min(table)}")
         elif prime_power_rule is None or direct_rule is not None:
             raise DomainError(f"a {kind.value} function takes a prime-power rule and no table")
+        elif not callable(prime_power_rule):
+            raise DomainError(f"a rule must be callable, got {prime_power_rule!r}")
         self.name = name
         self.kind = kind
         self._pp_rule = prime_power_rule
@@ -96,7 +100,8 @@ class ArithmeticFunction:
         return cls(
             name,
             Kind.COMPLETELY_MULTIPLICATIVE,
-            prime_power_rule=lambda p, e: rule(p) ** e,
+            # a rule that is not callable reaches the constructor's check as given
+            prime_power_rule=(lambda p, e: rule(p) ** e) if callable(rule) else rule,
             integer_valued=integer_valued,
         )
 
@@ -257,8 +262,9 @@ _CATALOG: dict[str, ArithmeticFunction] = {
     "liouville": LIOUVILLE,
 }
 
-_ID_K = re.compile(r"id_(-?\d+)$")
-_J_K = re.compile(r"J_(\d+)$")
+# [0-9], not \d, which matches every Unicode decimal digit
+_ID_K = re.compile(r"id_(-?[0-9]+)")
+_J_K = re.compile(r"J_([0-9]+)")
 
 
 @lru_cache(maxsize=1 << 5)
@@ -270,7 +276,7 @@ def get_function(name: str) -> ArithmeticFunction:
     if name in _CATALOG:
         return _CATALOG[name]
     for pattern, family in ((_ID_K, id_power), (_J_K, jordan_function)):
-        if m := pattern.match(name):
+        if m := pattern.fullmatch(name):
             try:
                 k = int(m.group(1))
             except ValueError:  # more digits than int() converts

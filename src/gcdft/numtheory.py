@@ -405,7 +405,13 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        factors = tuple((as_int(p, "prime"), as_int(s, "multiplicity")) for p, s in self.factors)
+        try:
+            pairs = [(p, s) for p, s in self.factors]
+        except (TypeError, ValueError):  # not an iterable of pairs
+            raise DomainError(
+                f"factors must be (prime, multiplicity) pairs, got {self.factors!r}"
+            ) from None
+        factors = tuple((as_int(p, "prime"), as_int(s, "multiplicity")) for p, s in pairs)
         object.__setattr__(self, "value", as_int(self.value, "Factorization value"))
         object.__setattr__(self, "factors", factors)
         if self.value < 1:

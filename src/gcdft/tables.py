@@ -122,8 +122,8 @@ def build_table(
     class when compressed (the divisor itself represents its class), as a
     :class:`Table` of one cell per class, at most DEFINITION_SCALE_LIMIT rows.
 
-    For a multiplicative f each h_{p^t}(p^s), p^s || n and t <= s, is read
-    once from the per-prime kernel :func:`transform._local_factor`, and the
+    For a multiplicative f the h_{p^t}(p^s), t <= s, of each p^s || n are
+    read in one call of the per-prime kernel :func:`transform._local_factors`, and the
     classes g of :func:`numtheory.divisor_tuple` take, in its lattice order,
     the products of those values and of their pieces (:func:`_gcd_piece` for
     f = id). A general f's classes are :func:`transform._class_values`, and
@@ -145,7 +145,7 @@ def build_table(
         symbolic = f is get_function("id")  # the catalog object, which tracers leave in place
         local, pieces = [], []
         for i, (p, s) in enumerate(fac.factors):
-            local.append([transform._local_factor(f, p, s, t) for t in range(s + 1)])
+            local.append(transform._local_factors(f, p, s))
             pieces.append([_gcd_piece(i, s, t) if symbolic else format_exact(v)
                            for t, v in enumerate(local[-1])])
         join = "".join if symbolic else "*".join

@@ -11,14 +11,14 @@ independent ways:
   paired with the positions of d as (c_d(m), position of d) int pairs,
   cached per class (n, gcd(m, n)), shared by every f,
 * exact prime-factor products: the per-prime product for any multiplicative
-  f (one per-prime kernel, :func:`_local_factor`), Schramm's product for
+  f (one per-prime kernel, :func:`_local_factors`), Schramm's product for
   f = id, and a fully closed geometric form for completely multiplicative f,
   which reads f(p) once per prime and no other value of f.
 
 The transform depends on m only through its gcd class g = gcd(m, n), and the
 factor of p^s || n only through t = v_p(g) <= s, so any integer m, zero and
 negative included, needs no reduction first. The per-prime product reads each
-t in its own loop, on a bounded kernel memo keyed on (f, p, s, t); the oracles
+t in its own loop, on a bounded kernel memo keyed on (f, p, s); the oracles
 read the class through :func:`numtheory._class_exponents`. A divisor is its
 position in :func:`numtheory.divisor_tuple`, the lattice walk's order, where
 :func:`functions._divisor_values` holds f(n/d); the float oracles sieve in it.
@@ -257,26 +257,26 @@ def dft_closed_form_gcd(n: int | Factorization, m: int) -> int:
 
 
 @lru_cache(maxsize=1 << 8)
-def _local_factor(f: ArithmeticFunction, p: int, s: int, t: int) -> Exact:
-    """The factor of p^s || n in the transform at an order of class
-    t = v_p(gcd(m, n)) <= s:
+def _local_factors(f: ArithmeticFunction, p: int, s: int) -> tuple[Exact, ...]:
+    """The factors of p^s || n in the transform, entry t at the orders of
+    class t = v_p(gcd(m, n)) <= s:
     f(p^s) + (p-1) * sum_{b=1..t} p^(b-1) f(p^(s-b)),
-    minus f(p^(s-t-1)) * p^t when t < s (the term is dropped entirely when
-    t = s, so f never sees a negative exponent). Memoized on (f, p, s, t),
-    f by identity, and bounded, as distinct large primes would grow it."""
-    term = f.prime_power(p, s)
-    for b in range(1, t + 1):
-        term += (p - 1) * p ** (b - 1) * f.prime_power(p, s - b)
-    if t < s:
-        term -= f.prime_power(p, s - t - 1) * p**t
-    return term
+    minus f(p^(s-t-1)) * p^t when t < s (dropped at t = s, so f never sees
+    a negative exponent), from one pass that reads each f(p^e) once. Memoized
+    on (f, p, s), f by identity, and bounded, as distinct large primes would grow it."""
+    term, factors = f.prime_power(p, s), []
+    for t in range(s):
+        weighted = f.prime_power(p, s - t - 1) * p**t
+        factors.append(term - weighted)
+        term += (p - 1) * weighted
+    return (*factors, term)
 
 
 def dft_closed_form_multiplicative(
     f: ArithmeticFunction, n: int | Factorization, m: int
 ) -> Exact:
-    """Exact transform of a multiplicative f as the product of
-    :func:`_local_factor` over the prime powers of n."""
+    """Exact transform of a multiplicative f as the product of the
+    :func:`_local_factors` of each prime power of n at its class."""
     if f.kind is _GENERAL:
         raise DomainError("closed form requires a multiplicative function")
     fac = n if isinstance(n, Factorization) else numtheory.factorize(n)
@@ -286,7 +286,7 @@ def dft_closed_form_multiplicative(
         t = 0  # v_p(g), the class of p, as in _class_exponents
         while g % p == 0:
             g, t = g // p, t + 1
-        result *= _local_factor(f, p, s, t)
+        result *= _local_factors(f, p, s)[t]
     return result if type(result) is int else as_exact(result)
 
 

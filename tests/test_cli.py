@@ -80,9 +80,13 @@ class TestDft:
         }
 
     def test_unknown_function_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "dft", "--f", "zeta", "--n", "6", "--m", "1")
-        assert code == EXIT_USAGE
-        assert "zeta" in err
+        # id_ and J_ with the Arabic-Indic digit three, which int() reads as 3
+        for name in ("zeta", "id_\u0663", "J_\u0663"):
+            code, out, err = run_cli(capsys, "dft", "--f", name, "--n", "12", "--m", "1")
+            assert code == EXIT_USAGE
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert name in err
 
     def test_zero_n_is_usage_error(self, capsys):
         code, _, _ = run_cli(capsys, "dft", "--f", "id", "--n", "0", "--m", "1")

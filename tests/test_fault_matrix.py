@@ -20,7 +20,7 @@ def test_clean_sweep_passes(fault_matrix):
 
 def rules():
     return (
-        transform._local_factor,
+        transform._local_factors,
         ramanujan._prime_power_sum,
         transform._prime_power_sum,
         numtheory._class_exponents,

@@ -184,6 +184,32 @@ class TestConstructor:
         with pytest.raises(DomainError, match="table key"):
             ArithmeticFunction.from_table("x", {key: 5})
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ArithmeticFunction.multiplicative("x", 5),
+            lambda: ArithmeticFunction.completely_multiplicative("x", 5),
+            lambda: ArithmeticFunction("x", Kind.MULTIPLICATIVE, prime_power_rule="p ** e"),
+        ],
+        ids=["multiplicative", "completely-multiplicative", "constructor"],
+    )
+    def test_a_rule_that_is_not_callable_is_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="must be callable"):
+            build()
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ArithmeticFunction(5, Kind.MULTIPLICATIVE, prime_power_rule=lambda p, e: 1),
+            lambda: ArithmeticFunction.completely_multiplicative(None, lambda p: p),
+            lambda: ArithmeticFunction.from_table(b"x", {1: 1}),
+        ],
+        ids=["int", "None", "bytes"],
+    )
+    def test_a_name_that_is_not_a_string_is_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="must be a string"):
+            build()
+
 
 class TestCatalog:
     def test_required_names_present(self):
@@ -207,8 +233,10 @@ class TestCatalog:
         assert evaluate(get_function("J_3"), 4) == jordan(3, 4)
 
     def test_unknown_name(self):
-        with pytest.raises(UndefinedValueError):
-            get_function("zeta")
+        # a parameter is ASCII digits alone: no other decimal digit, no trailing newline
+        for name in ("zeta", "id_\u0663", "J_\u0663", "id_-\u0663", "id_3\n", "J_3\n"):
+            with pytest.raises(UndefinedValueError):
+                get_function(name)
 
     @pytest.mark.parametrize("name", [12, None, b"id_2", 1.5], ids=repr)
     def test_a_name_that_is_not_a_string_is_a_domain_error(self, name):

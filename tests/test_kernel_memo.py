@@ -1,6 +1,7 @@
 """The memoized per-prime kernel and the bounded caches of f's values: every
 value they hand out equals the uncached computation, and none of them grows
-past its bound."""
+past its bound. Each class factor of the kernel equals the exact convolution
+at its prime power, which reads no value of the kernel."""
 
 import random
 from fractions import Fraction
@@ -27,7 +28,7 @@ from gcdft.ramanujan import (
     ramanujan_von_sterneck,
 )
 from gcdft.transform import (
-    _local_factor,
+    _local_factors,
     dft_closed_form_multiplicative,
     dft_dispatch,
     dft_exact_convolution,
@@ -43,6 +44,13 @@ def kernel_functions():
     return [get_function(name) for name in catalog_names()] + [id_power(-1), RATIONAL]
 
 
+def kernel_prime_powers():
+    """(p, s) for every prime power p^s <= 2^12."""
+    return [
+        (p, s) for p in SMALL_PRIMES if p <= 1 << 12 for s in range(1, 13) if p**s <= 1 << 12
+    ]
+
+
 class TestKernelMemo:
     def test_bounded_after_many_distinct_primes(self):
         rng = random.Random(60)
@@ -54,7 +62,7 @@ class TestKernelMemo:
         for p in primes:
             fac = Factorization(p, ((p, 1),))
             assert dft_closed_form_multiplicative(SIGMA, fac, 1) == p  # sigma(p) - 1
-        info = _local_factor.cache_info()
+        info = _local_factors.cache_info()
         assert info.maxsize is not None
         assert info.currsize <= info.maxsize
 
@@ -71,16 +79,22 @@ class TestKernelMemo:
         assert dft_closed_form_multiplicative(power, 12, 12) == 40  # Pillai's sum
 
     def test_cached_equals_uncached(self):
-        uncached = _local_factor.__wrapped__
-        prime_powers = [
-            (p, s) for p in SMALL_PRIMES if p <= 1 << 12 for s in range(1, 13) if p**s <= 1 << 12
-        ]
+        uncached = _local_factors.__wrapped__
         for f in kernel_functions():
-            for p, s in prime_powers:
-                for t in range(s + 1):
-                    cached, reference = _local_factor(f, p, s, t), uncached(f, p, s, t)
-                    assert cached == reference, (f.name, p, s, t)
-                    assert type(cached) is type(reference), (f.name, p, s, t)
+            for p, s in kernel_prime_powers():
+                cached, reference = _local_factors(f, p, s), uncached(f, p, s)
+                assert cached == reference, (f.name, p, s)
+                assert list(map(type, cached)) == list(map(type, reference)), (f.name, p, s)
+
+    def test_each_class_factor_is_the_convolution_at_its_class(self):
+        """Entry t of the factors of p^s is the transform at p^s of the order
+        p^t, as the convolution sums it from c_{p^e} and f(p^(s-e))."""
+        for f in kernel_functions():
+            for p, s in kernel_prime_powers():
+                factors = _local_factors(f, p, s)
+                assert len(factors) == s + 1, (f.name, p, s)
+                for t, factor in enumerate(factors):
+                    assert factor == dft_exact_convolution(f, p**s, p**t), (f.name, p, s, t)
 
 
 class TestNamedFunctions:
@@ -94,9 +108,9 @@ class TestNamedFunctions:
     def test_named_function_keeps_its_kernel_memo(self):
         n, m = 720720, 7
         dft_dispatch(get_function("J_2"), n, m)
-        hits = _local_factor.cache_info().hits
+        hits = _local_factors.cache_info().hits
         dft_dispatch(get_function("J_2"), n, m)
-        assert _local_factor.cache_info().hits - hits == len(factorize(n).factors)
+        assert _local_factors.cache_info().hits - hits == len(factorize(n).factors)
 
 
 def per_order_agreement(n_values, float_limit, tolerance=FLOAT_TOLERANCE):

@@ -480,6 +480,9 @@ class TestFactorize:
             Factorization(4, ((2, 1), (2, 1)))  # repeated prime
         with pytest.raises(DomainError):
             Factorization(1, ((2, 0),))  # zero multiplicity
+        for factors in (None, ((2, 2), 3), ((2, 2, 1), (3, 1))):  # not (prime, multiplicity) pairs
+            with pytest.raises(DomainError, match="pairs"):
+                Factorization(12, factors)
 
     def test_factorize_builds_the_same_value_as_the_checked_constructor(self):
         for n in (1, 360, 10_007 * 10_009, 12 * (2**40 + 15) ** 2, PSI_12):

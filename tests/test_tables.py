@@ -255,17 +255,17 @@ class TestGcdClassEvaluation:
                 compressed, "csv"
             )
 
-    def test_one_dispatch_per_class_and_local_factor(self, monkeypatch):
-        """A multiplicative f reads the per-prime kernel once per
-        h_{p^t}(p^s), t <= s, and a general f runs one convolution per class
-        alone."""
+    def test_one_dispatch_per_class_and_prime_power(self, monkeypatch):
+        """A multiplicative f reads the per-prime kernel once per p^s || n,
+        for all its h_{p^t}(p^s), t <= s, and a general f runs one
+        convolution per class alone."""
         from gcdft import transform
 
         kernel, convolutions = [], []
-        honest_kernel = transform._local_factor
+        honest_kernel = transform._local_factors
         honest_convolution = transform.dft_exact_convolution
         monkeypatch.setattr(
-            transform, "_local_factor", lambda *a: kernel.append(a) or honest_kernel(*a)
+            transform, "_local_factors", lambda *a: kernel.append(a) or honest_kernel(*a)
         )
         monkeypatch.setattr(
             transform,
@@ -278,7 +278,7 @@ class TestGcdClassEvaluation:
                 assert len(build_table(f, n, compress=compress)) == (
                     len(divisor_tuple(n)) if compress else n
                 )
-                assert len(kernel) == sum(s + 1 for _, s in factorize(n).factors)
+                assert kernel == [(f, p, s) for p, s in factorize(n).factors]
         assert convolutions == []
         for compress in (False, True):
             convolutions.clear()

@@ -70,7 +70,7 @@ class TestRealLimit:
             raise AssertionError("the divisors must not be listed")
 
         monkeypatch.setattr(tables, "product", refuse)
-        monkeypatch.setattr(transform, "_local_factor", refuse)
+        monkeypatch.setattr(transform, "_local_factors", refuse)
         monkeypatch.setattr(transform, "dft_exact_convolution", refuse)
         with pytest.raises(DomainError, match="compressed"):
             build_table(ID, self.N, compress=True)

@@ -372,7 +372,7 @@ class TestClosedFormCompletelyMult:
         def refuse(*args):
             raise AssertionError("the geometric oracle called the per-prime kernel")
 
-        monkeypatch.setattr(transform, "_local_factor", refuse)
+        monkeypatch.setattr(transform, "_local_factors", refuse)
         assert [dft_closed_form_completely_mult(f, n, m) for f, n, m in grid] == expected
 
 

@@ -220,7 +220,7 @@ class TestFaultInjection:
         report = run_verification(config)
         assert not report.passed
 
-    def test_gcd_dependence_catches_an_offset_local_factor(self, fault):
+    def test_gcd_dependence_catches_offset_local_factors(self, fault):
         # the closed form at m against the convolution at gcd(m, n)
         fault("local-factor+1")
         failures = [

@@ -6,7 +6,8 @@ evaluation, how many checks of each identity fail in one verify sweep:
 The sweep is ``SweepConfig(n_max=N_MAX, functions=FUNCTIONS)`` with every
 order m. The faults:
 
-* ``local-factor+1``: ``transform._local_factor`` returns one more;
+* ``local-factor+1``: every class factor of p^s that
+  ``transform._local_factors`` returns is one more;
 * ``prime-power-sum+1``: ``ramanujan._prime_power_sum(p, e, t)`` returns one
   more at p = 3, e = t + 1;
 * ``class-exponents+1``: ``numtheory._class_exponents`` gives t + 1 for the
@@ -54,7 +55,9 @@ def _negated(honest):
 # name -> (module, rule, the faulted rule built from the honest one)
 FAULTS = {
     "local-factor+1": (
-        transform, "_local_factor", lambda honest: lambda f, p, s, t: honest(f, p, s, t) + 1
+        transform,
+        "_local_factors",
+        lambda honest: lambda f, p, s: tuple(v + 1 for v in honest(f, p, s)),
     ),
     "prime-power-sum+1": (
         ramanujan,
