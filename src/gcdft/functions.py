@@ -81,6 +81,8 @@ class ArithmeticFunction:
             raise DomainError(f"a {kind.value} function takes a prime-power rule and no table")
         elif not callable(prime_power_rule):
             raise DomainError(f"a rule must be callable, got {prime_power_rule!r}")
+        if type(integer_valued) is not bool:
+            raise DomainError(f"integer_valued must be a bool, got {integer_valued!r}")
         self.name = name
         self.kind = kind
         self._pp_rule = prime_power_rule

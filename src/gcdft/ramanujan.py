@@ -10,11 +10,11 @@ c_n(m) is multiplicative in n, and its value at a prime power,
 Sterneck's form is its product over the primes of n, and the exact
 convolution in :mod:`gcdft.transform` builds its terms from it. Kluyver's
 divisor sum, a walk over the divisors of gcd(m, n) on n's divisor lattice, and
-the floating definition are the rule's independent checks. The definition
-reads its terms from one table, held for the last n, of the k coprime to n
-and the n-th roots of unity, indexed at the exact phases: per residue for
-:func:`ramanujan_definition`, or for every residue of n at once for
-:func:`ramanujan_definition_row`, which gives the same floats.
+the floating definition are the rule's independent checks. With
+eps(d) = [d = 1], eps(gcd(k, n)) is the indicator of the k coprime to n, so
+the definition is the transform of eps (Toth and Haukkanen's r-even DFT):
+the float oracles of :mod:`gcdft.transform` at eps give one value, from the
+folded brute sum, and every residue of n at once, from the FFT.
 """
 
 from __future__ import annotations
@@ -22,72 +22,37 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-import numpy as np
-
 from . import numtheory
 from .errors import OracleScaleError
+from .functions import ArithmeticFunction
 from .numtheory import DEFINITION_SCALE_LIMIT, _class_exponents, as_int, factorize
 
 FLOAT_TOLERANCE = 1e-6
 
-
-@lru_cache(maxsize=1)
-def _definition_table(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The k in 1..n <= 10^6 coprime to n, every multiple of a prime of n
-    cleared, and e(j/n) for j = 0..n-1: read-only and held for the last n,
-    so that the blocks of one :func:`ramanujan_definition_row` and repeated
-    ``ramanujan_definition(n, m)`` calls at one n build it once."""
-    if n < 1:
-        raise OracleScaleError("n must be >= 1")
-    if n > DEFINITION_SCALE_LIMIT:
-        raise OracleScaleError(
-            f"definition oracle is rated for n <= {DEFINITION_SCALE_LIMIT}, got {n}"
-        )
-    coprime = np.ones(n, dtype=bool)
-    for p, _ in factorize(n).factors:
-        coprime[p - 1 :: p] = False
-    k = np.flatnonzero(coprime) + 1
-    roots = np.exp(2j * np.pi * np.arange(n) / n)
-    k.flags.writeable = roots.flags.writeable = False
-    return k, roots
-
-
-def _definition_sums(n: int, residues) -> np.ndarray:
-    """The definition's sum at each order in ``residues``, one row of terms
-    per order, each row summed on its own: the table is checked before any
-    order is reduced mod n."""
-    k, roots = _definition_table(n)
-    # k*r is reduced mod n in exact integer arithmetic before the angle is
-    # formed, keeping the phase error at the 1e-15 level even for huge m.
-    return roots[np.outer([r % n for r in residues], k) % n].sum(axis=1)
+# eps(p^e) = 0 for e >= 1: the identity of Dirichlet convolution, kept out of
+# the catalog, whose names the CLI and the digest list
+_EPSILON = ArithmeticFunction.multiplicative("eps", lambda p, e: 0)
 
 
 def ramanujan_definition(n: int, m: int) -> complex:
-    """Floating-point sum over the k coprime to n; oracle use only (n <= 10^6).
+    """Floating-point sum over the k coprime to n; oracle use only (n <= 10^6):
+    ``transform.dft_brute_float`` at eps, whose folded cosine sum is real,
+    so the imaginary part is 0.0 and the real part should sit within
+    FLOAT_TOLERANCE of an integer."""
+    from . import transform  # transform imports this module's exact rule
 
-    The imaginary part of the result should vanish and the real part should
-    sit within FLOAT_TOLERANCE of an integer. Each term is the float that
-    ``np.exp(2j * np.pi * phase / n)`` gives, read from the roots of unity
-    of :func:`_definition_table` at the phases of its k.
-    """
     n, m = as_int(n, "n"), as_int(m, "m")
-    return complex(_definition_sums(n, [m])[0])
+    return transform.dft_brute_float(_EPSILON, n, m)
 
 
 def ramanujan_definition_row(n: int) -> list[complex]:
-    """:func:`ramanujan_definition` at every residue r = 0..n-1, entry r
-    equal to ``ramanujan_definition(n, r)`` bit for bit: n * phi(n) terms,
-    gathered from the table in blocks of orders of at most
-    DEFINITION_SCALE_LIMIT terms each. Oracle use only (n <= 10^6); a verify
-    sweep reads the row once per n and lets it go."""
-    n = as_int(n, "n")
-    k, _ = _definition_table(n)
-    step = DEFINITION_SCALE_LIMIT // len(k)  # >= 1, as len(k) = phi(n) <= n
-    return [
-        z
-        for start in range(0, n, step)
-        for z in _definition_sums(n, range(start, min(start + step, n))).tolist()
-    ]
+    """The definition at every residue r = 0..n-1, entry r within rounding of
+    ``ramanujan_definition(n, r)``: ``transform.dft_brute_spectrum`` at eps,
+    one FFT. Oracle use only (n <= 10^6); a verify sweep reads the row once
+    per n and lets it go."""
+    from . import transform  # transform imports this module's exact rule
+
+    return transform.dft_brute_spectrum(_EPSILON, as_int(n, "n")).tolist()
 
 
 def _prime_power_sum(p: int, e: int, t: int) -> int:

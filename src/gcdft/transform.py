@@ -351,9 +351,9 @@ def float_bound(f: ArithmeticFunction, n: int, tolerance: float) -> float:
 
 def float_agrees(approx: complex, exact: Exact, bound: float) -> bool:
     """Whether a float oracle's value lies within ``bound`` of the real exact
-    value, in both its real and its imaginary part. The brute sum is real by
-    construction, so the imaginary test bites on the FFT spectrum and the
-    Ramanujan float definition."""
+    value, in both its real and its imaginary part. The brute sum, and with it
+    the single Ramanujan float definition, is real by construction, so the
+    imaginary test bites on the FFT spectrum and the Ramanujan definition row."""
     return abs(approx.real - float(exact)) < bound and abs(approx.imag) < bound
 
 

@@ -280,19 +280,29 @@ def check_ramanujan_agreement(
     """The two exact Ramanujan evaluators agree everywhere; the floating
     definition agrees (rounded) up to n = RAMANUJAN_FLOAT_LIMIT. The float
     values come from one :func:`ramanujan_definition_row` per n, read at
-    m mod n and dropped when the sweep moves to the next n."""
+    m mod n and dropped when the sweep moves to the next n. An
+    :class:`InconsistencyError` of the row at n fails the float check at
+    each of n's orders."""
     exact_pass = ("ramanujan-exact-agreement", None)
     float_pass = ("ramanujan-float-agreement", None)
     tolerance = config.tolerance_float
     for n in n_values:
-        row = ramanujan_definition_row(n) if n <= RAMANUJAN_FLOAT_LIMIT else None
+        row = None
+        if n <= RAMANUJAN_FLOAT_LIMIT:
+            try:
+                row = ramanujan_definition_row(n)
+            except InconsistencyError as exc:
+                row = exc
         for m in range(1, n + 1):
             exact = ramanujan_von_sterneck(n, m)
             other = ramanujan_kluyver(n, m)
             yield exact_pass if other == exact else _verdict(
                 "ramanujan-exact-agreement", "-", n, m, exact, other
             )
-            if row is not None:
+            if isinstance(row, InconsistencyError):
+                approx = f"oracle error: {row}"
+                yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx)
+            elif row is not None:
                 approx = row[m % n]
                 yield float_pass if float_agrees(approx, exact, tolerance) else _verdict(
                     "ramanujan-float-agreement", "-", n, m, exact, approx

@@ -1,11 +1,12 @@
 """The cheaper per-call paths of a verify sweep give the values of the plain
-ones: the float definition reads its terms from a table of unit roots, its
-row over every residue of n gives the same floats, a
-``Factorization`` hashes by its value, the geometric closed form builds a
-``Fraction`` only where its ratio is not whole, and ``run_verification``
-tallies its checks without recording each one."""
+ones: the float definition is the folded brute sum at eps, within rounding
+of the plain sum of unit roots, its row over every residue of n is the FFT
+at eps, a ``Factorization`` hashes by its value, the geometric closed form
+builds a ``Fraction`` only where its ratio is not whole, and
+``run_verification`` tallies its checks without recording each one."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,7 +16,12 @@ from gcdft.errors import OracleScaleError
 from gcdft.functions import Kind, _divisor_values, catalog_names, get_function
 from gcdft.numtheory import DEFINITION_SCALE_LIMIT, Factorization, factorize
 from gcdft.ramanujan import ramanujan_definition, ramanujan_definition_row
-from gcdft.transform import dft_closed_form_completely_mult, dft_closed_form_multiplicative
+from gcdft.transform import (
+    dft_brute_float,
+    dft_brute_spectrum,
+    dft_closed_form_completely_mult,
+    dft_closed_form_multiplicative,
+)
 from gcdft.verify import (
     SweepConfig,
     SweepReport,
@@ -30,36 +36,35 @@ from gcdft.verify import (
 
 
 class TestUnitRoots:
-    def test_definition_is_the_exp_of_each_phase(self):
+    def test_definition_is_the_brute_sum_at_epsilon(self):
+        """Bit for bit the folded sum of eps, and within 1e-9 of the plain
+        sum of exp(2 pi i k m / n) over the k coprime to n, the reference."""
         for n in range(1, 300):
-            k, _ = ramanujan._definition_table(n)
-            for m in range(-n, 2 * n + 1):
-                plain = complex(np.exp(2j * np.pi * ((k * (m % n)) % n) / n).sum())
-                assert ramanujan_definition(n, m) == plain, (n, m)
+            k = np.array([k for k in range(1, n + 1) if math.gcd(k, n) == 1])
+            orders = range(-n, 2 * n + 1)
+            plain = np.exp(2j * np.pi * (np.outer([m % n for m in orders], k) % n) / n).sum(axis=1)
+            for m, reference in zip(orders, plain.tolist()):
+                value = ramanujan_definition(n, m)
+                assert value == dft_brute_float(ramanujan._EPSILON, n, m), (n, m)
+                assert abs(value - reference) < 1e-9, (n, m)
+
+    def test_row_is_the_spectrum_at_epsilon(self):
+        for n in [*range(1, 300), 997, 1000, 1009]:
+            spectrum = dft_brute_spectrum(ramanujan._EPSILON, n).tolist()
+            assert ramanujan_definition_row(n) == spectrum, n
 
     def test_row_is_the_definition_at_each_residue(self):
-        # 997 and 1000 are one block of orders, 1009 two: 1009 * 1008 terms
+        # the FFT and the folded sum, two algorithms, agree within rounding
         for n in [*range(1, 300), 997, 1000, 1009]:
             row = ramanujan_definition_row(n)
             assert len(row) == n and all(type(z) is complex for z in row), n
             for m in range(-n, 2 * n + 1):
-                assert row[m % n] == ramanujan_definition(n, m), (n, m)
+                assert abs(row[m % n] - ramanujan_definition(n, m)) < 1e-9, (n, m)
 
     @pytest.mark.parametrize("n", [0, DEFINITION_SCALE_LIMIT + 1])
     def test_row_refuses_an_unrated_n(self, n):
         with pytest.raises(OracleScaleError):
             ramanujan_definition_row(n)
-
-    def test_table_is_read_only_and_held_for_one_n(self):
-        _, roots = ramanujan._definition_table(12)
-        assert roots.shape == (12,) and not roots.flags.writeable
-        assert roots[0] == 1 and roots[3] == np.exp(2j * np.pi * 3 / 12)
-        with pytest.raises(ValueError):
-            roots[0] = 0
-        assert ramanujan._definition_table(12)[1] is roots
-        ramanujan_definition(10, 3)
-        assert ramanujan._definition_table.cache_info().currsize == 1
-        assert ramanujan._definition_table(10)[1].shape == (10,)
 
 
 class TestFactorizationHash:

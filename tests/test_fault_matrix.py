@@ -108,8 +108,8 @@ fault lattice-drops-last
   path-equivalence-exact           386/390
   path-equivalence-float           390/390
   ramanujan-exact-agreement        58/78
-  ramanujan-float-agreement        0/78
-  total                            3778/4425
+  ramanujan-float-agreement        78/78
+  total                            3856/4425
 fault negate-closed-form
   coprime-order-totient            46/46
   gcd-dependence                   1131/1170
@@ -138,8 +138,8 @@ def test_the_table_at_twelve_is_pinned(fault_matrix):
     assert fault_matrix.render(12) == PINNED_TABLE
 
 
-# sha256 of the 16 891 failures below, independent of the hash seed
-PINNED_FAILURES = "740e3d7c1c7c83d0c6247e2afb663b40674e28208570890918ee7c1438626a6c"
+# sha256 of the 16 969 failures below, independent of the hash seed
+PINNED_FAILURES = "1380ad9244dcb4474b0f0a0ca3c2d79c062dd24dfda6b6a376ad75398ef3e499"
 
 
 def test_every_failure_under_each_fault_is_pinned(fault_matrix):
@@ -149,5 +149,5 @@ def test_every_failure_under_each_fault_is_pinned(fault_matrix):
     for fault in fault_matrix.FAULTS:
         report = fault_matrix.run_under(config, fault)
         runs.append((fault, report.checks, [tuple(vars(f).values()) for f in report.failures]))
-    assert sum(len(failures) for _, _, failures in runs) == 16891
+    assert sum(len(failures) for _, _, failures in runs) == 16969
     assert hashlib.sha256(repr(runs).encode()).hexdigest() == PINNED_FAILURES

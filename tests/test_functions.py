@@ -210,6 +210,19 @@ class TestConstructor:
         with pytest.raises(DomainError, match="must be a string"):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: ArithmeticFunction.multiplicative("x", lambda p, e: 1, integer_valued="no"),
+            lambda: ArithmeticFunction.completely_multiplicative("x", lambda p: p, integer_valued=1),
+            lambda: ArithmeticFunction.from_table("x", {1: 1}, integer_valued=None),
+        ],
+        ids=["str", "int", "None"],
+    )
+    def test_an_integer_valued_flag_that_is_not_a_bool_is_a_domain_error(self, build):
+        with pytest.raises(DomainError, match="integer_valued must be a bool"):
+            build()
+
 
 class TestCatalog:
     def test_required_names_present(self):

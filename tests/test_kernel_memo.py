@@ -96,6 +96,13 @@ class TestKernelMemo:
                 for t, factor in enumerate(factors):
                     assert factor == dft_exact_convolution(f, p**s, p**t), (f.name, p, s, t)
 
+    def test_the_factors_at_epsilon_are_the_ramanujan_rule(self):
+        """At eps, whose transform is the Ramanujan sum, entry t of the
+        factors of p^s is c_{p^s} at class t, the package's one exact rule."""
+        for p, s in kernel_prime_powers():
+            factors = _local_factors(ramanujan._EPSILON, p, s)
+            assert factors == tuple(ramanujan._prime_power_sum(p, s, t) for t in range(s + 1))
+
 
 class TestNamedFunctions:
     def test_one_name_is_one_object(self):
@@ -134,18 +141,34 @@ def per_order_agreement(n_values, float_limit, tolerance=FLOAT_TOLERANCE):
                 yield "ramanujan-float-agreement", failure
 
 
+def assert_same_verdicts(got, expected):
+    """The same verdicts, each failure at the same (identity, n, m, expected),
+    and the float values it shows within 1e-9: the row is an FFT and the
+    single value a folded sum, two algorithms."""
+    got, expected = list(got), list(expected)
+    assert [identity for identity, _ in got] == [identity for identity, _ in expected]
+    for (_, a), (_, b) in zip(got, expected):
+        assert (a is None) == (b is None), (a, b)
+        if a is not None:
+            assert (a.identity, a.f_name, a.n, a.m, a.expected) == (
+                b.identity, b.f_name, b.n, b.m, b.expected
+            )
+            assert abs(complex(a.got) - complex(b.got)) < 1e-9, (a, b)
+
+
 class TestRamanujanAgreement:
     def test_residues_once_per_n_match_per_order_calls(self, monkeypatch):
         n_values = range(1, 40)
         monkeypatch.setattr(verify, "RAMANUJAN_FLOAT_LIMIT", 30)
         config = SweepConfig(n_max=39)
-        assert list(check_ramanujan_agreement(n_values, config)) == list(
-            per_order_agreement(n_values, float_limit=30)
+        assert_same_verdicts(
+            check_ramanujan_agreement(n_values, config),
+            per_order_agreement(n_values, float_limit=30),
         )
         honest = ramanujan._von_sterneck
         monkeypatch.setattr(ramanujan, "_von_sterneck", lambda n, g: honest(n, g) + 1)
         got = list(check_ramanujan_agreement(n_values, config))
-        assert got == list(per_order_agreement(n_values, float_limit=30))
+        assert_same_verdicts(got, per_order_agreement(n_values, float_limit=30))
         assert {identity for identity, failure in got if failure} == {
             "ramanujan-exact-agreement",
             "ramanujan-float-agreement",

@@ -1,7 +1,9 @@
 """The three Ramanujan sum evaluators as mutual oracles."""
 
+import ast
 import cmath
 import math
+import pathlib
 import random
 
 import pytest
@@ -51,12 +53,17 @@ class TestDefinition:
         with pytest.raises(OracleScaleError):
             ramanujan_definition(0, 1)
 
-    def test_residues_are_read_only_and_held_for_one_n(self):
-        k, _ = ramanujan._definition_table(12)
-        assert k.tolist() == [1, 5, 7, 11] and not k.flags.writeable
-        assert ramanujan._definition_table(12)[0] is k
-        ramanujan._definition_table(10)
-        assert ramanujan._definition_table.cache_info().currsize == 1
+    def test_module_imports_no_numpy(self):
+        """The float definition reads transform's oracles at eps, so the
+        module of the exact rule imports no numpy of its own."""
+        tree = ast.parse(pathlib.Path(ramanujan.__file__).read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module or "")
+        assert imported and not any(name.split(".")[0] == "numpy" for name in imported)
 
 
 class TestVonSterneck:

@@ -295,6 +295,17 @@ class TestFaultInjection:
         ):
             assert line in captured.out
 
+    def test_a_definition_row_that_raises_fails_each_float_check(self, fault):
+        # the row is the FFT of eps, which sieves on the same divisor walk
+        fault("lattice-drops-last")
+        results = list(check_ramanujan_agreement(range(1, 4), grid()))
+        floats = [x for identity, x in results if identity == "ramanujan-float-agreement"]
+        assert len(floats) == 6 and all(x.got.startswith("oracle error: ") for x in floats)
+        assert floats[1] == Failure(
+            "ramanujan-float-agreement", "-", 2, 1, "-1",
+            "oracle error: (1,) are not the 2 divisors of 2",
+        )
+
     def test_fault_in_check_generator(self, fault):
         fault("negate-closed-form")
         failures = [
