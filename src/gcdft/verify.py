@@ -300,8 +300,8 @@ def check_ramanujan_agreement(
                 "ramanujan-exact-agreement", "-", n, m, exact, other
             )
             if isinstance(row, InconsistencyError):
-                approx = f"oracle error: {row}"
-                yield _verdict("ramanujan-float-agreement", "-", n, m, exact, approx)
+                error = f"oracle error: {row}"
+                yield _verdict("ramanujan-float-agreement", "-", n, m, exact, error)
             elif row is not None:
                 approx = row[m % n]
                 yield float_pass if float_agrees(approx, exact, tolerance) else _verdict(
